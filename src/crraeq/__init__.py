@@ -23,11 +23,9 @@ from .model import (
 )
 from .multiindex import (
     CompositionCapExceeded,
-    MultiIndex,
     composition_count,
     enumerate_compositions,
     log_multinomial_coefficient,
-    multinomial_coefficient,
 )
 from .equilibrium import (
     EquilibriumSnapshot,
@@ -60,7 +58,6 @@ __all__ = [
     "EquilibriumSnapshot",
     "MarketState",
     "ModelError",
-    "MultiIndex",
     "NonpositiveDenominator",
     "RateBundle",
     "StockDynamics",
@@ -73,7 +70,6 @@ __all__ = [
     "enumerate_compositions",
     "lambda_j",
     "log_multinomial_coefficient",
-    "multinomial_coefficient",
     "pd_ratio",
     "portfolio",
     "rate_bundle",

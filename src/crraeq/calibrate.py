@@ -13,9 +13,9 @@ The iteration is a damped fixed point
 motivated by the single-composition limit where share_j is proportional
 to exp(-gamma_j / R) at the initial state.  If progress stalls, a
 finite-difference Newton step on the share map (restricted to the
-zero-sum subspace) takes over.  The D(beta) denominators do not involve
-gamma, so iterates cannot leave the validated region; the ValidationLost
-branch exists to honor that contract defensively.
+zero-sum subspace) takes over.  The composition table does not involve
+gamma, so the economy is validated once and every iterate is evaluated
+on that one table.
 """
 
 from __future__ import annotations
@@ -26,13 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import equilibrium
-from .model import (
-    DenominatorTable,
-    EconomyParams,
-    MarketState,
-    NonpositiveDenominator,
-    validate,
-)
+from .model import DenominatorTable, EconomyParams, MarketState, validate
 
 
 class NoConvergence(Exception):
@@ -45,10 +39,6 @@ class NoConvergence(Exception):
             f"share residual {residual:.3e} after {max_iter} iterations; "
             "targets may be unattainable for this economy"
         )
-
-
-class ValidationLost(Exception):
-    """An iterate produced a nonpositive denominator (not reachable via gamma)."""
 
 
 @dataclass(frozen=True)
@@ -72,19 +62,14 @@ def wealth_shares(
     params: EconomyParams, table: DenominatorTable, state: MarketState
 ) -> np.ndarray:
     """w^j/S at a state; the delta and zeta prefactors cancel in the ratio."""
-    log_z = equilibrium.log_Z_arr(state.t, state.x, table)
+    log_z = equilibrium.log_Z_arr(state.t, state.x, params, table)
     log_zj = np.array(
         [
-            equilibrium.log_Z_agent_arr(state.t, state.x, table, j)
+            equilibrium.log_Z_agent_arr(state.t, state.x, params, table, j)
             for j in range(params.n_agents)
         ]
     )
     return np.exp(log_zj - log_z)
-
-
-def _shares_at(params: EconomyParams, gamma: np.ndarray, state: MarketState):
-    trial = params.with_gammas(gamma)
-    return wealth_shares(trial, validate(trial), state)
 
 
 def solve_gamma(
@@ -104,6 +89,11 @@ def solve_gamma(
     if j == 1:
         return np.zeros(1)
 
+    table = validate(params)
+
+    def shares_at(g):
+        return wealth_shares(params.with_gammas(g), table, target.state)
+
     tgt = np.array(target.shares)
     gamma = np.zeros(j)
     r_curv = params.R
@@ -112,7 +102,7 @@ def solve_gamma(
     residual = math.inf
 
     for _ in range(max_iter):
-        shares = _try_shares(params, gamma, target.state)
+        shares = shares_at(gamma)
         residual = float(np.max(np.abs(shares - tgt)))
         if residual <= tol:
             return gamma - gamma.mean()
@@ -123,7 +113,7 @@ def solve_gamma(
             stall += 1
 
         if stall >= 4:
-            step = _newton_step(params, gamma, shares, tgt, target.state)
+            step = _newton_step(shares_at, gamma, shares, tgt)
             stall = 0
         else:
             step = 0.5 * r_curv * np.log(shares / tgt)
@@ -132,7 +122,7 @@ def solve_gamma(
         for _ in range(30):
             candidate = gamma + step
             candidate -= candidate.mean()
-            new_shares = _try_shares(params, candidate, target.state)
+            new_shares = shares_at(candidate)
             if float(np.max(np.abs(new_shares - tgt))) < residual:
                 break
             step = step / 2
@@ -141,14 +131,7 @@ def solve_gamma(
     raise NoConvergence(max_iter, residual)
 
 
-def _try_shares(params, gamma, state):
-    try:
-        return _shares_at(params, gamma, state)
-    except NonpositiveDenominator as e:  # gamma does not enter D(beta)
-        raise ValidationLost(str(e)) from e
-
-
-def _newton_step(params, gamma, shares, tgt, state):
+def _newton_step(shares_at, gamma, shares, tgt):
     """Least-squares Newton direction on the zero-sum subspace."""
     j = len(gamma)
     basis = np.zeros((j, j - 1))
@@ -158,8 +141,8 @@ def _newton_step(params, gamma, shares, tgt, state):
     h = 1e-6
     jac = np.empty((j, j - 1))
     for k in range(j - 1):
-        up = _try_shares(params, gamma + h * basis[:, k], state)
-        dn = _try_shares(params, gamma - h * basis[:, k], state)
+        up = shares_at(gamma + h * basis[:, k])
+        dn = shares_at(gamma - h * basis[:, k])
         jac[:, k] = (up - dn) / (2 * h)
     coeff, *_ = np.linalg.lstsq(jac, tgt - shares, rcond=None)
     return basis @ coeff

@@ -16,20 +16,13 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
 
-from .calibrate import (
-    CalibrationTarget,
-    NoConvergence,
-    ValidationLost,
-    solve_gamma,
-    wealth_shares,
-)
-from .dynamics import agent_dynamics, rate_bundle, stock_dynamics
+from .calibrate import CalibrationTarget, NoConvergence, solve_gamma, wealth_shares
 from .equilibrium import (
+    evaluate_fields,
     log_L_arr,
     log_state_price_density_arr,
     log_stock_price_arr,
@@ -207,27 +200,13 @@ def cmd_simulate(args) -> int:
     paths = simulate_paths(grid, args.x0, args.paths, args.seed)
     columns = _csv_columns(params.n_agents)
 
-    def block(item):
-        path_id, path = item
-        matrix = _series_matrix(evaluate_series(path, params, table))
-        return _csv_block(path_id, matrix), matrix[-1]
-
     terminal = []
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        if args.workers > 1:
-            # map preserves submission order, and each path's block is a
-            # pure function of (seed, path_id), so bytes do not depend on
-            # the worker count
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                for text, last_row in pool.map(block, enumerate(paths)):
-                    fh.write(text)
-                    terminal.append(last_row)
-        else:
-            for item in enumerate(paths):
-                text, last_row = block(item)
-                fh.write(text)
-                terminal.append(last_row)
+        for path_id, path in enumerate(paths):
+            matrix = _series_matrix(evaluate_series(path, params, table))
+            fh.write(_csv_block(path_id, matrix))
+            terminal.append(matrix[-1])
 
     means = np.mean(terminal, axis=0)
     _print_json(
@@ -333,12 +312,11 @@ def _fd_errors(state: MarketState, params: EconomyParams, table: DenominatorTabl
     stencils use Richardson extrapolation with wider steps, which keeps
     the roundoff floor below the 1e-5 verification tolerance.
     """
-    rb = rate_bundle(state, params, table)
-    sd = stock_dynamics(state, params, table)
+    closed = evaluate_fields(state.t, state.x, params, table)
 
-    log_l = lambda t, x: float(log_L_arr(t, x, table))
+    log_l = lambda t, x: float(log_L_arr(t, x, params, table))
     log_zeta = lambda t, x: float(log_state_price_density_arr(t, x, params))
-    log_z = lambda t, x: float(log_Z_arr(t, x, table))
+    log_z = lambda t, x: float(log_Z_arr(t, x, params, table))
     log_s = lambda t, x: float(log_stock_price_arr(t, x, params, table))
 
     _, l_x, _ = fd_engine(log_l, state)
@@ -351,21 +329,21 @@ def _fd_errors(state: MarketState, params: EconomyParams, table: DenominatorTabl
         return f_t + 0.5 * (f_xx + f_x**2)
 
     errors = {
-        "alpha_bar": _rel(rb.alpha_bar, l_x, FD_REL_FLOOR),
-        "rho_bar": _rel(rb.rho_bar, -generator(log_l), FD_REL_FLOOR),
-        "riskless_rate": _rel(rb.riskless_rate, -generator(log_zeta), FD_REL_FLOOR),
-        "kappa": _rel(rb.kappa, -zeta_x, FD_REL_FLOOR),
-        "alpha_tilde": _rel(sd.alpha_tilde, z_x, FD_REL_FLOOR),
-        "rho_tilde": _rel(sd.rho_tilde, -generator(log_z), FD_REL_FLOOR),
-        "sigma_S": _rel(sd.vol, s_x, FD_REL_FLOOR),
-        "mu_S": _rel(sd.drift, generator(log_s), FD_REL_FLOOR),
+        "alpha_bar": _rel(closed["alpha_bar"], l_x, FD_REL_FLOOR),
+        "rho_bar": _rel(closed["rho_bar"], -generator(log_l), FD_REL_FLOOR),
+        "riskless_rate": _rel(closed["riskless_rate"], -generator(log_zeta), FD_REL_FLOOR),
+        "kappa": _rel(closed["kappa"], -zeta_x, FD_REL_FLOOR),
+        "alpha_tilde": _rel(closed["alpha_tilde"], z_x, FD_REL_FLOOR),
+        "rho_tilde": _rel(closed["rho_tilde"], -generator(log_z), FD_REL_FLOOR),
+        "sigma_S": _rel(closed["vol"], s_x, FD_REL_FLOOR),
+        "mu_S": _rel(closed["drift"], generator(log_s), FD_REL_FLOOR),
     }
     agent_err = 0.0
     for j in range(params.n_agents):
-        log_zj = lambda t, x, j=j: float(log_Z_agent_arr(t, x, table, j))
+        log_zj = lambda t, x, j=j: float(log_Z_agent_arr(t, x, params, table, j))
         _, zj_x, _ = fd_engine(log_zj, state)
         agent_err = max(
-            agent_err, _rel(agent_dynamics(state, params, table, j), zj_x, FD_REL_FLOOR)
+            agent_err, _rel(closed["alpha_tilde_agents"][j], zj_x, FD_REL_FLOOR)
         )
     errors["alpha_tilde_agents"] = agent_err
     return errors
@@ -483,7 +461,7 @@ def _parse_shares(text: str) -> tuple:
 
 def cmd_calibrate(args) -> int:
     params = _load_economy(args.config)
-    validate(params)
+    table = validate(params)
     shares = _parse_shares(args.shares)
     if len(shares) != params.n_agents:
         raise ConfigError(
@@ -492,7 +470,7 @@ def cmd_calibrate(args) -> int:
     target = CalibrationTarget(shares=shares)
     gamma = solve_gamma(params, target, tol=args.tol)
     calibrated = params.with_gammas(tuple(float(g) for g in gamma))
-    achieved = wealth_shares(calibrated, validate(calibrated), target.state)
+    achieved = wealth_shares(calibrated, table, target.state)
     _print_json(
         {
             "gamma": [float(g) for g in gamma],
@@ -551,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="path seed")
     p.add_argument(
         "--workers", type=int, default=1,
-        help="threads evaluating paths; output bytes do not depend on this",
+        help="accepted for compatibility and checked >= 1; paths are evaluated "
+        "in order in this process, and the output never depends on it",
     )
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_simulate)
@@ -601,14 +580,14 @@ def main(argv=None) -> int:
             {
                 "valid": False,
                 "offending": [
-                    {"beta": list(beta.parts), "denominator": d}
+                    {"beta": list(beta), "denominator": d}
                     for beta, d in err.offenders
                 ],
             }
         )
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MODEL
-    except (ModelError, TruncationTooLoose, CompositionCapExceeded, NoConvergence, ValidationLost) as err:
+    except (ModelError, TruncationTooLoose, CompositionCapExceeded, NoConvergence) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MODEL
     except ValueError as err:

@@ -21,109 +21,17 @@ pi^j = w^j (sigma + alpha_tilde^j - alpha_bar) / (S (sigma + alpha_tilde - alpha
 
 Weighted averages always use normalized softmax weights, never ratios of
 two separately accumulated sums, so they stay accurate when the terms
-span hundreds of log-units.
+span hundreds of log-units.  The coefficients are computed, together
+with the levels, by `equilibrium.evaluate_fields`; the functions here
+are its views at one state.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-
-import numpy as np
-from scipy.special import softmax
-
 from . import equilibrium
-from .model import DenominatorTable, EconomyParams, MarketState, ModelError, validate
-
-VOL_DEGENERACY_TOL = 1e-12
-
-# fault-injection hook: the verification suite's self-test sets this to a
-# nonzero value and expects the finite-difference checks to flag the rate
-RATE_BIAS_ENV = "CRRAEQ_INJECT_RATE_BIAS"
-
-
-def _injected_rate_bias() -> float:
-    raw = os.environ.get(RATE_BIAS_ENV)
-    return float(raw) if raw else 0.0
-
-
-class DegenerateStockVolatility(ModelError):
-    """|sigma + alpha_tilde - alpha_bar| < tol: the portfolio split is undefined."""
-
-    def __init__(self, vol: float):
-        self.vol = vol
-        super().__init__(
-            f"stock volatility {vol:.3e} is numerically zero; "
-            "portfolio weights are undefined at this state"
-        )
-
-
-@dataclass(frozen=True)
-class RateBundle:
-    """Coefficients from the Ito expansion of L_t and zeta_t."""
-
-    alpha_bar: float
-    rho_bar: float
-    riskless_rate: float
-    kappa: float
-
-
-@dataclass(frozen=True)
-class StockDynamics:
-    """Coefficients from the Ito expansion of Z_t and S_t."""
-
-    alpha_tilde: float
-    rho_tilde: float
-    vol: float
-    drift: float
-
-
-def _weighted_moments(log_terms: np.ndarray, table: DenominatorTable):
-    """Softmax-weighted averages of a(beta) and b(beta) - a(beta)^2/2."""
-    w = softmax(log_terms, axis=-1)
-    a_avg = w @ table.x_coefs
-    rho_avg = w @ (table.t_coefs - 0.5 * table.x_coefs**2)
-    return a_avg, rho_avg
-
-
-def rate_bundle_arr(t, x, params: EconomyParams, table: DenominatorTable):
-    log_terms = equilibrium.comp_log_terms_arr(t, x, table)
-    alpha_bar, rho_bar = _weighted_moments(log_terms, table)
-    sigma, r_curv = params.sigma, params.R
-    riskless = (
-        rho_bar
-        + r_curv * sigma * (params.alpha_star + alpha_bar)
-        - sigma**2 * r_curv * (r_curv + 1) / 2
-        + _injected_rate_bias()
-    )
-    kappa = r_curv * sigma - alpha_bar
-    return alpha_bar, rho_bar, riskless, kappa
-
-
-def stock_dynamics_arr(t, x, params: EconomyParams, table: DenominatorTable):
-    log_terms = equilibrium.comp_log_terms_arr(t, x, table)
-    alpha_bar, rho_bar = _weighted_moments(log_terms, table)
-    alpha_tilde, rho_tilde = _weighted_moments(
-        log_terms - np.log(table.d_values), table
-    )
-    sigma = params.sigma
-    vol = sigma + alpha_tilde - alpha_bar
-    drift = (
-        rho_bar
-        - rho_tilde
-        + sigma * params.alpha_star
-        + (alpha_tilde - alpha_bar) * (sigma - alpha_bar)
-    )
-    return alpha_tilde, rho_tilde, vol, drift
-
-
-def agent_dynamics_arr(t, x, params: EconomyParams, table: DenominatorTable, j: int):
-    """alpha_tilde^j: Z^j-weighted average of (alpha_j + alpha.beta')/R."""
-    log_terms = equilibrium.agent_comp_log_terms_arr(t, x, table, j) - np.log(
-        table.d_values_for(j)
-    )
-    w = softmax(log_terms, axis=-1)
-    return w @ table.x_coefs_for(j)
+# re-exported: the coefficient records live with the kernel
+from .equilibrium import DegenerateStockVolatility, RateBundle, StockDynamics
+from .model import DenominatorTable, EconomyParams, MarketState, validate
 
 
 def rate_bundle(
@@ -136,14 +44,12 @@ def rate_bundle(
     """
     if table is None:
         table = validate(params)
-    alpha_bar, rho_bar, riskless, kappa = rate_bundle_arr(
-        state.t, state.x, params, table
-    )
+    f = equilibrium.evaluate_fields(state.t, state.x, params, table)
     return RateBundle(
-        alpha_bar=float(alpha_bar),
-        rho_bar=float(rho_bar),
-        riskless_rate=float(riskless),
-        kappa=float(kappa),
+        alpha_bar=float(f["alpha_bar"]),
+        rho_bar=float(f["rho_bar"]),
+        riskless_rate=float(f["riskless_rate"]),
+        kappa=float(f["kappa"]),
     )
 
 
@@ -151,14 +57,12 @@ def stock_dynamics(
     state: MarketState, params: EconomyParams, table: DenominatorTable
 ) -> StockDynamics:
     """alpha_tilde, rho_tilde, stock volatility, and stock drift at a state."""
-    alpha_tilde, rho_tilde, vol, drift = stock_dynamics_arr(
-        state.t, state.x, params, table
-    )
+    f = equilibrium.evaluate_fields(state.t, state.x, params, table)
     return StockDynamics(
-        alpha_tilde=float(alpha_tilde),
-        rho_tilde=float(rho_tilde),
-        vol=float(vol),
-        drift=float(drift),
+        alpha_tilde=float(f["alpha_tilde"]),
+        rho_tilde=float(f["rho_tilde"]),
+        vol=float(f["vol"]),
+        drift=float(f["drift"]),
     )
 
 
@@ -166,36 +70,12 @@ def agent_dynamics(
     state: MarketState, params: EconomyParams, table: DenominatorTable, j: int
 ) -> float:
     """alpha_tilde^j, the x-loading of agent j's wealth sum Z^j."""
-    return float(agent_dynamics_arr(state.t, state.x, params, table, j))
-
-
-def portfolios_from_parts(
-    wealths,
-    stock_price: float,
-    alpha_tilde_agents,
-    rates: RateBundle,
-    stock: StockDynamics,
-    params: EconomyParams,
-) -> tuple[float, ...]:
-    """Assemble pi^j from already-computed pieces; shared by portfolio and snapshot."""
-    if abs(stock.vol) < VOL_DEGENERACY_TOL:
-        raise DegenerateStockVolatility(stock.vol)
-    sigma = params.sigma
-    return tuple(
-        w * (sigma + at_j - rates.alpha_bar) / (stock_price * stock.vol)
-        for w, at_j in zip(wealths, alpha_tilde_agents)
-    )
+    f = equilibrium.evaluate_fields(state.t, state.x, params, table)
+    return float(f["alpha_tilde_agents"][j])
 
 
 def portfolio(
     state: MarketState, params: EconomyParams, table: DenominatorTable, j: int
 ) -> float:
     """Fraction of the risky asset held by agent j (the pi^j of the budget split)."""
-    rates = rate_bundle(state, params, table)
-    stock = stock_dynamics(state, params, table)
-    if abs(stock.vol) < VOL_DEGENERACY_TOL:
-        raise DegenerateStockVolatility(stock.vol)
-    w_j = equilibrium.wealth(state, params, table, j)
-    s = equilibrium.stock_price(state, params, table)
-    at_j = agent_dynamics(state, params, table, j)
-    return w_j * (params.sigma + at_j - rates.alpha_bar) / (s * stock.vol)
+    return equilibrium.snapshot(state, params, table).portfolios[j]

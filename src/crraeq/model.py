@@ -18,20 +18,23 @@ when every composition-indexed denominator
 
 is strictly positive.  `validate` is the single gate: it enumerates the
 compositions once, evaluates every D(beta), and hands back the table the
-rest of the package keys its sums off.
+rest of the package keys its sums off.  The table is integer composition
+arrays plus the coefficients that do not involve gamma, so one table
+serves every choice of the log weights; the gamma.beta/R terms are formed
+from the params at each evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .multiindex import (
     DEFAULT_COMPOSITION_CAP,
-    MultiIndex,
+    composition_rank,
     enumerate_compositions,
     log_multinomial_coefficient,
 )
@@ -44,11 +47,9 @@ class ModelError(Exception):
 class NonpositiveDenominator(ModelError):
     """Some D(beta) <= 0: the wealth/price integrals diverge for this economy."""
 
-    def __init__(self, offenders: list[tuple[MultiIndex, float]]):
+    def __init__(self, offenders: list[tuple[tuple[int, ...], float]]):
         self.offenders = offenders
-        shown = ", ".join(
-            f"beta={o.parts} D={d:.6g}" for o, d in offenders[:8]
-        )
+        shown = ", ".join(f"beta={beta} D={d:.6g}" for beta, d in offenders[:8])
         more = "" if len(offenders) <= 8 else f" (and {len(offenders) - 8} more)"
         super().__init__(
             f"{len(offenders)} composition denominator(s) are not positive: {shown}{more}"
@@ -141,54 +142,38 @@ class MarketState:
 class DenominatorTable:
     """Per-economy composition table: coefficients and denominators for all beta-sums.
 
-    Rows are aligned with `compositions` (|beta| = R, lexicographically
-    descending).  For each composition the cached arrays hold
+    Rows of `parts` are the compositions |beta| = R, lexicographically
+    descending.  For each row m the arrays hold
 
-        log_coeffs[m]  = log multinomial(R, beta)
-        x_coefs[m]     = alpha.beta / R
-        gamma_coefs[m] = gamma.beta / R
-        t_coefs[m]     = rho.beta / R + alpha^2.beta / (2R)
-        d_values[m]    = D(beta) > 0
+        log_coeffs[m] = log multinomial(R, beta)
+        x_coefs[m]    = alpha.beta / R
+        t_coefs[m]    = rho.beta / R + alpha^2.beta / (2R)
+        d_values[m]   = D(beta) > 0
 
-    The level R-1 block mirrors this for the wealth sums; `lift[j, m]` is
-    the level-R row of beta' + e_j, so agent-j coefficient vectors are
-    plain gathers of the level-R arrays (only the multinomial coefficient
-    differs between levels).
+    None of them involves gamma.  `parts_rm1` and `log_coeffs_rm1` are the
+    level R-1 block of the wealth sums; `lift[j, m]` is the level-R row of
+    parts_rm1[m] + e_j, so agent-j coefficient vectors are plain gathers of
+    the level-R arrays (only the multinomial coefficient differs between
+    levels).
     """
 
     risk_aversion: int
     n_agents: int
-    compositions: tuple[MultiIndex, ...]
+    parts: np.ndarray
     d_values: np.ndarray
     log_coeffs: np.ndarray
     x_coefs: np.ndarray
-    gamma_coefs: np.ndarray
     t_coefs: np.ndarray
-    compositions_rm1: tuple[MultiIndex, ...]
+    parts_rm1: np.ndarray
     log_coeffs_rm1: np.ndarray
     lift: np.ndarray
     min_denominator: float
     footnote_holds: bool
     footnote_margin: float
-    _row_of: dict = field(repr=False, default_factory=dict)
-
-    def d_of(self, beta: MultiIndex) -> float:
-        """D(beta) for a composition of order R."""
-        return float(self.d_values[self._row_of[beta.parts]])
-
-    @property
-    def log_d(self) -> np.ndarray:
-        return np.log(self.d_values)
 
     def x_coefs_for(self, j: int) -> np.ndarray:
         """(alpha_j + alpha.beta')/R over the level R-1 compositions."""
         return self.x_coefs[self.lift[j]]
-
-    def gamma_coefs_for(self, j: int) -> np.ndarray:
-        return self.gamma_coefs[self.lift[j]]
-
-    def t_coefs_for(self, j: int) -> np.ndarray:
-        return self.t_coefs[self.lift[j]]
 
     def d_values_for(self, j: int) -> np.ndarray:
         """D(beta' + e_j) over the level R-1 compositions (wealth-sum denominators)."""
@@ -218,13 +203,11 @@ def validate(
     """Build the per-economy table, raising unless every D(beta) is positive."""
     r, j = params.R, params.n_agents
     sigma, a_star = params.sigma, params.alpha_star
-    rho, alpha, gamma = params.rho_vec, params.alpha_vec, params.gamma_vec
+    rho, alpha = params.rho_vec, params.alpha_vec
 
-    comps = enumerate_compositions(j, r, cap=composition_cap)
-    parts = np.array([c.parts for c in comps], dtype=np.int64)
-    log_coeffs = np.array([log_multinomial_coefficient(c) for c in comps])
+    parts = enumerate_compositions(j, r, cap=composition_cap)
+    log_coeffs = log_multinomial_coefficient(parts)
     x_coefs = parts @ alpha / r
-    gamma_coefs = parts @ gamma / r
     t_coefs = parts @ rho / r + parts @ (alpha**2) / (2 * r)
     d_values = (
         t_coefs
@@ -234,33 +217,27 @@ def validate(
 
     bad = np.flatnonzero(d_values <= 0.0)
     if bad.size:
-        raise NonpositiveDenominator([(comps[i], float(d_values[i])) for i in bad])
+        raise NonpositiveDenominator([(tuple(parts[i].tolist()), float(d_values[i])) for i in bad])
 
-    comps_rm1 = enumerate_compositions(j, r - 1, cap=composition_cap)
-    log_coeffs_rm1 = np.array([log_multinomial_coefficient(c) for c in comps_rm1])
-    row_of = {c.parts: i for i, c in enumerate(comps)}
-    lift = np.empty((j, len(comps_rm1)), dtype=np.int64)
-    for jj in range(j):
-        for m, c in enumerate(comps_rm1):
-            lift[jj, m] = row_of[c.plus_unit(jj).parts]
+    parts_rm1 = enumerate_compositions(j, r - 1, cap=composition_cap)
+    unit = np.eye(j, dtype=np.int64)
+    lift = np.stack([composition_rank(parts_rm1 + unit[jj]) for jj in range(j)])
 
     margin = sufficient_condition_margin(params)
     return DenominatorTable(
         risk_aversion=r,
         n_agents=j,
-        compositions=tuple(comps),
+        parts=parts,
         d_values=d_values,
         log_coeffs=log_coeffs,
         x_coefs=x_coefs,
-        gamma_coefs=gamma_coefs,
         t_coefs=t_coefs,
-        compositions_rm1=tuple(comps_rm1),
-        log_coeffs_rm1=log_coeffs_rm1,
+        parts_rm1=parts_rm1,
+        log_coeffs_rm1=log_multinomial_coefficient(parts_rm1),
         lift=lift,
         min_denominator=float(d_values.min()),
         footnote_holds=margin >= 0.0,
         footnote_margin=margin,
-        _row_of=row_of,
     )
 
 

@@ -2,16 +2,18 @@
 
 Every closed-form sum in this package runs over the compositions beta of
 some order K into J parts (one slot per agent).  This module enumerates
-them once, in a fixed deterministic order, and evaluates the attached
+them once, as the rows of an integer array in a fixed deterministic
+order, ranks any composition back to its row, and evaluates the attached
 multinomial coefficients K! / (beta_1! ... beta_J!) in log space so large
 orders cannot overflow.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+
+import numpy as np
 
 DEFAULT_COMPOSITION_CAP = 10_000_000
 
@@ -30,34 +32,6 @@ class CompositionCapExceeded(Exception):
         )
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """A composition: nonnegative integer parts summing to `order`."""
-
-    parts: tuple[int, ...]
-    order: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
-        if len(self.parts) < 1:
-            raise ValueError("parts must be nonempty")
-        if any(p < 0 for p in self.parts):
-            raise ValueError(f"parts must be nonnegative, got {self.parts}")
-        object.__setattr__(self, "order", sum(self.parts))
-
-    def dot(self, values: Sequence[float]) -> float:
-        """Weighted sum sum_i parts[i] * values[i] (e.g. rho.beta, alpha.beta)."""
-        if len(values) != len(self.parts):
-            raise ValueError("values length must match number of parts")
-        return sum(b * v for b, v in zip(self.parts, values))
-
-    def plus_unit(self, j: int) -> "MultiIndex":
-        """The composition with one more count in slot j (order goes up by one)."""
-        parts = list(self.parts)
-        parts[j] += 1
-        return MultiIndex(tuple(parts))
-
-
 def composition_count(j: int, k: int) -> int:
     """Number of compositions of k into j nonnegative parts: C(k+j-1, j-1)."""
     return math.comb(k + j - 1, j - 1)
@@ -65,10 +39,15 @@ def composition_count(j: int, k: int) -> int:
 
 def enumerate_compositions(
     j: int, k: int, cap: int = DEFAULT_COMPOSITION_CAP
-) -> list[MultiIndex]:
+) -> np.ndarray:
     """All compositions of k into j nonnegative parts, lexicographically descending.
 
-    The order is fixed so that any downstream output built from the list is
+    Returns an (M, j) int64 array with one composition per row.  Stars and
+    bars: the j-1 bars sit at increasing positions among k+j-1 slots, and
+    part i is the number of stars between bars i-1 and i.  Bar positions in
+    lexicographic order give the parts in lexicographic order, so the
+    reversed `itertools.combinations` listing is the descending one.  The
+    order is fixed so that any downstream output built from the table is
     reproducible byte for byte.
     """
     if j < 1:
@@ -79,30 +58,45 @@ def enumerate_compositions(
     if count > cap:
         raise CompositionCapExceeded(j, k, count, cap)
 
-    out: list[MultiIndex] = []
-    parts = [0] * j
-
-    def fill(slot: int, remaining: int):
-        if slot == j - 1:
-            parts[slot] = remaining
-            out.append(MultiIndex(tuple(parts)))
-            return
-        for v in range(remaining, -1, -1):
-            parts[slot] = v
-            fill(slot + 1, remaining - v)
-
-    fill(0, k)
-    return out
+    slots = k + j - 1
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), j - 1)),
+        dtype=np.int64,
+        count=count * (j - 1),
+    ).reshape(count, j - 1)
+    return np.diff(bars[::-1], axis=1, prepend=-1, append=slots) - 1
 
 
-def log_multinomial_coefficient(beta: MultiIndex) -> float:
-    """log( order! / prod_i parts[i]! ), via log-gamma so large orders stay finite."""
-    return math.lgamma(beta.order + 1) - sum(math.lgamma(b + 1) for b in beta.parts)
+def composition_rank(parts: np.ndarray) -> np.ndarray:
+    """Row of each composition (a row of `parts`) in `enumerate_compositions` order.
+
+    With S_i the sum of parts i..J-1, the compositions listed before beta
+    are those that agree with it up to some slot i and put more in it:
+    C(S_{i+1} + c - 1, c) of them, with c = J-1-i slots after i.  Each of
+    those counts is at most the number of compositions, so int64 holds it.
+    """
+    parts = np.asarray(parts, dtype=np.int64)
+    n_parts = parts.shape[1]
+    suffix = np.cumsum(parts[:, ::-1], axis=1)[:, ::-1]
+    order = int(suffix[:, 0].max(initial=0))
+    rank = np.zeros(len(parts), dtype=np.int64)
+    for i in range(n_parts - 1):
+        c = n_parts - 1 - i
+        before = np.array([math.comb(s + c - 1, c) for s in range(order + 1)], dtype=np.int64)
+        rank += before[suffix[:, i + 1]]
+    return rank
 
 
-def multinomial_coefficient(beta: MultiIndex) -> int:
-    """Exact integer multinomial coefficient; cross-check for the log variant."""
-    num = math.factorial(beta.order)
-    for b in beta.parts:
-        num //= math.factorial(b)
-    return num
+def log_multinomial_coefficient(parts) -> np.ndarray:
+    """log( |beta|! / prod_i beta_i! ) for each composition beta along the last axis.
+
+    Log-factorials come from math.lgamma, so large orders stay finite, and
+    are summed slot by slot.
+    """
+    parts = np.asarray(parts, dtype=np.int64)
+    order = parts.sum(axis=-1)
+    log_fact = np.array([math.lgamma(v + 1) for v in range(int(order.max(initial=0)) + 1)])
+    total = log_fact[parts[..., 0]]
+    for slot in range(1, parts.shape[-1]):
+        total = total + log_fact[parts[..., slot]]
+    return log_fact[order] - total

@@ -38,9 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from . import dynamics, equilibrium
-from .dynamics import VOL_DEGENERACY_TOL, DegenerateStockVolatility, RateBundle, StockDynamics
-from .equilibrium import EquilibriumSnapshot
+from . import equilibrium
+from .equilibrium import EvaluatedSeries
 from .model import DenominatorTable, EconomyParams, MarketState, log_dividend, validate
 
 DEFAULT_STEPS_PER_UNIT_TIME = 1024
@@ -112,62 +111,6 @@ class RealizedVolReport:
     n_residuals: int
 
 
-@dataclass(frozen=True, eq=False)
-class EvaluatedSeries:
-    """Every closed-form quantity along one path; arrays indexed by grid node.
-
-    Per-agent arrays have shape (n_nodes, J), agent order as in params.
-    """
-
-    grid: PathGrid
-    t: np.ndarray
-    x: np.ndarray
-    dividend: np.ndarray
-    zeta: np.ndarray
-    stock_price: np.ndarray
-    pd_ratio: np.ndarray
-    alpha_bar: np.ndarray
-    rho_bar: np.ndarray
-    riskless_rate: np.ndarray
-    kappa: np.ndarray
-    alpha_tilde: np.ndarray
-    rho_tilde: np.ndarray
-    vol: np.ndarray
-    drift: np.ndarray
-    consumptions: np.ndarray
-    wealths: np.ndarray
-    alpha_tilde_agents: np.ndarray
-    portfolios: np.ndarray
-
-    def snapshot_at(self, k: int) -> EquilibriumSnapshot:
-        """Reassemble the per-node record, identical to a pointwise snapshot."""
-        rates = RateBundle(
-            alpha_bar=float(self.alpha_bar[k]),
-            rho_bar=float(self.rho_bar[k]),
-            riskless_rate=float(self.riskless_rate[k]),
-            kappa=float(self.kappa[k]),
-        )
-        stock = StockDynamics(
-            alpha_tilde=float(self.alpha_tilde[k]),
-            rho_tilde=float(self.rho_tilde[k]),
-            vol=float(self.vol[k]),
-            drift=float(self.drift[k]),
-        )
-        return EquilibriumSnapshot(
-            state=MarketState(float(self.t[k]), float(self.x[k])),
-            dividend=float(self.dividend[k]),
-            zeta=float(self.zeta[k]),
-            consumptions=tuple(float(v) for v in self.consumptions[k]),
-            wealths=tuple(float(v) for v in self.wealths[k]),
-            stock_price=float(self.stock_price[k]),
-            pd_ratio=float(self.pd_ratio[k]),
-            rates=rates,
-            stock=stock,
-            alpha_tilde_agents=tuple(float(v) for v in self.alpha_tilde_agents[k]),
-            portfolios=tuple(float(v) for v in self.portfolios[k]),
-        )
-
-
 def path_generator(seed: int, path_index: int) -> np.random.Generator:
     """Counter-based substream for one path; independent of n_paths."""
     return np.random.Generator(np.random.Philox(key=[seed, path_index]))
@@ -203,64 +146,7 @@ def evaluate_series(
     if x.shape != t.shape:
         raise ValueError("path x_values length does not match its grid")
 
-    r_curv, sigma = params.R, params.sigma
-    u = equilibrium.agent_log_terms_arr(t, x, params)
-    lse_u = logsumexp(u, axis=-1)
-    log_delta = log_dividend(t, x, params)
-    log_zeta = r_curv * (lse_u - log_delta)
-    log_c = log_delta[:, None] + u - lse_u[:, None]
-
-    alpha_bar, rho_bar, riskless, kappa = dynamics.rate_bundle_arr(t, x, params, table)
-    alpha_tilde, rho_tilde, vol, drift = dynamics.stock_dynamics_arr(t, x, params, table)
-
-    bad = np.flatnonzero(np.abs(vol) < VOL_DEGENERACY_TOL)
-    if bad.size:
-        k = int(bad[0])
-        err = DegenerateStockVolatility(float(vol[k]))
-        err.grid_index = k
-        raise err
-
-    log_z = equilibrium.log_Z_arr(t, x, table)
-    log_s = (1 - r_curv) * log_delta - log_zeta + log_z
-    log_pd = log_z - r_curv * lse_u
-
-    n_nodes, j_agents = len(t), params.n_agents
-    log_w = np.empty((n_nodes, j_agents))
-    at_agents = np.empty((n_nodes, j_agents))
-    for j in range(j_agents):
-        log_w[:, j] = (
-            (1 - r_curv) * log_delta
-            - log_zeta
-            + equilibrium.log_Z_agent_arr(t, x, table, j)
-        )
-        at_agents[:, j] = dynamics.agent_dynamics_arr(t, x, params, table, j)
-
-    # pi^j from the wealth/price ratio in log-space: extreme states keep working
-    portfolios = np.exp(log_w - log_s[:, None]) * (
-        (sigma + at_agents - alpha_bar[:, None]) / vol[:, None]
-    )
-
-    return EvaluatedSeries(
-        grid=path.grid,
-        t=t,
-        x=x,
-        dividend=np.exp(log_delta),
-        zeta=np.exp(log_zeta),
-        stock_price=np.exp(log_s),
-        pd_ratio=np.exp(log_pd),
-        alpha_bar=alpha_bar,
-        rho_bar=rho_bar,
-        riskless_rate=riskless,
-        kappa=kappa,
-        alpha_tilde=alpha_tilde,
-        rho_tilde=rho_tilde,
-        vol=vol,
-        drift=drift,
-        consumptions=np.exp(log_c),
-        wealths=np.exp(log_w),
-        alpha_tilde_agents=at_agents,
-        portfolios=portfolios,
-    )
+    return EvaluatedSeries(grid=path.grid, **equilibrium.evaluate_fields(t, x, params, table))
 
 
 def default_horizon(table: DenominatorTable, t0: float = 0.0) -> float:
@@ -282,10 +168,10 @@ def truncation_tail(
     if span <= 0:
         raise ValueError("horizon must exceed the state time")
     if j is None:
-        terms = equilibrium.comp_log_terms_arr(state.t, state.x, table)
+        terms = equilibrium.comp_log_terms_arr(state.t, state.x, params, table)
         d = table.d_values
     else:
-        terms = equilibrium.agent_comp_log_terms_arr(state.t, state.x, table, j)
+        terms = equilibrium.agent_comp_log_terms_arr(state.t, state.x, params, table, j)
         d = table.d_values_for(j)
     log_tail_sum = logsumexp(terms - np.log(d) - d * span, axis=-1)
     log_zeta = equilibrium.log_state_price_density_arr(state.t, state.x, params)
@@ -346,7 +232,7 @@ def _per_path_integrals(
 
         if terminal_table is not None:
             log_zs = (1 - r_curv) * ld[:, -1] + equilibrium.log_Z_arr(
-                t[-1], x[:, -1], terminal_table
+                t[-1], x[:, -1], params, terminal_table
             )
             values = values + np.exp(log_zs)
         out[lo:hi] = values
@@ -462,7 +348,8 @@ def realized_vol_check(
     for path in simulate_paths(grid, x0, n_paths, seed):
         t, x = grid.times(), path.x_values
         log_s = equilibrium.log_stock_price_arr(t, x, params, table)
-        _, _, vol, drift = dynamics.stock_dynamics_arr(t, x, params, table)
+        fields = equilibrium.evaluate_fields(t, x, params, table)
+        vol, drift = fields["vol"], fields["drift"]
         d_log_s = np.diff(log_s)
         expected = (drift[:-1] - 0.5 * vol[:-1] ** 2) * grid.dt
         res.append((d_log_s - expected) / (vol[:-1] * math.sqrt(grid.dt)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import crraeq.calibrate
 from conftest import draw_economy
 from crraeq.calibrate import (
     CalibrationTarget,
@@ -97,6 +98,29 @@ def test_solver_deterministic():
     a = solve_gamma(p, tgt, tol=1e-9)
     b = solve_gamma(p, tgt, tol=1e-9)
     np.testing.assert_array_equal(a, b)
+
+
+def test_solve_gamma_validates_once(monkeypatch):
+    calls = []
+    real_validate = crraeq.calibrate.validate
+
+    def counting_validate(params):
+        calls.append(params)
+        return real_validate(params)
+
+    monkeypatch.setattr(crraeq.calibrate, "validate", counting_validate)
+    p = EconomyParams(
+        R=4, sigma=0.2, alpha_star=0.1, delta0=1.0,
+        agents=(Agent(0.5, 0.5, 0.3), Agent(0.55, -0.1, 0.0), Agent(0.6, -0.5, -0.3)),
+    )
+    gamma = solve_gamma(p, CalibrationTarget((0.2, 0.5, 0.3)), tol=1e-9)
+    assert len(calls) == 1
+    # the table does not involve gamma: the solver's table and a fresh one agree bit for bit
+    calibrated = p.with_gammas(gamma)
+    np.testing.assert_array_equal(
+        wealth_shares(calibrated, real_validate(p), S0),
+        wealth_shares(calibrated, real_validate(calibrated), S0),
+    )
 
 
 def test_no_convergence_reports_residual():

@@ -5,11 +5,8 @@ from scipy.optimize import brentq
 from conftest import draw_economy, draw_state
 from crraeq.dynamics import (
     DegenerateStockVolatility,
-    RateBundle,
-    StockDynamics,
     agent_dynamics,
     portfolio,
-    portfolios_from_parts,
     rate_bundle,
     stock_dynamics,
 )
@@ -162,13 +159,6 @@ def test_portfolio_clearing_sweep():
         sp = stock_price(s, p, tab)
         bond_total = sum(wj - pij * sp for wj, pij in zip(w, pis))
         assert abs(bond_total) <= 1e-10 * sp
-
-
-def test_degenerate_volatility_raises():
-    rates = RateBundle(alpha_bar=0.1, rho_bar=0.2, riskless_rate=0.0, kappa=0.1)
-    stock = StockDynamics(alpha_tilde=0.1, rho_tilde=0.2, vol=5e-13, drift=0.0)
-    with pytest.raises(DegenerateStockVolatility):
-        portfolios_from_parts((1.0,), 1.0, (0.1,), rates, stock, single_agent())
 
 
 def test_degenerate_volatility_at_real_state():

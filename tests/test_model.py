@@ -16,7 +16,6 @@ from crraeq.model import (
     sufficient_condition_margin,
     validate,
 )
-from crraeq.multiindex import MultiIndex
 
 
 def single_agent(rho=0.02, alpha=0.0, gamma=0.0, R=2, sigma=0.1):
@@ -27,7 +26,8 @@ def single_agent(rho=0.02, alpha=0.0, gamma=0.0, R=2, sigma=0.1):
 
 def test_validate_benchmark_denominator():
     tab = validate(single_agent())
-    np.testing.assert_allclose(tab.d_of(MultiIndex((2,))), 0.01, rtol=1e-12)
+    assert tab.parts.tolist() == [[2]]
+    np.testing.assert_allclose(tab.d_values[0], 0.01, rtol=1e-12)
     assert tab.min_denominator > 0
     assert tab.footnote_holds
 
@@ -36,7 +36,7 @@ def test_validate_rejects_divergent_economy():
     with pytest.raises(NonpositiveDenominator) as ei:
         validate(single_agent(rho=0.001))
     (beta, d), = ei.value.offenders
-    assert beta.parts == (2,)
+    assert beta == (2,)
     np.testing.assert_allclose(d, -0.009, rtol=1e-10)
 
 
@@ -111,7 +111,7 @@ def test_validate_deterministic():
         agents=(Agent(0.3, 0.4, 0.1), Agent(0.35, -0.2, -0.1)),
     )
     a, b = validate(p), validate(p)
-    assert a.compositions == b.compositions
+    np.testing.assert_array_equal(a.parts, b.parts)
     np.testing.assert_array_equal(a.d_values, b.d_values)
     np.testing.assert_array_equal(a.lift, b.lift)
 
@@ -125,12 +125,24 @@ def test_table_lift_matches_plus_unit():
         agents=(Agent(0.3, 0.4, 0.0), Agent(0.35, -0.2, 0.0), Agent(0.4, 0.1, 0.0)),
     )
     tab = validate(p)
+    rows = {tuple(c): m for m, c in enumerate(tab.parts.tolist())}
+
+    def d_of(beta):
+        rho, alpha, r, sigma = p.rho_vec, p.alpha_vec, p.R, p.sigma
+        a = float(np.dot(alpha, beta)) / r
+        return (
+            float(np.dot(rho + alpha**2 / 2, beta)) / r
+            + (sigma**2 / 2 - p.alpha_star * sigma) * (1 - r)
+            - (a + (1 - r) * sigma) ** 2 / 2
+        )
+
     for j in range(3):
-        for m, c in enumerate(tab.compositions_rm1):
-            lifted = tab.compositions[tab.lift[j, m]]
-            assert lifted.parts == c.plus_unit(j).parts
+        lifted = [list(c) for c in tab.parts_rm1.tolist()]
+        for c in lifted:
+            c[j] += 1
+        np.testing.assert_array_equal(tab.lift[j], [rows[tuple(c)] for c in lifted])
         np.testing.assert_allclose(
-            tab.d_values_for(j), [tab.d_of(c.plus_unit(j)) for c in tab.compositions_rm1]
+            tab.d_values_for(j), [d_of(c) for c in lifted], rtol=1e-12, atol=1e-15
         )
 
 

@@ -1,33 +1,62 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from crraeq.model import Agent, EconomyParams, validate
 from crraeq.multiindex import (
     CompositionCapExceeded,
-    MultiIndex,
     composition_count,
+    composition_rank,
     enumerate_compositions,
     log_multinomial_coefficient,
-    multinomial_coefficient,
 )
 
 
+def exact_multinomial(parts) -> int:
+    """|beta|! / prod_i beta_i! in exact integers."""
+    num = math.factorial(sum(parts))
+    for b in parts:
+        num //= math.factorial(b)
+    return num
+
+
+def listed_by_product(j, k):
+    """Compositions of k into j parts: every j-tuple of 0..k that sums to k, descending."""
+    return sorted(
+        (list(c) for c in itertools.product(range(k + 1), repeat=j) if sum(c) == k),
+        reverse=True,
+    )
+
+
+def listed_by_multisets(j, k):
+    """Compositions of k into j parts, one per multiset of k slots, descending.
+
+    Unlike the product listing this stays cheap when j is large.
+    """
+    rows = []
+    for slots in itertools.combinations_with_replacement(range(j), k):
+        row = [0] * j
+        for s in slots:
+            row[s] += 1
+        rows.append(row)
+    return sorted(rows, reverse=True)
+
+
 def test_listing_two_parts_order_two():
-    comps = enumerate_compositions(2, 2)
-    assert [c.parts for c in comps] == [(2, 0), (1, 1), (0, 2)]
+    assert enumerate_compositions(2, 2).tolist() == [[2, 0], [1, 1], [0, 2]]
 
 
 def test_listing_single_part():
-    comps = enumerate_compositions(1, 5)
-    assert [c.parts for c in comps] == [(5,)]
+    assert enumerate_compositions(1, 5).tolist() == [[5]]
 
 
 def test_listing_three_parts_order_four():
     comps = enumerate_compositions(3, 4)
-    assert len(comps) == 15
-    assert all(sum(c.parts) == 4 for c in comps)
-    assert len({c.parts for c in comps}) == 15
+    assert comps.shape == (15, 3) and comps.dtype == np.int64
+    assert (comps.sum(axis=1) == 4).all()
+    assert len({tuple(c) for c in comps.tolist()}) == 15
 
 
 def test_descending_lexicographic_order():
@@ -35,8 +64,29 @@ def test_descending_lexicographic_order():
     for _ in range(20):
         j = int(rng.integers(1, 6))
         k = int(rng.integers(0, 9))
-        parts = [c.parts for c in enumerate_compositions(j, k)]
-        assert parts == sorted(parts, reverse=True)
+        assert enumerate_compositions(j, k).tolist() == listed_by_product(j, k)
+
+
+@pytest.mark.parametrize("r, j", [(4, 1), (3, 3), (5, 4), (4, 5), (7, 7), (2, 41)])
+def test_table_matches_brute_force(r, j):
+    # at (2, 41) a base-3 integer key of a composition would overflow int64
+    parts = enumerate_compositions(j, r)
+    assert parts.tolist() == listed_by_multisets(j, r)
+    np.testing.assert_array_equal(composition_rank(parts), np.arange(len(parts)))
+    exact = [exact_multinomial(c) for c in parts.tolist()]
+    np.testing.assert_allclose(np.exp(log_multinomial_coefficient(parts)), exact, rtol=1e-12)
+
+    params = EconomyParams(
+        R=r, sigma=0.1, alpha_star=0.0, delta0=1.0,
+        agents=tuple(Agent(0.8, 0.2 * np.sin(i), 0.0) for i in range(j)),
+    )
+    tab = validate(params)
+    np.testing.assert_array_equal(tab.parts, parts)
+    np.testing.assert_array_equal(tab.parts_rm1, listed_by_multisets(j, r - 1))
+    for jj in range(j):
+        np.testing.assert_array_equal(
+            tab.parts[tab.lift[jj]], tab.parts_rm1 + np.eye(j, dtype=np.int64)[jj]
+        )
 
 
 def test_count_matches_stars_and_bars():
@@ -56,8 +106,8 @@ def test_multinomial_theorem():
         k = int(rng.integers(0, 7))
         x = rng.uniform(0.2, 2.0, size=j)
         total = 0.0
-        for c in enumerate_compositions(j, k):
-            total += multinomial_coefficient(c) * np.prod(x ** np.array(c.parts))
+        for c in enumerate_compositions(j, k).tolist():
+            total += math.exp(log_multinomial_coefficient(c)) * np.prod(x ** np.array(c))
         expected = x.sum() ** k
         assert abs(total - expected) <= 1e-10 * abs(expected)
 
@@ -67,34 +117,33 @@ def test_log_coefficient_agrees_with_exact_integers():
     for _ in range(40):
         j = int(rng.integers(1, 6))
         k = int(rng.integers(0, 21))
-        for c in enumerate_compositions(j, k):
-            exact = multinomial_coefficient(c)
-            np.testing.assert_allclose(
-                math.exp(log_multinomial_coefficient(c)), exact, rtol=1e-12
-            )
+        comps = enumerate_compositions(j, k)
+        exact = [exact_multinomial(c) for c in comps.tolist()]
+        np.testing.assert_allclose(
+            np.exp(log_multinomial_coefficient(comps)), exact, rtol=1e-12
+        )
 
 
 def test_log_coefficient_specific_values():
-    assert abs(log_multinomial_coefficient(MultiIndex((1, 1))) - math.log(2)) < 1e-14
-    assert log_multinomial_coefficient(MultiIndex((4, 0, 0))) == pytest.approx(0.0, abs=1e-14)
-    assert abs(log_multinomial_coefficient(MultiIndex((2, 1, 1))) - math.log(12)) < 1e-13
+    assert abs(log_multinomial_coefficient((1, 1)) - math.log(2)) < 1e-14
+    assert log_multinomial_coefficient((4, 0, 0)) == pytest.approx(0.0, abs=1e-14)
+    assert abs(log_multinomial_coefficient((2, 1, 1)) - math.log(12)) < 1e-13
 
 
 def test_large_order_stays_finite():
     comps = enumerate_compositions(6, 20)
     assert len(comps) == math.comb(25, 5)
-    logs = [log_multinomial_coefficient(c) for c in comps]
-    assert all(math.isfinite(v) and v >= 0 for v in logs)
+    logs = log_multinomial_coefficient(comps)
+    assert np.isfinite(logs).all() and (logs >= 0).all()
 
 
 def test_log_coefficient_accurate_at_order_64():
-    # exact integer path uses bigints, so it doubles as the reference here
+    # the exact integer path uses bigints, so it doubles as the reference here
     rng = np.random.default_rng(13)
     for _ in range(20):
-        parts = rng.multinomial(64, np.ones(8) / 8)
-        b = MultiIndex(tuple(int(v) for v in parts))
+        parts = [int(v) for v in rng.multinomial(64, np.ones(8) / 8)]
         np.testing.assert_allclose(
-            log_multinomial_coefficient(b), math.log(multinomial_coefficient(b)), rtol=1e-12
+            log_multinomial_coefficient(parts), math.log(exact_multinomial(parts)), rtol=1e-12
         )
 
 
@@ -105,21 +154,7 @@ def test_cap_enforced():
     assert ei.value.cap == 10_000_000
 
 
-def test_multiindex_validation_and_helpers():
-    b = MultiIndex((2, 0, 1))
-    assert b.order == 3
-    assert b.dot([1.0, 10.0, 100.0]) == 102.0
-    assert b.plus_unit(1).parts == (2, 1, 1)
-    assert b.plus_unit(1).order == 4
-    with pytest.raises(ValueError):
-        MultiIndex(())
-    with pytest.raises(ValueError):
-        MultiIndex((1, -1))
-    with pytest.raises(ValueError):
-        b.dot([1.0])
-
-
 def test_enumeration_deterministic():
     a = enumerate_compositions(4, 6)
     b = enumerate_compositions(4, 6)
-    assert a == b
+    np.testing.assert_array_equal(a, b)

@@ -270,7 +270,7 @@ def test_fd_matches_first_order_coefficients():
             rb = rate_bundle(st, p, tab)
             sd = stock_dynamics(st, p, tab)
             _, lbar_x, _ = fd_engine(
-                lambda t, x: float(log_L_arr(t, x, tab)), st
+                lambda t, x: float(log_L_arr(t, x, p, tab)), st
             )
             np.testing.assert_allclose(lbar_x, rb.alpha_bar, rtol=1e-5, atol=1e-9)
             _, zeta_x, _ = fd_engine(
@@ -283,7 +283,7 @@ def test_fd_matches_first_order_coefficients():
             np.testing.assert_allclose(s_x, sd.vol, rtol=1e-5, atol=1e-9)
             j = int(rng.integers(p.n_agents))
             _, zj_x, _ = fd_engine(
-                lambda t, x: float(log_Z_agent_arr(t, x, tab, j)), st
+                lambda t, x: float(log_Z_agent_arr(t, x, p, tab, j)), st
             )
             from crraeq.dynamics import agent_dynamics
 
@@ -313,7 +313,7 @@ def test_fd_matches_second_order_coefficients():
                 lambda t, x: float(log_state_price_density_arr(t, x, p))
             )
             np.testing.assert_allclose(-gen_zeta, rb.riskless_rate, rtol=1e-5, atol=1e-8)
-            gen_l, _ = second_order(lambda t, x: float(log_L_arr(t, x, tab)))
+            gen_l, _ = second_order(lambda t, x: float(log_L_arr(t, x, p, tab)))
             np.testing.assert_allclose(-gen_l, rb.rho_bar, rtol=1e-5, atol=1e-8)
             gen_s, _ = second_order(
                 lambda t, x: float(log_stock_price_arr(t, x, p, tab))
