@@ -48,8 +48,7 @@ from .simulate import (
     evaluate_series,
     fd_engine,
     martingale_check,
-    mc_stock_oracle,
-    mc_wealth_oracle,
+    mc_oracles,
     simulate_paths,
 )
 
@@ -385,17 +384,13 @@ def _suite_mc(params, table, seed: int, n_paths: int) -> dict:
     state = MarketState(0.0, 0.0)
     horizon = default_horizon(table)
     n_steps = max(2, math.ceil(horizon * 2.0))
-    checks = []
-    for j in range(params.n_agents):
-        rep = mc_wealth_oracle(
-            state, params, j, n_paths,
-            horizon=horizon, n_steps=n_steps, seed=seed, table=table,
-        )
-        checks.append(_mc_check(f"wealth_oracle_agent_{j + 1}", rep))
-    rep = mc_stock_oracle(
+    wealth_reps, stock_rep = mc_oracles(
         state, params, table, n_paths, horizon=horizon, n_steps=n_steps, seed=seed
     )
-    checks.append(_mc_check("stock_oracle", rep))
+    checks = [
+        _mc_check(f"wealth_oracle_agent_{j + 1}", rep) for j, rep in enumerate(wealth_reps)
+    ]
+    checks.append(_mc_check("stock_oracle", stock_rep))
     return {
         "suite": "mc",
         "n_paths": n_paths,

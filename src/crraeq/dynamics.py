@@ -31,19 +31,13 @@ from __future__ import annotations
 from . import equilibrium
 # re-exported: the coefficient records live with the kernel
 from .equilibrium import DegenerateStockVolatility, RateBundle, StockDynamics
-from .model import DenominatorTable, EconomyParams, MarketState, validate
+from .model import DenominatorTable, EconomyParams, MarketState
 
 
 def rate_bundle(
-    state: MarketState, params: EconomyParams, table: DenominatorTable | None = None
+    state: MarketState, params: EconomyParams, table: DenominatorTable
 ) -> RateBundle:
-    """alpha_bar, rho_bar, riskless rate, and market price of risk at a state.
-
-    The table argument reuses a precomputed composition table; omitting
-    it validates the economy and builds one on the spot.
-    """
-    if table is None:
-        table = validate(params)
+    """alpha_bar, rho_bar, riskless rate, and market price of risk at a state."""
     f = equilibrium.evaluate_fields(state.t, state.x, params, table)
     return RateBundle(
         alpha_bar=float(f["alpha_bar"]),

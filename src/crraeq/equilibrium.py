@@ -43,13 +43,10 @@ from .model import (
 VOL_DEGENERACY_TOL = 1e-12
 
 # fault-injection hook: the verification suite's self-test sets this to a
-# nonzero value and expects the finite-difference checks to flag the rate
+# nonzero value and expects the finite-difference checks to flag the rate;
+# it is read once, at import
 RATE_BIAS_ENV = "CRRAEQ_INJECT_RATE_BIAS"
-
-
-def _injected_rate_bias() -> float:
-    raw = os.environ.get(RATE_BIAS_ENV)
-    return float(raw) if raw else 0.0
+_RATE_BIAS = float(os.environ.get(RATE_BIAS_ENV) or 0.0)
 
 
 class DegenerateStockVolatility(ModelError):
@@ -286,7 +283,7 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
         rho_bar
         + r_curv * sigma * (params.alpha_star + alpha_bar)
         - sigma**2 * r_curv * (r_curv + 1) / 2
-        + _injected_rate_bias()
+        + _RATE_BIAS
     )
     vol = sigma + alpha_tilde - alpha_bar
     drift = (

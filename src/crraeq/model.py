@@ -32,12 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .multiindex import (
-    DEFAULT_COMPOSITION_CAP,
-    composition_rank,
-    enumerate_compositions,
-    log_multinomial_coefficient,
-)
+from .multiindex import composition_rank, enumerate_compositions, log_multinomial_coefficient
 
 
 class ModelError(Exception):
@@ -197,15 +192,13 @@ def sufficient_condition_margin(params: EconomyParams) -> float:
     return float(base + level - 0.5 * worst_sq)
 
 
-def validate(
-    params: EconomyParams, composition_cap: int = DEFAULT_COMPOSITION_CAP
-) -> DenominatorTable:
+def validate(params: EconomyParams) -> DenominatorTable:
     """Build the per-economy table, raising unless every D(beta) is positive."""
     r, j = params.R, params.n_agents
     sigma, a_star = params.sigma, params.alpha_star
     rho, alpha = params.rho_vec, params.alpha_vec
 
-    parts = enumerate_compositions(j, r, cap=composition_cap)
+    parts = enumerate_compositions(j, r)
     log_coeffs = log_multinomial_coefficient(parts)
     x_coefs = parts @ alpha / r
     t_coefs = parts @ rho / r + parts @ (alpha**2) / (2 * r)
@@ -219,7 +212,7 @@ def validate(
     if bad.size:
         raise NonpositiveDenominator([(tuple(parts[i].tolist()), float(d_values[i])) for i in bad])
 
-    parts_rm1 = enumerate_compositions(j, r - 1, cap=composition_cap)
+    parts_rm1 = enumerate_compositions(j, r - 1)
     unit = np.eye(j, dtype=np.int64)
     lift = np.stack([composition_rank(parts_rm1 + unit[jj]) for jj in range(j)])
 

@@ -27,7 +27,8 @@ class CompositionCapExceeded(Exception):
         self.count = count
         self.cap = cap
         super().__init__(
-            f"C({k}+{j}-1, {j}-1) = {count} compositions exceeds the cap {cap}; "
+            f"C({k}+{j}-1, {j}-1) = {count} compositions of {j} parts are "
+            f"{count * j} entries, over the cap {cap}; "
             "reduce the risk-aversion order or the number of agents"
         )
 
@@ -48,14 +49,15 @@ def enumerate_compositions(
     lexicographic order give the parts in lexicographic order, so the
     reversed `itertools.combinations` listing is the descending one.  The
     order is fixed so that any downstream output built from the table is
-    reproducible byte for byte.
+    reproducible byte for byte.  Raises CompositionCapExceeded, before
+    allocating, when the array would hold more than `cap` entries.
     """
     if j < 1:
         raise ValueError(f"need at least one part, got j={j}")
     if k < 0:
         raise ValueError(f"order must be nonnegative, got k={k}")
     count = composition_count(j, k)
-    if count > cap:
+    if count * j > cap:
         raise CompositionCapExceeded(j, k, count, cap)
 
     slots = k + j - 1

@@ -12,8 +12,11 @@ the Monte Carlo integrands are built from the J agent log terms only,
     zeta_u c_u^j     = exp{(1-R) log delta_u + (R-1) logsumexp_i u_i + u_j}
 
 so agreement with the closed-form wealth/stock price genuinely tests the
-multinomial expansion.  Truncating the integral at a finite horizon
-leaves an analytically known tail (each composition term decays like
+multinomial expansion.  The J+1 integrands share the agent log terms and
+their logsumexp, so `mc_oracles` draws each block of paths once and
+reduces every one of them from it; `martingale_check` reads the same
+blocks.  Truncating the integral at a finite horizon leaves an
+analytically known tail (each composition term decays like
 e^{-D(beta) (T-t)}), which is reported as `truncation_bound` and must
 stay small relative to the closed form.
 
@@ -40,7 +43,7 @@ from scipy.special import logsumexp
 
 from . import equilibrium
 from .equilibrium import EvaluatedSeries
-from .model import DenominatorTable, EconomyParams, MarketState, log_dividend, validate
+from .model import DenominatorTable, EconomyParams, MarketState, log_dividend
 
 DEFAULT_STEPS_PER_UNIT_TIME = 1024
 TRUNCATION_FRACTION = 0.1
@@ -187,31 +190,18 @@ def _resolve_grid(state_t: float, horizon, n_steps, table: DenominatorTable) -> 
     return PathGrid(t0=state_t, horizon=float(horizon), n_steps=int(n_steps))
 
 
-def _per_path_integrals(
-    grid: PathGrid,
-    x0: float,
-    n_paths: int,
-    seed: int,
-    params: EconomyParams,
-    j: int | None,
-    terminal_table: DenominatorTable | None = None,
-) -> np.ndarray:
-    """Trapezoid integral of zeta*delta (j=None) or zeta*c^j per path.
+def _path_blocks(grid: PathGrid, x0: float, n_paths: int, seed: int, params: EconomyParams):
+    """Draw the paths block by block; yield each block's (x, u, lse_u, log delta).
 
-    With terminal_table set, adds the terminal value zeta_T S_T =
-    delta_T^{1-R} Z_T to each path (the martingale check's payoff leg).
-    Chunked so memory stays bounded; per-path values are independent of
-    the chunking, so any reduction order downstream gives identical bits.
+    x has shape (paths, nodes), u the agent log terms (paths, nodes, J) and
+    lse_u their logsumexp over agents.  Blocks bound the memory; each
+    path's values are independent of the blocking, so any reduction order
+    downstream gives identical bits.
     """
     t = grid.times()
     n_nodes = len(t)
-    r_curv = params.R
     alpha = params.alpha_vec
     decay = params.rho_vec + 0.5 * alpha**2
-    weights = np.full(n_nodes, grid.dt)
-    weights[0] = weights[-1] = grid.dt / 2
-
-    out = np.empty(n_paths)
     chunk = max(1, min(n_paths, int(4e6 / (n_nodes * max(params.n_agents, 2)))))
     for lo in range(0, n_paths, chunk):
         hi = min(lo + chunk, n_paths)
@@ -221,22 +211,14 @@ def _per_path_integrals(
             np.cumsum(_increments(grid, seed, i), out=x[i - lo, 1:])
         x[:, 1:] += x0
 
-        u = (alpha * x[..., None] - decay * t[None, :, None] - params.gamma_vec) / r_curv
-        lse_u = logsumexp(u, axis=-1)
-        ld = log_dividend(t[None, :], x, params)
-        if j is None:
-            log_f = (1 - r_curv) * ld + r_curv * lse_u
-        else:
-            log_f = (1 - r_curv) * ld + (r_curv - 1) * lse_u + u[..., j]
-        values = np.exp(log_f) @ weights
+        u = (alpha * x[..., None] - decay * t[None, :, None] - params.gamma_vec) / params.R
+        yield x, u, logsumexp(u, axis=-1), log_dividend(t[None, :], x, params)
 
-        if terminal_table is not None:
-            log_zs = (1 - r_curv) * ld[:, -1] + equilibrium.log_Z_arr(
-                t[-1], x[:, -1], params, terminal_table
-            )
-            values = values + np.exp(log_zs)
-        out[lo:hi] = values
-    return out
+
+def _trapezoid_weights(grid: PathGrid) -> np.ndarray:
+    weights = np.full(grid.n_steps + 1, grid.dt)
+    weights[0] = weights[-1] = grid.dt / 2
+    return weights
 
 
 def _report(values: np.ndarray, closed_form: float, bound: float) -> OracleReport:
@@ -256,34 +238,7 @@ def _report(values: np.ndarray, closed_form: float, bound: float) -> OracleRepor
     )
 
 
-def mc_wealth_oracle(
-    state: MarketState,
-    params: EconomyParams,
-    j: int,
-    n_paths: int,
-    horizon: float | None = None,
-    n_steps: int | None = None,
-    seed: int = 0,
-    table: DenominatorTable | None = None,
-) -> OracleReport:
-    """Monte Carlo of w_t^j = zeta_t^{-1} E_t[integral of c_u^j zeta_u du].
-
-    The integrand never touches the composition expansion, so the report
-    is an independent check of the closed-form wealth.
-    """
-    if table is None:
-        table = validate(params)
-    grid = _resolve_grid(state.t, horizon, n_steps, table)
-    closed = equilibrium.wealth(state, params, table, j)
-    bound = truncation_tail(state, params, table, grid.horizon, j)
-    if bound > TRUNCATION_FRACTION * closed:
-        raise TruncationTooLoose(bound, closed, grid.horizon)
-    zeta_t = equilibrium.state_price_density(state, params)
-    values = _per_path_integrals(grid, state.x, n_paths, seed, params, j) / zeta_t
-    return _report(values, closed, bound)
-
-
-def mc_stock_oracle(
+def mc_oracles(
     state: MarketState,
     params: EconomyParams,
     table: DenominatorTable,
@@ -291,16 +246,39 @@ def mc_stock_oracle(
     horizon: float | None = None,
     n_steps: int | None = None,
     seed: int = 0,
-) -> OracleReport:
-    """Monte Carlo of S_t = zeta_t^{-1} E_t[integral of zeta_u delta_u du]."""
+) -> tuple[list[OracleReport], OracleReport]:
+    """Monte Carlo of every wealth and the stock price from one set of paths.
+
+    w_t^j = zeta_t^{-1} E_t[integral of c_u^j zeta_u du] for each agent and
+    S_t = zeta_t^{-1} E_t[integral of delta_u zeta_u du]; returns the J
+    wealth reports in agent order and the stock report.  The integrands
+    never touch the composition expansion, so the reports are independent
+    checks of the closed forms.  Every truncation tail is checked, agents
+    first, before any path is drawn.
+    """
     grid = _resolve_grid(state.t, horizon, n_steps, table)
-    closed = equilibrium.stock_price(state, params, table)
-    bound = truncation_tail(state, params, table, grid.horizon, None)
-    if bound > TRUNCATION_FRACTION * closed:
-        raise TruncationTooLoose(bound, closed, grid.horizon)
-    zeta_t = equilibrium.state_price_density(state, params)
-    values = _per_path_integrals(grid, state.x, n_paths, seed, params, None) / zeta_t
-    return _report(values, closed, bound)
+    fields = equilibrium.evaluate_fields(state.t, state.x, params, table)
+    closed = [float(w) for w in fields["wealths"]] + [float(fields["stock_price"])]
+    bounds = []
+    for j, target in zip([*range(params.n_agents), None], closed):
+        bound = truncation_tail(state, params, table, grid.horizon, j)
+        if bound > TRUNCATION_FRACTION * target:
+            raise TruncationTooLoose(bound, target, grid.horizon)
+        bounds.append(bound)
+
+    r_curv = params.R
+    weights = _trapezoid_weights(grid)
+    blocks = []
+    for _, u, lse_u, ld in _path_blocks(grid, state.x, n_paths, seed, params):
+        columns = [
+            np.exp((1 - r_curv) * ld + (r_curv - 1) * lse_u + u[..., j]) @ weights
+            for j in range(params.n_agents)
+        ]
+        columns.append(np.exp((1 - r_curv) * ld + r_curv * lse_u) @ weights)
+        blocks.append(columns)
+    values = np.concatenate(blocks, axis=1) / equilibrium.state_price_density(state, params)
+    reports = [_report(v, c, b) for v, c, b in zip(values, closed, bounds)]
+    return reports[:-1], reports[-1]
 
 
 def martingale_check(
@@ -321,10 +299,16 @@ def martingale_check(
     closed = equilibrium.stock_price(s0, params, table) * equilibrium.state_price_density(
         s0, params
     )
-    values = _per_path_integrals(
-        grid, x0, n_paths, seed, params, None, terminal_table=table
-    )
-    return _report(values, closed, 0.0)
+    r_curv = params.R
+    weights = _trapezoid_weights(grid)
+    t_end = grid.times()[-1]
+    values = []
+    for x, _, lse_u, ld in _path_blocks(grid, x0, n_paths, seed, params):
+        flow = np.exp((1 - r_curv) * ld + r_curv * lse_u) @ weights
+        # payoff leg zeta_T S_T = delta_T^{1-R} Z_T
+        log_zs = (1 - r_curv) * ld[:, -1] + equilibrium.log_Z_arr(t_end, x[:, -1], params, table)
+        values.append(flow + np.exp(log_zs))
+    return _report(np.concatenate(values), closed, 0.0)
 
 
 def realized_vol_check(
@@ -386,9 +370,10 @@ def fd_engine(
     t0, x0 = state.t, state.x
 
     def stencil(ht, hx):
+        up, down = f(t0, x0 + hx), f(t0, x0 - hx)
         f_t = (f(t0 + ht, x0) - f(t0 - ht, x0)) / (2 * ht)
-        f_x = (f(t0, x0 + hx) - f(t0, x0 - hx)) / (2 * hx)
-        f_xx = (f(t0, x0 + hx) - 2 * f(t0, x0) + f(t0, x0 - hx)) / hx**2
+        f_x = (up - down) / (2 * hx)
+        f_xx = (up - 2 * f(t0, x0) + down) / hx**2
         return np.array([f_t, f_x, f_xx])
 
     if not richardson:

@@ -27,7 +27,7 @@ from crraeq.model import (
     sufficient_condition_margin,
     validate,
 )
-from crraeq.simulate import martingale_check, mc_stock_oracle, mc_wealth_oracle
+from crraeq.simulate import martingale_check, mc_oracles
 
 SWEEP_SEED = 901
 
@@ -185,14 +185,11 @@ def test_c06_monte_carlo_oracles_reproduce_closed_forms():
         assert _mc_variance_margin(p, tab) > 0.0
         horizon = 12.0 / tab.min_denominator
         n_steps = int(np.ceil(horizon / dt))
-        for j in range(p.n_agents):
-            rep = mc_wealth_oracle(
-                st, p, j, MC_PATHS, horizon=horizon, n_steps=n_steps, seed=0, table=tab
-            )
-            zs.append((f"wealth[{p.n_agents} agents, j={j}]", rep.z_score))
-        rep = mc_stock_oracle(
+        wealth_reps, rep = mc_oracles(
             st, p, tab, MC_PATHS, horizon=horizon, n_steps=n_steps, seed=0
         )
+        for j, wrep in enumerate(wealth_reps):
+            zs.append((f"wealth[{p.n_agents} agents, j={j}]", wrep.z_score))
         zs.append((f"stock[{p.n_agents} agents]", rep.z_score))
         assert rep.truncation_bound < 0.1 * rep.std_error
         rep = martingale_check(p, tab, MC_PATHS, horizon=5.0, n_steps=500, seed=0)

@@ -72,13 +72,6 @@ def test_symmetric_pair_alpha_bar_zero():
     np.testing.assert_allclose(rb.kappa, 2 * 0.1, rtol=1e-13)
 
 
-def test_rate_bundle_builds_table_when_omitted():
-    p = symmetric_pair()
-    a = rate_bundle(S0, p)
-    b = rate_bundle(S0, p, validate(p))
-    assert a == b
-
-
 def test_single_agent_stock_vol_equals_dividend_vol():
     for r in range(2, 7):
         p = single_agent(rho=0.5, alpha=0.3, R=r, sigma=0.15)

@@ -154,6 +154,15 @@ def test_cap_enforced():
     assert ei.value.cap == 10_000_000
 
 
+def test_cap_counts_entries_not_compositions():
+    # 593775 compositions are under the cap, but 25 parts each make 14.8M entries
+    count = math.comb(30, 24)
+    assert count < 10_000_000 < count * 25
+    with pytest.raises(CompositionCapExceeded, match="entries") as ei:
+        enumerate_compositions(25, 6)
+    assert ei.value.count == count
+
+
 def test_enumeration_deterministic():
     a = enumerate_compositions(4, 6)
     b = enumerate_compositions(4, 6)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import crraeq.simulate
 from conftest import draw_economy
 from crraeq.dynamics import DegenerateStockVolatility, rate_bundle, stock_dynamics
 from crraeq.equilibrium import (
@@ -25,8 +26,7 @@ from crraeq.simulate import (
     evaluate_series,
     fd_engine,
     martingale_check,
-    mc_stock_oracle,
-    mc_wealth_oracle,
+    mc_oracles,
     realized_vol_check,
     simulate_paths,
     truncation_tail,
@@ -148,9 +148,7 @@ def test_series_degenerate_volatility_carries_grid_index():
 
 def test_wealth_oracle_benchmark():
     tab = validate(BENCH)
-    rep = mc_wealth_oracle(
-        S0, BENCH, 0, n_paths=8000, horizon=1200.0, n_steps=2400, seed=101, table=tab
-    )
+    (rep,), _ = mc_oracles(S0, BENCH, tab, n_paths=8000, horizon=1200.0, n_steps=2400, seed=101)
     assert isinstance(rep, OracleReport)
     np.testing.assert_allclose(rep.closed_form, 100.0, rtol=1e-12)
     assert abs(rep.z_score) <= 3
@@ -165,13 +163,44 @@ def test_wealth_oracles_sum_to_stock_oracle():
     p = two_agent()
     tab = validate(p)
     s = MarketState(0.0, 0.2)
-    kw = dict(n_paths=400, horizon=80.0, n_steps=400, seed=55)
-    wsum = sum(
-        mc_wealth_oracle(s, p, j, table=tab, **kw).estimate for j in range(2)
-    )
-    srep = mc_stock_oracle(s, p, tab, **kw)
-    np.testing.assert_allclose(wsum, srep.estimate, rtol=1e-10)
+    wreps, srep = mc_oracles(s, p, tab, n_paths=400, horizon=80.0, n_steps=400, seed=55)
+    np.testing.assert_allclose(sum(r.estimate for r in wreps), srep.estimate, rtol=1e-10)
     assert abs(srep.z_score) <= 3
+
+
+def test_mc_oracles_match_a_plain_recomputation():
+    # 1500 paths of 2001 nodes span two blocks of the single pass
+    p = two_agent()
+    tab = validate(p)
+    s = MarketState(0.5, 0.2)
+    grid = PathGrid(s.t, 20.5, 2000)
+    n = 1500
+    wreps, srep = mc_oracles(
+        s, p, tab, n_paths=n, horizon=grid.horizon, n_steps=grid.n_steps, seed=9
+    )
+
+    t = grid.times()
+    x = np.array([path.x_values for path in simulate_paths(grid, s.x, n, seed=9)])
+    delta = p.delta0 * np.exp(p.sigma * x + (p.alpha_star * p.sigma - p.sigma**2 / 2) * t)
+    e_u = np.stack(
+        [np.exp((a.alpha * x - (a.rho + a.alpha**2 / 2) * t - a.gamma) / p.R) for a in p.agents],
+        axis=-1,
+    )
+    total = e_u.sum(axis=-1)
+    # zeta = delta^{-R} (sum_i e^{u_i})^R and c^j = delta e^{u_j} / sum_i e^{u_i}
+    zeta0 = delta[0, 0] ** -p.R * total[0, 0] ** p.R
+    flows = [delta ** (1 - p.R) * total ** (p.R - 1) * e_u[..., j] for j in range(2)]
+    flows.append(delta ** (1 - p.R) * total**p.R)
+    closed = [wealth(s, p, tab, j) for j in range(2)] + [stock_price(s, p, tab)]
+    tails = [truncation_tail(s, p, tab, grid.horizon, j) for j in (0, 1, None)]
+
+    for rep, flow, cf, tail in zip([*wreps, srep], flows, closed, tails):
+        values = np.trapezoid(flow, t, axis=1) / zeta0
+        np.testing.assert_allclose(rep.estimate, values.mean(), rtol=1e-13)
+        np.testing.assert_allclose(rep.std_error, values.std(ddof=1) / math.sqrt(n), rtol=1e-13)
+        assert rep.closed_form == cf
+        assert rep.truncation_bound == tail
+        assert rep.n_paths == n
 
 
 def test_stock_oracle_scales_with_delta0():
@@ -180,15 +209,21 @@ def test_stock_oracle_scales_with_delta0():
         R=p.R, sigma=p.sigma, alpha_star=p.alpha_star, delta0=3.0, agents=p.agents
     )
     kw = dict(n_paths=200, horizon=80.0, n_steps=200, seed=77)
-    a = mc_stock_oracle(S0, p, validate(p), **kw)
-    b = mc_stock_oracle(S0, q, validate(q), **kw)
+    _, a = mc_oracles(S0, p, validate(p), **kw)
+    _, b = mc_oracles(S0, q, validate(q), **kw)
     np.testing.assert_allclose(b.estimate, 3.0 * a.estimate, rtol=1e-12)
 
 
-def test_truncation_guard_and_monotonicity():
+def test_truncation_guard_and_monotonicity(monkeypatch):
     tab = validate(BENCH)
-    with pytest.raises(TruncationTooLoose):
-        mc_wealth_oracle(S0, BENCH, 0, n_paths=10, horizon=10.0, n_steps=20, table=tab)
+
+    def no_draws(seed, path_index):
+        raise AssertionError("paths drawn before the truncation check")
+
+    monkeypatch.setattr(crraeq.simulate, "path_generator", no_draws)
+    with pytest.raises(TruncationTooLoose) as ei:
+        mc_oracles(S0, BENCH, tab, n_paths=10, horizon=10.0, n_steps=20)
+    assert ei.value.closed_form == wealth(S0, BENCH, tab, 0)
     t1 = truncation_tail(S0, BENCH, tab, 300.0)
     t2 = truncation_tail(S0, BENCH, tab, 600.0)
     assert 0 < t2 < t1
