@@ -17,11 +17,12 @@ when every composition-indexed denominator
               - ((alpha.beta/R + (1-R) sigma)^2) / 2        (|beta| = R)
 
 is strictly positive.  `validate` is the single gate: it enumerates the
-compositions once, evaluates every D(beta), and hands back the table the
-rest of the package keys its sums off.  The table is integer composition
-arrays plus the coefficients that do not involve gamma, so one table
-serves every choice of the log weights; the gamma.beta/R terms are formed
-from the params at each evaluation.
+compositions of R once, evaluates every D(beta), and hands back the table
+the rest of the package keys its sums off; the level R-1 compositions of
+the wealth sums are read off the level-R rows, not enumerated again.
+The table is integer composition arrays plus the coefficients that do not
+involve gamma, so one table serves every choice of the log weights; the
+gamma.beta/R terms are formed from the params at each evaluation.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .multiindex import composition_rank, enumerate_compositions, log_multinomial_coefficient
+from .multiindex import enumerate_compositions, log_multinomial_coefficient
 
 
 class ModelError(Exception):
@@ -145,26 +146,23 @@ class DenominatorTable:
         t_coefs[m]    = rho.beta / R + alpha^2.beta / (2R)
         d_values[m]   = D(beta) > 0
 
-    None of them involves gamma.  `parts_rm1` and `log_coeffs_rm1` are the
-    level R-1 block of the wealth sums; `lift[j, m]` is the level-R row of
-    parts_rm1[m] + e_j, so agent-j coefficient vectors are plain gathers of
-    the level-R arrays (only the multinomial coefficient differs between
-    levels).
+    None of them involves gamma.  Agent j's wealth sum runs over the
+    compositions beta' of R-1, and beta' -> beta' + e_j maps them one to one,
+    in order, onto the level-R rows with beta_j >= 1.  `lift[j]` lists those
+    rows, so agent-j coefficient vectors are plain gathers of the level-R
+    arrays.  Only the multinomial coefficient differs between the levels:
+    `log_coeffs_rm1[m]` is log multinomial(R-1, beta'), the same for every j.
     """
 
-    risk_aversion: int
-    n_agents: int
     parts: np.ndarray
     d_values: np.ndarray
     log_coeffs: np.ndarray
     x_coefs: np.ndarray
     t_coefs: np.ndarray
-    parts_rm1: np.ndarray
     log_coeffs_rm1: np.ndarray
     lift: np.ndarray
     min_denominator: float
     footnote_holds: bool
-    footnote_margin: float
 
     def x_coefs_for(self, j: int) -> np.ndarray:
         """(alpha_j + alpha.beta')/R over the level R-1 compositions."""
@@ -212,25 +210,18 @@ def validate(params: EconomyParams) -> DenominatorTable:
     if bad.size:
         raise NonpositiveDenominator([(tuple(parts[i].tolist()), float(d_values[i])) for i in bad])
 
-    parts_rm1 = enumerate_compositions(j, r - 1)
-    unit = np.eye(j, dtype=np.int64)
-    lift = np.stack([composition_rank(parts_rm1 + unit[jj]) for jj in range(j)])
-
-    margin = sufficient_condition_margin(params)
+    lift = np.stack([np.flatnonzero(parts[:, jj]) for jj in range(j)])
+    log_coeffs_rm1 = log_multinomial_coefficient(parts[lift[0]] - np.eye(j, dtype=np.int64)[0])
     return DenominatorTable(
-        risk_aversion=r,
-        n_agents=j,
         parts=parts,
         d_values=d_values,
         log_coeffs=log_coeffs,
         x_coefs=x_coefs,
         t_coefs=t_coefs,
-        parts_rm1=parts_rm1,
-        log_coeffs_rm1=log_multinomial_coefficient(parts_rm1),
+        log_coeffs_rm1=log_coeffs_rm1,
         lift=lift,
         min_denominator=float(d_values.min()),
-        footnote_holds=margin >= 0.0,
-        footnote_margin=margin,
+        footnote_holds=sufficient_condition_margin(params) >= 0.0,
     )
 
 

@@ -2,10 +2,9 @@
 
 Every closed-form sum in this package runs over the compositions beta of
 some order K into J parts (one slot per agent).  This module enumerates
-them once, as the rows of an integer array in a fixed deterministic
-order, ranks any composition back to its row, and evaluates the attached
-multinomial coefficients K! / (beta_1! ... beta_J!) in log space so large
-orders cannot overflow.
+them as the rows of an integer array in a fixed deterministic order and
+evaluates the attached multinomial coefficients K! / (beta_1! ... beta_J!)
+in log space so large orders cannot overflow.
 """
 
 from __future__ import annotations
@@ -67,26 +66,6 @@ def enumerate_compositions(
         count=count * (j - 1),
     ).reshape(count, j - 1)
     return np.diff(bars[::-1], axis=1, prepend=-1, append=slots) - 1
-
-
-def composition_rank(parts: np.ndarray) -> np.ndarray:
-    """Row of each composition (a row of `parts`) in `enumerate_compositions` order.
-
-    With S_i the sum of parts i..J-1, the compositions listed before beta
-    are those that agree with it up to some slot i and put more in it:
-    C(S_{i+1} + c - 1, c) of them, with c = J-1-i slots after i.  Each of
-    those counts is at most the number of compositions, so int64 holds it.
-    """
-    parts = np.asarray(parts, dtype=np.int64)
-    n_parts = parts.shape[1]
-    suffix = np.cumsum(parts[:, ::-1], axis=1)[:, ::-1]
-    order = int(suffix[:, 0].max(initial=0))
-    rank = np.zeros(len(parts), dtype=np.int64)
-    for i in range(n_parts - 1):
-        c = n_parts - 1 - i
-        before = np.array([math.comb(s + c - 1, c) for s in range(order + 1)], dtype=np.int64)
-        rank += before[suffix[:, i + 1]]
-    return rank
 
 
 def log_multinomial_coefficient(parts) -> np.ndarray:

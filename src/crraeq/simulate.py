@@ -256,6 +256,8 @@ def mc_oracles(
     checks of the closed forms.  Every truncation tail is checked, agents
     first, before any path is drawn.
     """
+    if n_paths < 1:
+        raise ValueError("n_paths must be positive")
     grid = _resolve_grid(state.t, horizon, n_steps, table)
     fields = equilibrium.evaluate_fields(state.t, state.x, params, table)
     closed = [float(w) for w in fields["wealths"]] + [float(fields["stock_price"])]
@@ -294,6 +296,8 @@ def martingale_check(
 
     The identity is exact for every horizon, so truncation_bound is zero.
     """
+    if n_paths < 1:
+        raise ValueError("n_paths must be positive")
     grid = _resolve_grid(0.0, horizon, n_steps, table)
     s0 = MarketState(0.0, x0)
     closed = equilibrium.stock_price(s0, params, table) * equilibrium.state_price_density(

@@ -62,12 +62,9 @@ MC_PATHS = 100_000
 
 
 def _mc_variance_margin(params, table) -> float:
+    # every agent's wealth-sum row is a level-R row, so the level-R minimum covers them
     shift = (1 - params.R) * params.sigma
-    worst = float(np.min(2 * table.d_values - (table.x_coefs + shift) ** 2))
-    for j in range(params.n_agents):
-        worst = min(worst, float(np.min(
-            2 * table.d_values_for(j) - (table.x_coefs_for(j) + shift) ** 2)))
-    return worst
+    return float(np.min(2 * table.d_values - (table.x_coefs + shift) ** 2))
 
 
 @pytest.fixture(scope="module")

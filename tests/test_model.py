@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import crraeq.model
 from crraeq.model import (
     Agent,
     ConfigError,
@@ -16,6 +17,7 @@ from crraeq.model import (
     sufficient_condition_margin,
     validate,
 )
+from crraeq.multiindex import enumerate_compositions
 
 
 def single_agent(rho=0.02, alpha=0.0, gamma=0.0, R=2, sigma=0.1):
@@ -136,14 +138,37 @@ def test_table_lift_matches_plus_unit():
             - (a + (1 - r) * sigma) ** 2 / 2
         )
 
+    # the level R-1 block is listed on its own here, not read off the table
+    parts_rm1 = enumerate_compositions(3, p.R - 1).tolist()
+    exact_rm1 = [
+        math.factorial(p.R - 1) // math.prod(math.factorial(b) for b in c) for c in parts_rm1
+    ]
+    np.testing.assert_allclose(np.exp(tab.log_coeffs_rm1), exact_rm1, rtol=1e-12)
     for j in range(3):
-        lifted = [list(c) for c in tab.parts_rm1.tolist()]
+        lifted = [list(c) for c in parts_rm1]
         for c in lifted:
             c[j] += 1
         np.testing.assert_array_equal(tab.lift[j], [rows[tuple(c)] for c in lifted])
         np.testing.assert_allclose(
             tab.d_values_for(j), [d_of(c) for c in lifted], rtol=1e-12, atol=1e-15
         )
+
+
+def test_validate_enumerates_once(monkeypatch):
+    calls = []
+    real_enumerate = crraeq.model.enumerate_compositions
+
+    def counting_enumerate(j, k, *args, **kwargs):
+        calls.append((j, k))
+        return real_enumerate(j, k, *args, **kwargs)
+
+    monkeypatch.setattr(crraeq.model, "enumerate_compositions", counting_enumerate)
+    p = EconomyParams(
+        R=4, sigma=0.2, alpha_star=0.1, delta0=1.0,
+        agents=(Agent(0.5, 0.5, 0.3), Agent(0.55, -0.1, 0.0), Agent(0.6, -0.5, -0.3)),
+    )
+    validate(p)
+    assert calls == [(3, 4)]
 
 
 def test_structural_validation():

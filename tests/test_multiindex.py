@@ -8,7 +8,6 @@ from crraeq.model import Agent, EconomyParams, validate
 from crraeq.multiindex import (
     CompositionCapExceeded,
     composition_count,
-    composition_rank,
     enumerate_compositions,
     log_multinomial_coefficient,
 )
@@ -72,7 +71,6 @@ def test_table_matches_brute_force(r, j):
     # at (2, 41) a base-3 integer key of a composition would overflow int64
     parts = enumerate_compositions(j, r)
     assert parts.tolist() == listed_by_multisets(j, r)
-    np.testing.assert_array_equal(composition_rank(parts), np.arange(len(parts)))
     exact = [exact_multinomial(c) for c in parts.tolist()]
     np.testing.assert_allclose(np.exp(log_multinomial_coefficient(parts)), exact, rtol=1e-12)
 
@@ -82,11 +80,16 @@ def test_table_matches_brute_force(r, j):
     )
     tab = validate(params)
     np.testing.assert_array_equal(tab.parts, parts)
-    np.testing.assert_array_equal(tab.parts_rm1, listed_by_multisets(j, r - 1))
+    # the level R-1 block is listed on its own here, not read off the table
+    parts_rm1 = enumerate_compositions(j, r - 1)
+    assert parts_rm1.tolist() == listed_by_multisets(j, r - 1)
+    assert tab.lift.shape == (j, len(parts_rm1))
     for jj in range(j):
         np.testing.assert_array_equal(
-            tab.parts[tab.lift[jj]], tab.parts_rm1 + np.eye(j, dtype=np.int64)[jj]
+            tab.parts[tab.lift[jj]], parts_rm1 + np.eye(j, dtype=np.int64)[jj]
         )
+    exact_rm1 = [exact_multinomial(c) for c in parts_rm1.tolist()]
+    np.testing.assert_allclose(np.exp(tab.log_coeffs_rm1), exact_rm1, rtol=1e-12)
 
 
 def test_count_matches_stars_and_bars():

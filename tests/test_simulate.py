@@ -230,6 +230,23 @@ def test_truncation_guard_and_monotonicity(monkeypatch):
     np.testing.assert_allclose(t1, 100.0 * math.exp(-3.0), rtol=1e-10)
 
 
+@pytest.mark.parametrize("oracle", [
+    lambda p, tab, n: mc_oracles(S0, p, tab, n_paths=n, horizon=5.0, n_steps=20),
+    lambda p, tab, n: martingale_check(p, tab, n_paths=n, horizon=1.0, n_steps=20),
+], ids=["mc_oracles", "martingale_check"])
+@pytest.mark.parametrize("n_paths", [0, -3])
+def test_oracles_reject_nonpositive_path_counts(monkeypatch, oracle, n_paths):
+    p = two_agent()
+    tab = validate(p)
+
+    def no_draws(seed, path_index):
+        raise AssertionError("paths drawn before the path count was checked")
+
+    monkeypatch.setattr(crraeq.simulate, "path_generator", no_draws)
+    with pytest.raises(ValueError, match="^n_paths must be positive$"):
+        oracle(p, tab, n_paths)
+
+
 def test_default_horizon_follows_min_denominator():
     tab = validate(BENCH)
     np.testing.assert_allclose(default_horizon(tab), 5.0 / tab.min_denominator)
