@@ -7,7 +7,13 @@ bad flag values), 3 I/O error (unreadable config, unwritable output).
 
 Every number is serialized with 17 significant digits, so JSON and CSV
 output round-trips losslessly to the in-memory float64 values and byte
-identity across reruns is a meaningful regression check.
+identity across reruns is a meaningful regression check.  JSON writes a
+non-finite float as `json.dumps` does (Infinity, -Infinity, NaN); CSV
+keeps the `%.17g` spellings inf, -inf and nan.
+
+`simulate` draws, evaluates and writes one path at a time, and formats
+each block of CSV rows with a single C-level `%` on a row template, so
+neither the paths nor the formatted text are held in memory at once.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from .simulate import (
     fd_engine,
     martingale_check,
     mc_oracles,
-    simulate_paths,
+    simulate_path,
 )
 
 EXIT_OK = 0
@@ -84,7 +90,10 @@ def _scalar_json(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return format(float(value), ".17g")
+    value = float(value)
+    if math.isfinite(value):
+        return format(value, ".17g")
+    return json.dumps(value)
 
 
 def _to_json(value, indent: int = 0) -> str:
@@ -179,32 +188,44 @@ def _series_matrix(series) -> np.ndarray:
     )
 
 
-def _csv_block(path_id: int, matrix: np.ndarray) -> str:
-    prefix = f"{path_id},"
-    lines = [
-        prefix + ",".join(format(v, ".17g") for v in row) for row in matrix
-    ]
-    return "\n".join(lines) + "\n"
+# rows per `%` in `_write_csv_rows`: large enough that the per-call cost
+# vanishes, small enough that the formatted text stays a few hundred kB
+_CSV_BLOCK_ROWS = 1024
+
+
+def _write_csv_rows(fh, path_id: int, matrix: np.ndarray) -> None:
+    """Write `path_id,v_1,...,v_n` for each row of the matrix, every v as %.17g.
+
+    `"%.17g" % v` and `format(v, ".17g")` both spell a float through
+    CPython's `PyOS_double_to_string`, so the bytes are those of the
+    per-value formatting; one `%` per block keeps the loop in C.
+    """
+    row = f"{path_id}," + ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    full = row * _CSV_BLOCK_ROWS
+    for lo in range(0, len(matrix), _CSV_BLOCK_ROWS):
+        block = matrix[lo : lo + _CSV_BLOCK_ROWS]
+        template = full if len(block) == _CSV_BLOCK_ROWS else row * len(block)
+        fh.write(template % tuple(block.ravel().tolist()))
 
 
 def cmd_simulate(args) -> int:
-    params = _load_economy(args.config)
-    table = validate(params)
     if args.paths < 1:
         raise ConfigError("--paths must be positive")
     if args.workers < 1:
         raise ConfigError("--workers must be positive")
+    params = _load_economy(args.config)
+    table = validate(params)
     horizon = args.horizon if args.horizon is not None else args.t0 + 10.0
     grid = _resolve_grid(args.t0, horizon, args.steps, table)
-    paths = simulate_paths(grid, args.x0, args.paths, args.seed)
     columns = _csv_columns(params.n_agents)
 
     terminal = []
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        for path_id, path in enumerate(paths):
+        for path_id in range(args.paths):
+            path = simulate_path(grid, args.x0, args.seed, path_id)
             matrix = _series_matrix(evaluate_series(path, params, table))
-            fh.write(_csv_block(path_id, matrix))
+            _write_csv_rows(fh, path_id, matrix)
             terminal.append(matrix[-1])
 
     means = np.mean(terminal, axis=0)
@@ -421,10 +442,10 @@ _SUITE_RUNNERS = {
 
 
 def cmd_verify(args) -> int:
-    params = _load_economy(args.config)
-    table = validate(params)
     if args.paths < 2:
         raise ConfigError("--paths must be at least 2")
+    params = _load_economy(args.config)
+    table = validate(params)
     wanted = tuple(_SUITE_RUNNERS) if args.suite == "all" else (args.suite,)
     suites = [_SUITE_RUNNERS[name](params, table, args.seed, args.paths) for name in wanted]
     report = {

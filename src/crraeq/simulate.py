@@ -124,20 +124,22 @@ def _increments(grid: PathGrid, seed: int, path_index: int) -> np.ndarray:
     return gen.standard_normal(grid.n_steps) * math.sqrt(grid.dt)
 
 
+def simulate_path(grid: PathGrid, x0: float, seed: int, path_index: int) -> SimulatedPath:
+    """Exact Brownian path `path_index` of X from x0, drawn from its own substream."""
+    x = np.empty(grid.n_steps + 1)
+    x[0] = x0
+    np.cumsum(_increments(grid, seed, path_index), out=x[1:])
+    x[1:] += x0
+    return SimulatedPath(grid=grid, x_values=x, seed=seed)
+
+
 def simulate_paths(
     grid: PathGrid, x0: float, n_paths: int, seed: int
 ) -> list[SimulatedPath]:
-    """Exact Brownian paths of X from x0; deterministic given seed."""
+    """Exact Brownian paths 0..n_paths-1 of X from x0; deterministic given seed."""
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
-    out = []
-    for i in range(n_paths):
-        x = np.empty(grid.n_steps + 1)
-        x[0] = x0
-        np.cumsum(_increments(grid, seed, i), out=x[1:])
-        x[1:] += x0
-        out.append(SimulatedPath(grid=grid, x_values=x, seed=seed))
-    return out
+    return [simulate_path(grid, x0, seed, i) for i in range(n_paths)]
 
 
 def evaluate_series(

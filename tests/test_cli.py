@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from crraeq.cli import main
+from crraeq.cli import _CSV_BLOCK_ROWS, _write_csv_rows, main
 
 BENCH = {
     "R": 2, "sigma": 0.1, "alpha_star": 0.0, "delta0": 1.0,
@@ -152,6 +153,17 @@ def test_evaluate_round_trips_to_full_precision(tmp_path):
     assert rep["stock"]["drift"] == snap.stock.drift
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_evaluate_overflow_prints_valid_json(tmp_path):
+    cfg = write_config(tmp_path, PAIR)
+    code, out, _ = run_cli("evaluate", cfg, "--t", "1", "--x", "8000")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["dividend"] == math.inf and rep["stock_price"] == math.inf
+    assert rep["wealths"] == [math.inf, 0.0]
+    assert f'"pd_ratio": {format(rep["pd_ratio"], ".17g")},' in out
+
+
 def test_evaluate_rejects_negative_time(tmp_path):
     cfg = write_config(tmp_path, BENCH)
     code, _, err = run_cli("evaluate", cfg, "--t", "-1")
@@ -211,6 +223,57 @@ def test_simulate_reproducible_across_runs_and_workers(tmp_path):
     )
     assert res.returncode == 0
     assert other.read_bytes() != blobs[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--paths", "0", "--out", "x.csv"),
+        ("simulate", "--workers", "0", "--out", "x.csv"),
+        ("verify", "--paths", "1"),
+    ],
+)
+def test_bad_flags_exit_2_before_the_economy_is_loaded(tmp_path, monkeypatch, argv):
+    def load(path):
+        pytest.fail("economy loaded before the flags were checked")
+
+    monkeypatch.setattr("crraeq.cli._load_economy", load)
+    code, _, err = run_cli(argv[0], write_config(tmp_path, PAIR), *argv[1:])
+    assert code == 2
+    assert "must be" in err
+
+
+def _per_value_csv(path_id, matrix):
+    lines = [f"{path_id}," + ",".join(format(v, ".17g") for v in row) for row in matrix]
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL_VALUES = np.array(
+    [[math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, 0.1],
+     [0.0, 1.0, 14.0, -5e-324, 1.7976931348623157e308, -2.5e-310, 1 / 3]]
+)
+
+
+def _random_matrix(n_rows):
+    rng = np.random.default_rng(n_rows)
+    matrix = rng.standard_normal((n_rows, 16)) * 10.0 ** rng.integers(-300, 300, (n_rows, 16))
+    matrix[:, 0] = np.arange(n_rows) / 8.0
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "path_id, matrix",
+    [(0, _random_matrix(n)) for n in (1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+                                      _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 5)]
+    + [(12, _SPECIAL_VALUES)],
+    ids=["1", "block-1", "block", "block+1", "2block+5", "special"],
+)
+def test_csv_rows_match_per_value_format(path_id, matrix):
+    fh = io.StringIO()
+    _write_csv_rows(fh, path_id, matrix)
+    # line lists, so a failure reports the first differing row, not a text diff
+    got = fh.getvalue().splitlines(keepends=True)
+    assert got == _per_value_csv(path_id, matrix).splitlines(keepends=True)
 
 
 def test_verify_all_passes_on_benchmark(tmp_path):
