@@ -13,9 +13,10 @@ The iteration is a damped fixed point
 motivated by the single-composition limit where share_j is proportional
 to exp(-gamma_j / R) at the initial state.  If progress stalls, a
 finite-difference Newton step on the share map (restricted to the
-zero-sum subspace) takes over.  The composition table does not involve
-gamma, so the economy is validated once and every iterate is evaluated
-on that one table.
+zero-sum subspace) takes over.  Each share map evaluation is one pass
+over the level-R Z terms: by Pascal's rule share_j = E_Z[beta_j] / R.
+The composition table does not involve gamma, so the economy is
+validated once and every iterate is evaluated on that one table.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import softmax
 
 from . import equilibrium
 from .model import DenominatorTable, EconomyParams, MarketState, validate
@@ -61,15 +63,13 @@ class CalibrationTarget:
 def wealth_shares(
     params: EconomyParams, table: DenominatorTable, state: MarketState
 ) -> np.ndarray:
-    """w^j/S at a state; the delta and zeta prefactors cancel in the ratio."""
-    log_z = equilibrium.log_Z_arr(state.t, state.x, params, table)
-    log_zj = np.array(
-        [
-            equilibrium.log_Z_agent_arr(state.t, state.x, params, table, j)
-            for j in range(params.n_agents)
-        ]
-    )
-    return np.exp(log_zj - log_z)
+    """w^j/S = E_Z[beta_j]/R at a state (Pascal's rule).
+
+    The delta and zeta prefactors cancel in the ratio, so the shares are
+    the Z-weighted mean of the compositions over R.
+    """
+    terms = equilibrium.log_z_terms_arr(state.t, state.x, params, table)
+    return softmax(terms) @ table.parts / params.R
 
 
 def solve_gamma(

@@ -334,7 +334,7 @@ def _fd_errors(state: MarketState, params: EconomyParams, table: DenominatorTabl
     """
     closed = evaluate_fields(state.t, state.x, params, table)
 
-    log_l = lambda t, x: float(log_L_arr(t, x, params, table))
+    log_l = lambda t, x: float(log_L_arr(t, x, params))
     log_zeta = lambda t, x: float(log_state_price_density_arr(t, x, params))
     log_z = lambda t, x: float(log_Z_arr(t, x, params, table))
     log_s = lambda t, x: float(log_stock_price_arr(t, x, params, table))

@@ -7,21 +7,17 @@ density comes straight from market clearing,
 
 consumptions are the softmax split of the dividend across the agents'
 per-curvature log terms, and wealths/stock price come from the
-multinomial expansion of the clearing sum: sums over compositions beta
-of weighted exponentials divided by D(beta).  The Ito coefficients of
-those sums are softmax-weighted moments of the same composition log
-terms (see the dynamics module for the formulas).  All accumulation is
-in log-space (logsumexp / softmax); naive exponentials overflow for |x|
-or t in the hundreds, which are perfectly ordinary states for
-long-horizon paths.
+multinomial expansion of the clearing sum: sums over the compositions
+beta of R of weighted exponentials divided by D(beta), each agent's
+wealth weighting them by beta_j/R (Pascal's rule).  The Ito coefficients
+are weighted moments of the same terms (see the dynamics module).  Sums
+are taken in log-space or against their largest term: naive exponentials
+overflow at |x| or t in the hundreds, ordinary states for long paths.
 
-`evaluate_fields` is the one kernel: it builds the level-R log-term
-matrix once and each agent's level R-1 block once, and returns every
-field of `EvaluatedSeries` at broadcast (t, x).  The series, the
-snapshot and the scalar functions are views of it.  The `log_*_arr`
-level fields broadcast over array-valued (t, x) too; the
-finite-difference oracle differentiates them and the simulation oracles
-reuse them.
+`evaluate_fields` is the one kernel; the series, the snapshot and the
+scalar functions are views of it.  The `log_*_arr` level fields
+broadcast over array-valued (t, x) too, for the finite-difference and
+simulation oracles.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
+from scipy.special import logsumexp
 
 from .model import (
     DenominatorTable,
@@ -41,6 +37,8 @@ from .model import (
 )
 
 VOL_DEGENERACY_TOL = 1e-12
+# below this a sum of exponentials may have lost bits to underflow
+_FULL_PRECISION_SHARE = np.finfo(float).tiny / np.finfo(float).eps
 
 # fault-injection hook: the verification suite's self-test sets this to a
 # nonzero value and expects the finite-difference checks to flag the rate;
@@ -187,47 +185,35 @@ def log_state_price_density_arr(t, x, params: EconomyParams) -> np.ndarray:
     return params.R * (logsumexp(u, axis=-1) - log_dividend(t, x, params))
 
 
-def _log_terms(t, x, log_coeffs, x_coefs, g, t_coefs) -> np.ndarray:
-    t = np.asarray(t, dtype=float)[..., None]
-    x = np.asarray(x, dtype=float)[..., None]
-    return log_coeffs + x_coefs * x - g - t_coefs * t
-
-
-def comp_log_terms_arr(t, x, params: EconomyParams, table: DenominatorTable) -> np.ndarray:
-    """Log of each |beta|=R term of L_t: logC + a x - g - b t, shape (..., M).
+def log_z_terms_arr(t, x, params: EconomyParams, table: DenominatorTable) -> np.ndarray:
+    """Log of each |beta|=R term of Z_t: logC - log D + a x - g - b t, shape (..., M).
 
     g = gamma.beta/R is the only gamma-dependent coefficient; it is formed
     here from params, never stored in the table.
     """
+    t = np.asarray(t, dtype=float)[..., None]
+    x = np.asarray(x, dtype=float)[..., None]
     g = table.parts @ params.gamma_vec / params.R
-    return _log_terms(t, x, table.log_coeffs, table.x_coefs, g, table.t_coefs)
+    terms = table.x_coefs * x + (table.log_coeffs - np.log(table.d_values) - g)
+    terms -= table.t_coefs * t
+    return terms
 
 
-def agent_comp_log_terms_arr(
-    t, x, params: EconomyParams, table: DenominatorTable, j: int
-) -> np.ndarray:
-    """Log of each |beta'|=R-1 term of agent j's wealth sum (before 1/D), (..., M')."""
-    rows = table.lift[j]
-    g = table.parts @ params.gamma_vec / params.R
-    return _log_terms(
-        t, x, table.log_coeffs_rm1, table.x_coefs[rows], g[rows], table.t_coefs[rows]
-    )
-
-
-def log_L_arr(t, x, params: EconomyParams, table: DenominatorTable) -> np.ndarray:
-    return logsumexp(comp_log_terms_arr(t, x, params, table), axis=-1)
+def log_L_arr(t, x, params: EconomyParams) -> np.ndarray:
+    """log L = R logsumexp_i u_i, the multinomial theorem applied to the clearing sum."""
+    return params.R * logsumexp(agent_log_terms_arr(t, x, params), axis=-1)
 
 
 def log_Z_arr(t, x, params: EconomyParams, table: DenominatorTable) -> np.ndarray:
-    terms = comp_log_terms_arr(t, x, params, table)
-    return logsumexp(terms - np.log(table.d_values), axis=-1)
+    return logsumexp(log_z_terms_arr(t, x, params, table), axis=-1)
 
 
 def log_Z_agent_arr(
     t, x, params: EconomyParams, table: DenominatorTable, j: int
 ) -> np.ndarray:
-    terms = agent_comp_log_terms_arr(t, x, params, table, j)
-    return logsumexp(terms - np.log(table.d_values_for(j)), axis=-1)
+    """log Z^j: the Z terms weighted by beta_j/R (Pascal's rule)."""
+    terms = log_z_terms_arr(t, x, params, table)
+    return logsumexp(terms, axis=-1, b=table.parts[:, j] / params.R)
 
 
 def log_stock_price_arr(t, x, params: EconomyParams, table: DenominatorTable):
@@ -240,44 +226,58 @@ def log_stock_price_arr(t, x, params: EconomyParams, table: DenominatorTable):
     )
 
 
-def _moments(log_terms: np.ndarray, x_coefs: np.ndarray, t_coefs: np.ndarray):
-    """Softmax-weighted averages of a(beta) and b(beta) - a(beta)^2/2."""
-    w = softmax(log_terms, axis=-1)
-    return w @ x_coefs, w @ (t_coefs - 0.5 * x_coefs**2)
-
-
 def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dict:
     """Every `EvaluatedSeries` field but the grid, at broadcast (t, x).
 
-    Each (..., M) log-term matrix is built once and reduced in place: the
-    L-weighted moments come first, then log D is subtracted for the
-    Z-weighted moments and log Z.  Agent blocks are handled one at a time
-    so at most one of them is alive.
+    The L side is O(J): under the L weights beta is multinomial(R, p) with
+    p = softmax(u).  The Z side is one pass over the level-R Z terms, taken
+    against the largest one and reduced against the rows [1, a, b - a^2/2,
+    beta, beta a]; by Pascal's rule the beta rows give the wealth shares
+    E_Z[beta_j]/R and alpha_tilde^j.  einsum reduces in the same order at
+    one state and along a path, so the two agree to the bit.
     """
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-    r_curv, sigma = params.R, params.sigma
+    r_curv, sigma, n_agents = params.R, params.sigma, params.n_agents
 
     u = agent_log_terms_arr(t, x, params)
     lse_u = logsumexp(u, axis=-1)
     log_delta = log_dividend(t, x, params)
     log_zeta = r_curv * (lse_u - log_delta)
     log_c = log_delta[..., None] + u - lse_u[..., None]
+    p = np.exp(u - lse_u[..., None])
+    alpha_bar = np.einsum("...j,j->...", p, params.alpha_vec)
+    spread = (0.5 - 0.5 / r_curv) * (params.alpha_vec - alpha_bar[..., None]) ** 2
+    rho_bar = np.einsum("...j,...j->...", p, params.rho_vec + spread)
 
-    terms = comp_log_terms_arr(t, x, params, table)
-    alpha_bar, rho_bar = _moments(terms, table.x_coefs, table.t_coefs)
-    terms -= np.log(table.d_values)
-    log_z = logsumexp(terms, axis=-1)
-    alpha_tilde, rho_tilde = _moments(terms, table.x_coefs, table.t_coefs)
-    del terms
+    # a and b are centred on their midrange, so the sums round at their
+    # spread rather than at their size (which the discount rates set)
+    a, beta = table.x_coefs, table.parts.T
+    b = table.t_coefs - 0.5 * a**2
+    a0, b0 = 0.5 * (a.max() + a.min()), 0.5 * (b.max() + b.min())
+    coefs = np.vstack([np.ones_like(a), a - a0, b - b0, beta, beta * (a - a0)])
+    terms = log_z_terms_arr(t, x, params, table)
+    top = terms.max(axis=-1)
+    terms -= top[..., None]
+    sums = np.einsum("...m,km->...k", np.exp(terms, out=terms), coefs)
+    total, z_beta = sums[..., 0], sums[..., 3 : 3 + n_agents]
+    alpha_tilde, rho_tilde = a0 + sums[..., 1] / total, b0 + sums[..., 2] / total
+    share = z_beta / (r_curv * total[..., None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_zj_rel = np.log(z_beta / r_curv)  # log Z^j - top
+        at_agents = a0 + sums[..., 3 + n_agents :] / z_beta
 
-    log_w = np.empty(u.shape)
-    at_agents = np.empty(u.shape)
-    for j in range(params.n_agents):
-        terms = agent_comp_log_terms_arr(t, x, params, table, j)
-        terms -= np.log(table.d_values_for(j))
-        log_w[..., j] = (1 - r_curv) * log_delta - log_zeta + logsumexp(terms, axis=-1)
-        at_agents[..., j] = softmax(terms, axis=-1) @ table.x_coefs_for(j)
-        del terms
+    # a share below tiny/eps has lost bits to underflowed terms: redo that
+    # agent's sums in log space, masked to beta_j > 0, at those nodes only
+    for j in range(n_agents):
+        nodes = share[..., j] < _FULL_PRECISION_SHARE
+        if nodes.any():
+            with np.errstate(divide="ignore"):
+                sub = log_z_terms_arr(t[nodes], x[nodes], params, table) + np.log(beta[j])
+            lse_j = logsumexp(sub, axis=-1)
+            log_zj_rel[..., j][nodes] = lse_j - np.log(r_curv) - top[nodes]
+            share[..., j][nodes] = np.exp(log_zj_rel[..., j][nodes] - np.log(total[nodes]))
+            weights = np.exp(sub - lse_j[..., None])
+            at_agents[..., j][nodes] = a0 + np.einsum("...m,m->...", weights, a - a0)
 
     riskless = (
         rho_bar
@@ -292,34 +292,33 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
         + sigma * params.alpha_star
         + (alpha_tilde - alpha_bar) * (sigma - alpha_bar)
     )
-    log_s = (1 - r_curv) * log_delta - log_zeta + log_z
-    # pi^j from the wealth/price ratio in log-space: extreme states keep working.
-    # A vanishing vol gives inf here; EvaluatedSeries rejects it, while the
-    # coefficient views stay usable at that state.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        portfolios = np.exp(log_w - log_s[..., None]) * (
-            (sigma + at_agents - alpha_bar[..., None]) / vol[..., None]
+    log_z = top + np.log(total)
+    prefactor = (1 - r_curv) * log_delta - log_zeta
+    # Levels beyond the float range are inf by design.  A vanishing vol gives
+    # inf portfolios; EvaluatedSeries rejects them, while the coefficient
+    # views stay usable at that state.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return dict(
+            t=t,
+            x=x,
+            dividend=np.exp(log_delta),
+            zeta=np.exp(log_zeta),
+            stock_price=np.exp(prefactor + log_z),
+            pd_ratio=np.exp(log_z - r_curv * lse_u),
+            alpha_bar=alpha_bar,
+            rho_bar=rho_bar,
+            riskless_rate=riskless,
+            kappa=r_curv * sigma - alpha_bar,
+            alpha_tilde=alpha_tilde,
+            rho_tilde=rho_tilde,
+            vol=vol,
+            drift=drift,
+            consumptions=np.exp(log_c),
+            # the nearly cancelling prefactor and top meet before an agent's offset
+            wealths=np.exp((prefactor + top)[..., None] + log_zj_rel),
+            alpha_tilde_agents=at_agents,
+            portfolios=share * ((sigma + at_agents - alpha_bar[..., None]) / vol[..., None]),
         )
-    return dict(
-        t=t,
-        x=x,
-        dividend=np.exp(log_delta),
-        zeta=np.exp(log_zeta),
-        stock_price=np.exp(log_s),
-        pd_ratio=np.exp(log_z - r_curv * lse_u),
-        alpha_bar=alpha_bar,
-        rho_bar=rho_bar,
-        riskless_rate=riskless,
-        kappa=r_curv * sigma - alpha_bar,
-        alpha_tilde=alpha_tilde,
-        rho_tilde=rho_tilde,
-        vol=vol,
-        drift=drift,
-        consumptions=np.exp(log_c),
-        wealths=np.exp(log_w),
-        alpha_tilde_agents=at_agents,
-        portfolios=portfolios,
-    )
 
 
 # --- scalar operations -------------------------------------------------------

@@ -18,11 +18,13 @@ when every composition-indexed denominator
 
 is strictly positive.  `validate` is the single gate: it enumerates the
 compositions of R once, evaluates every D(beta), and hands back the table
-the rest of the package keys its sums off; the level R-1 compositions of
-the wealth sums are read off the level-R rows, not enumerated again.
-The table is integer composition arrays plus the coefficients that do not
-involve gamma, so one table serves every choice of the log weights; the
-gamma.beta/R terms are formed from the params at each evaluation.
+the rest of the package keys its sums off.  Every sum runs over these
+level-R rows: agent j's wealth sum over the compositions of R-1 is, by
+Pascal's rule C(R-1, beta - e_j) = C(R, beta) beta_j / R, the level-R sum
+weighted by beta_j / R.  The table is integer composition arrays plus the
+coefficients that do not involve gamma, so one table serves every choice
+of the log weights; the gamma.beta/R terms are formed from the params at
+each evaluation.
 """
 
 from __future__ import annotations
@@ -146,12 +148,8 @@ class DenominatorTable:
         t_coefs[m]    = rho.beta / R + alpha^2.beta / (2R)
         d_values[m]   = D(beta) > 0
 
-    None of them involves gamma.  Agent j's wealth sum runs over the
-    compositions beta' of R-1, and beta' -> beta' + e_j maps them one to one,
-    in order, onto the level-R rows with beta_j >= 1.  `lift[j]` lists those
-    rows, so agent-j coefficient vectors are plain gathers of the level-R
-    arrays.  Only the multinomial coefficient differs between the levels:
-    `log_coeffs_rm1[m]` is log multinomial(R-1, beta'), the same for every j.
+    None of them involves gamma.  Agent j's wealth sum weights the same
+    rows by beta_j / R, so no other level is stored.
     """
 
     parts: np.ndarray
@@ -159,18 +157,8 @@ class DenominatorTable:
     log_coeffs: np.ndarray
     x_coefs: np.ndarray
     t_coefs: np.ndarray
-    log_coeffs_rm1: np.ndarray
-    lift: np.ndarray
     min_denominator: float
     footnote_holds: bool
-
-    def x_coefs_for(self, j: int) -> np.ndarray:
-        """(alpha_j + alpha.beta')/R over the level R-1 compositions."""
-        return self.x_coefs[self.lift[j]]
-
-    def d_values_for(self, j: int) -> np.ndarray:
-        """D(beta' + e_j) over the level R-1 compositions (wealth-sum denominators)."""
-        return self.d_values[self.lift[j]]
 
 
 def sufficient_condition_margin(params: EconomyParams) -> float:
@@ -210,16 +198,12 @@ def validate(params: EconomyParams) -> DenominatorTable:
     if bad.size:
         raise NonpositiveDenominator([(tuple(parts[i].tolist()), float(d_values[i])) for i in bad])
 
-    lift = np.stack([np.flatnonzero(parts[:, jj]) for jj in range(j)])
-    log_coeffs_rm1 = log_multinomial_coefficient(parts[lift[0]] - np.eye(j, dtype=np.int64)[0])
     return DenominatorTable(
         parts=parts,
         d_values=d_values,
         log_coeffs=log_coeffs,
         x_coefs=x_coefs,
         t_coefs=t_coefs,
-        log_coeffs_rm1=log_coeffs_rm1,
-        lift=lift,
         min_denominator=float(d_values.min()),
         footnote_holds=sufficient_condition_margin(params) >= 0.0,
     )

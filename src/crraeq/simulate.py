@@ -172,13 +172,10 @@ def truncation_tail(
     span = horizon - state.t
     if span <= 0:
         raise ValueError("horizon must exceed the state time")
-    if j is None:
-        terms = equilibrium.comp_log_terms_arr(state.t, state.x, params, table)
-        d = table.d_values
-    else:
-        terms = equilibrium.agent_comp_log_terms_arr(state.t, state.x, params, table, j)
-        d = table.d_values_for(j)
-    log_tail_sum = logsumexp(terms - np.log(d) - d * span, axis=-1)
+    terms = equilibrium.log_z_terms_arr(state.t, state.x, params, table)
+    # agent j's sum weights the Z terms by beta_j / R (Pascal's rule)
+    weights = None if j is None else table.parts[:, j] / params.R
+    log_tail_sum = logsumexp(terms - table.d_values * span, axis=-1, b=weights)
     log_zeta = equilibrium.log_state_price_density_arr(state.t, state.x, params)
     ld = log_dividend(state.t, state.x, params)
     return float(np.exp((1 - params.R) * ld - log_zeta + log_tail_sum))

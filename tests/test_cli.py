@@ -153,15 +153,25 @@ def test_evaluate_round_trips_to_full_precision(tmp_path):
     assert rep["stock"]["drift"] == snap.stock.drift
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_evaluate_overflow_prints_valid_json(tmp_path):
     cfg = write_config(tmp_path, PAIR)
-    code, out, _ = run_cli("evaluate", cfg, "--t", "1", "--x", "8000")
-    assert code == 0
+    # a separate process, so any numpy warning would reach its stderr
+    proc = run_proc(["evaluate", cfg, "--t", "1", "--x", "8000"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    out = proc.stdout
     rep = json.loads(out)
     assert rep["dividend"] == math.inf and rep["stock_price"] == math.inf
     assert rep["wealths"] == [math.inf, 0.0]
     assert f'"pd_ratio": {format(rep["pd_ratio"], ".17g")},' in out
+
+
+def test_simulate_overflow_keeps_stderr_empty(tmp_path):
+    cfg = write_config(tmp_path, TRIO)
+    out = tmp_path / "far.csv"
+    proc = run_proc(["simulate", cfg, "--x0", "7000", "--horizon", "1", "--steps", "16",
+                     "--out", str(out)])
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "inf" in out.read_text()
 
 
 def test_evaluate_rejects_negative_time(tmp_path):

@@ -17,7 +17,7 @@ from crraeq.model import (
     sufficient_condition_margin,
     validate,
 )
-from crraeq.multiindex import enumerate_compositions
+from rm1_oracle import denominator, lifted_block
 
 
 def single_agent(rho=0.02, alpha=0.0, gamma=0.0, R=2, sigma=0.1):
@@ -115,10 +115,15 @@ def test_validate_deterministic():
     a, b = validate(p), validate(p)
     np.testing.assert_array_equal(a.parts, b.parts)
     np.testing.assert_array_equal(a.d_values, b.d_values)
-    np.testing.assert_array_equal(a.lift, b.lift)
+    np.testing.assert_array_equal(a.log_coeffs, b.log_coeffs)
+    np.testing.assert_array_equal(a.x_coefs, b.x_coefs)
+    np.testing.assert_array_equal(a.t_coefs, b.t_coefs)
 
 
 def test_table_lift_matches_plus_unit():
+    # the oracle lists each agent's level R-1 block on its own and checks
+    # the lift onto the level-R rows and Pascal's rule exactly; the table
+    # must carry the same denominators on those rows
     p = EconomyParams(
         R=3,
         sigma=0.2,
@@ -128,29 +133,14 @@ def test_table_lift_matches_plus_unit():
     )
     tab = validate(p)
     rows = {tuple(c): m for m, c in enumerate(tab.parts.tolist())}
-
-    def d_of(beta):
-        rho, alpha, r, sigma = p.rho_vec, p.alpha_vec, p.R, p.sigma
-        a = float(np.dot(alpha, beta)) / r
-        return (
-            float(np.dot(rho + alpha**2 / 2, beta)) / r
-            + (sigma**2 / 2 - p.alpha_star * sigma) * (1 - r)
-            - (a + (1 - r) * sigma) ** 2 / 2
-        )
-
-    # the level R-1 block is listed on its own here, not read off the table
-    parts_rm1 = enumerate_compositions(3, p.R - 1).tolist()
-    exact_rm1 = [
-        math.factorial(p.R - 1) // math.prod(math.factorial(b) for b in c) for c in parts_rm1
-    ]
-    np.testing.assert_allclose(np.exp(tab.log_coeffs_rm1), exact_rm1, rtol=1e-12)
+    np.testing.assert_allclose(tab.d_values, denominator(p, tab.parts), rtol=1e-12, atol=1e-15)
     for j in range(3):
-        lifted = [list(c) for c in parts_rm1]
-        for c in lifted:
-            c[j] += 1
-        np.testing.assert_array_equal(tab.lift[j], [rows[tuple(c)] for c in lifted])
+        lifted, _, d = lifted_block(p, j)
+        assert sorted(rows[tuple(c)] for c in lifted.tolist()) == list(
+            np.flatnonzero(tab.parts[:, j])
+        )
         np.testing.assert_allclose(
-            tab.d_values_for(j), [d_of(c) for c in lifted], rtol=1e-12, atol=1e-15
+            tab.d_values[[rows[tuple(c)] for c in lifted.tolist()]], d, rtol=1e-12, atol=1e-15
         )
 
 

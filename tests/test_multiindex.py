@@ -11,14 +11,7 @@ from crraeq.multiindex import (
     enumerate_compositions,
     log_multinomial_coefficient,
 )
-
-
-def exact_multinomial(parts) -> int:
-    """|beta|! / prod_i beta_i! in exact integers."""
-    num = math.factorial(sum(parts))
-    for b in parts:
-        num //= math.factorial(b)
-    return num
+from rm1_oracle import exact_multinomial, lifted_block
 
 
 def listed_by_product(j, k):
@@ -80,16 +73,14 @@ def test_table_matches_brute_force(r, j):
     )
     tab = validate(params)
     np.testing.assert_array_equal(tab.parts, parts)
-    # the level R-1 block is listed on its own here, not read off the table
+    # the oracle's level R-1 block is listed on its own, not read off the table
     parts_rm1 = enumerate_compositions(j, r - 1)
     assert parts_rm1.tolist() == listed_by_multisets(j, r - 1)
-    assert tab.lift.shape == (j, len(parts_rm1))
-    for jj in range(j):
-        np.testing.assert_array_equal(
-            tab.parts[tab.lift[jj]], parts_rm1 + np.eye(j, dtype=np.int64)[jj]
-        )
     exact_rm1 = [exact_multinomial(c) for c in parts_rm1.tolist()]
-    np.testing.assert_allclose(np.exp(tab.log_coeffs_rm1), exact_rm1, rtol=1e-12)
+    for jj in range(j):
+        lifted, log_c, _ = lifted_block(params, jj)
+        np.testing.assert_array_equal(lifted, parts_rm1 + np.eye(j, dtype=np.int64)[jj])
+        np.testing.assert_allclose(np.exp(log_c), exact_rm1, rtol=1e-12)
 
 
 def test_count_matches_stars_and_bars():

@@ -92,21 +92,20 @@ def test_series_single_agent_pd_constant():
 
 
 def test_series_matches_pointwise_snapshot():
-    p = two_agent()
-    tab = validate(p)
+    trio = EconomyParams(
+        R=4, sigma=0.12, alpha_star=0.05, delta0=2.0,
+        agents=(Agent(0.4, 0.25, 0.1), Agent(0.45, -0.1, 0.0), Agent(0.5, 0.05, -0.1)),
+    )
     grid = PathGrid(0.2, 3.2, 12)
-    path = simulate_paths(grid, -0.4, 1, 9)[0]
-    ser = evaluate_series(path, p, tab)
-    for k in (0, 5, 12):
-        a = ser.snapshot_at(k)
-        b = snapshot(MarketState(float(ser.t[k]), float(ser.x[k])), p, tab)
-        assert a.state == b.state
-        assert a.dividend == b.dividend and a.zeta == b.zeta
-        assert a.consumptions == b.consumptions and a.wealths == b.wealths
-        assert a.stock_price == b.stock_price and a.pd_ratio == b.pd_ratio
-        np.testing.assert_allclose(a.rates.riskless_rate, b.rates.riskless_rate, rtol=1e-13)
-        np.testing.assert_allclose(a.stock.drift, b.stock.drift, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(a.portfolios, b.portfolios, rtol=1e-12)
+    for p in (two_agent(), trio):
+        tab = validate(p)
+        path = simulate_paths(grid, -0.4, 1, 9)[0]
+        ser = evaluate_series(path, p, tab)
+        # every node, every field, to the bit
+        for k in range(len(ser.t)):
+            assert ser.snapshot_at(k) == snapshot(
+                MarketState(float(ser.t[k]), float(ser.x[k])), p, tab
+            )
 
 
 def test_series_clearing_and_equivariance():
@@ -322,7 +321,7 @@ def test_fd_matches_first_order_coefficients():
             rb = rate_bundle(st, p, tab)
             sd = stock_dynamics(st, p, tab)
             _, lbar_x, _ = fd_engine(
-                lambda t, x: float(log_L_arr(t, x, p, tab)), st
+                lambda t, x: float(log_L_arr(t, x, p)), st
             )
             np.testing.assert_allclose(lbar_x, rb.alpha_bar, rtol=1e-5, atol=1e-9)
             _, zeta_x, _ = fd_engine(
@@ -365,7 +364,7 @@ def test_fd_matches_second_order_coefficients():
                 lambda t, x: float(log_state_price_density_arr(t, x, p))
             )
             np.testing.assert_allclose(-gen_zeta, rb.riskless_rate, rtol=1e-5, atol=1e-8)
-            gen_l, _ = second_order(lambda t, x: float(log_L_arr(t, x, p, tab)))
+            gen_l, _ = second_order(lambda t, x: float(log_L_arr(t, x, p)))
             np.testing.assert_allclose(-gen_l, rb.rho_bar, rtol=1e-5, atol=1e-8)
             gen_s, _ = second_order(
                 lambda t, x: float(log_stock_price_arr(t, x, p, tab))
