@@ -15,7 +15,9 @@ so agreement with the closed-form wealth/stock price genuinely tests the
 multinomial expansion.  The J+1 integrands share the agent log terms and
 their logsumexp, so `mc_oracles` draws each block of paths once and
 reduces every one of them from it; `martingale_check` reads the same
-blocks.  Truncating the integral at a finite horizon leaves an
+blocks.  A block holds the agent log terms agent-major, one contiguous
+(paths, nodes) slab per agent, which `equilibrium.lse_agents` sums slab
+by slab.  Truncating the integral at a finite horizon leaves an
 analytically known tail (each composition term decays like
 e^{-D(beta) (T-t)}), which is reported as `truncation_bound` and must
 stay small relative to the closed form.
@@ -192,10 +194,12 @@ def _resolve_grid(state_t: float, horizon, n_steps, table: DenominatorTable) -> 
 def _path_blocks(grid: PathGrid, x0: float, n_paths: int, seed: int, params: EconomyParams):
     """Draw the paths block by block; yield each block's (x, u, lse_u, log delta).
 
-    x has shape (paths, nodes), u the agent log terms (paths, nodes, J) and
-    lse_u their logsumexp over agents.  Blocks bound the memory; each
-    path's values are independent of the blocking, so any reduction order
-    downstream gives identical bits.
+    x has shape (paths, nodes).  u holds the agent log terms agent-major,
+    (J, paths, nodes), so each agent's slab is contiguous; u[j] is
+    ((alpha_j x - decay_j t) - gamma_j) / R, the order of
+    `equilibrium.agent_log_terms_arr`, and lse_u = lse_agents(u, axis=0).
+    Blocks bound the memory; each path's values are independent of the
+    blocking, so any reduction order downstream gives identical bits.
     """
     t = grid.times()
     n_nodes = len(t)
@@ -210,8 +214,13 @@ def _path_blocks(grid: PathGrid, x0: float, n_paths: int, seed: int, params: Eco
             np.cumsum(_increments(grid, seed, i), out=x[i - lo, 1:])
         x[:, 1:] += x0
 
-        u = (alpha * x[..., None] - decay * t[None, :, None] - params.gamma_vec) / params.R
-        yield x, u, logsumexp(u, axis=-1), log_dividend(t[None, :], x, params)
+        u = np.empty((params.n_agents,) + x.shape)
+        for j, slab in enumerate(u):
+            np.multiply(alpha[j], x, out=slab)
+            slab -= decay[j] * t
+            slab -= params.gamma_vec[j]
+            slab /= params.R
+        yield x, u, equilibrium.lse_agents(u, axis=0), log_dividend(t[None, :], x, params)
 
 
 def _trapezoid_weights(grid: PathGrid) -> np.ndarray:
@@ -271,10 +280,8 @@ def mc_oracles(
     weights = _trapezoid_weights(grid)
     blocks = []
     for _, u, lse_u, ld in _path_blocks(grid, state.x, n_paths, seed, params):
-        columns = [
-            np.exp((1 - r_curv) * ld + (r_curv - 1) * lse_u + u[..., j]) @ weights
-            for j in range(params.n_agents)
-        ]
+        base = (1 - r_curv) * ld + (r_curv - 1) * lse_u
+        columns = [np.exp(base + u_j) @ weights for u_j in u]
         columns.append(np.exp((1 - r_curv) * ld + r_curv * lse_u) @ weights)
         blocks.append(columns)
     values = np.concatenate(blocks, axis=1) / equilibrium.state_price_density(state, params)
@@ -365,24 +372,30 @@ def fd_engine(
 ):
     """Central differences (d/dt, d/dx, d2/dx2) of a scalar field f(t, x).
 
-    With richardson=True each derivative is extrapolated from steps h and
-    h/2, killing the leading h^2 error term; use it for second-order
-    quantities where the bare-step roundoff floor is above the target
-    tolerance.
+    f must broadcast over array (t, x): every stencil point, 5 of them or
+    9 with Richardson, is evaluated in one call.  With richardson=True each
+    derivative is extrapolated from steps h and h/2, killing the leading
+    h^2 error term; use it for second-order quantities where the bare-step
+    roundoff floor is above the target tolerance.
     """
     t0, x0 = state.t, state.x
+    steps = [(dt, dx), (dt / 2, dx / 2)] if richardson else [(dt, dx)]
+    t, x = [t0], [x0]
+    for ht, hx in steps:
+        t += [t0, t0, t0 + ht, t0 - ht]
+        x += [x0 + hx, x0 - hx, x0, x0]
+    values = f(np.array(t), np.array(x))
+    center = values[0]
 
-    def stencil(ht, hx):
-        up, down = f(t0, x0 + hx), f(t0, x0 - hx)
-        f_t = (f(t0 + ht, x0) - f(t0 - ht, x0)) / (2 * ht)
+    def stencil(k):
+        ht, hx = steps[k]
+        up, down, later, earlier = values[1 + 4 * k : 5 + 4 * k]
+        f_t = (later - earlier) / (2 * ht)
         f_x = (up - down) / (2 * hx)
-        f_xx = (up - 2 * f(t0, x0) + down) / hx**2
+        f_xx = (up - 2 * center + down) / hx**2
         return np.array([f_t, f_x, f_xx])
 
-    if not richardson:
-        out = stencil(dt, dx)
-    else:
-        coarse = stencil(dt, dx)
-        fine = stencil(dt / 2, dx / 2)
-        out = (4 * fine - coarse) / 3
+    out = stencil(0)
+    if richardson:
+        out = (4 * stencil(1) - out) / 3
     return float(out[0]), float(out[1]), float(out[2])

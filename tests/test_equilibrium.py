@@ -1,11 +1,14 @@
 import math
 
 import numpy as np
+import pytest
+from scipy.special import logsumexp
 
 from conftest import draw_economy, draw_state
 from crraeq.equilibrium import (
     consumption,
     consumptions,
+    lse_agents,
     pd_ratio,
     snapshot,
     state_price_density,
@@ -203,3 +206,34 @@ def test_snapshot_single_agent():
     np.testing.assert_allclose(snap.consumptions[0], snap.dividend, rtol=1e-13)
     np.testing.assert_allclose(snap.wealths[0], snap.stock_price, rtol=1e-13)
     np.testing.assert_allclose(snap.portfolios[0], 1.0, rtol=1e-13)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("n_agents", range(1, 8))
+def test_lse_agents_matches_scipy_bits(n_agents):
+    rng = np.random.default_rng(100 + n_agents)
+    for scale in (1e-3, 1.0, 50.0):
+        for shape in ((n_agents,), (40, n_agents), (3, 5, n_agents)):
+            u = rng.normal(size=shape) * scale
+            ties = u.copy()
+            if n_agents > 1:
+                ties[..., 1] = ties[..., 0]
+            for v in (u, ties, np.repeat(u[..., :1], n_agents, axis=-1)):
+                want = logsumexp(v, axis=-1)
+                assert _same_bits(lse_agents(v), want)
+                assert _same_bits(lse_agents(np.moveaxis(v, -1, 0).copy(), axis=0), want)
+    assert np.ndim(lse_agents(np.zeros(n_agents))) == 0
+
+
+def test_lse_agents_non_finite_inputs():
+    # tier-1 turns RuntimeWarnings into errors, so none may escape here
+    u = np.array(
+        [[np.inf, 0.0], [0.0, -np.inf], [-np.inf, -np.inf], [np.nan, 1.0], [np.inf, np.inf]]
+    )
+    got = lse_agents(u)
+    np.testing.assert_array_equal(got, logsumexp(u, axis=-1))
+    np.testing.assert_array_equal(got, [np.inf, 0.0, -np.inf, np.nan, np.inf])

@@ -297,19 +297,63 @@ def test_fd_engine_on_known_fields():
     from crraeq.model import log_dividend
 
     f_t, f_x, f_xx = fd_engine(
-        lambda t, x: float(log_dividend(t, x, p)), MarketState(1.0, 0.3)
+        lambda t, x: log_dividend(t, x, p), MarketState(1.0, 0.3)
     )
     np.testing.assert_allclose(f_x, 0.1, rtol=1e-8)
     np.testing.assert_allclose(f_t, -0.005, rtol=1e-6)
     assert abs(f_xx) <= 1e-8
 
-    g = lambda t, x: math.exp(0.3 * x - 0.2 * t)
+    g = lambda t, x: np.exp(0.3 * x - 0.2 * t)
     st = MarketState(0.5, -0.2)
     val = g(st.t, st.x)
     f_t, f_x, f_xx = fd_engine(g, st, dx=1e-3, dt=1e-3, richardson=True)
     np.testing.assert_allclose(f_t, -0.2 * val, rtol=1e-9)
     np.testing.assert_allclose(f_x, 0.3 * val, rtol=1e-9)
     np.testing.assert_allclose(f_xx, 0.09 * val, rtol=1e-7)
+
+
+def _pointwise_fd(f, st, dx, dt, richardson):
+    """The stencil one scalar point at a time, as a reference for fd_engine."""
+    at = lambda t, x: float(f(t, x))
+
+    def stencil(ht, hx):
+        up, down = at(st.t, st.x + hx), at(st.t, st.x - hx)
+        f_t = (at(st.t + ht, st.x) - at(st.t - ht, st.x)) / (2 * ht)
+        f_x = (up - down) / (2 * hx)
+        f_xx = (up - 2 * at(st.t, st.x) + down) / hx**2
+        return np.array([f_t, f_x, f_xx])
+
+    out = stencil(dt, dx)
+    if richardson:
+        out = (4 * stencil(dt / 2, dx / 2) - out) / 3
+    return tuple(float(v) for v in out)
+
+
+def test_fd_engine_one_batched_call_matches_pointwise_stencil():
+    rng = np.random.default_rng(535)
+    for _ in range(3):
+        p, tab = draw_economy(rng, max_agents=3, max_r=4)
+        j = int(rng.integers(p.n_agents))
+        fields = (
+            lambda t, x: log_Z_agent_arr(t, x, p, tab, j),
+            lambda t, x: log_stock_price_arr(t, x, p, tab),
+        )
+        for _ in range(3):
+            st = MarketState(float(rng.uniform(0.2, 5.0)), float(rng.uniform(-2, 2)))
+            for field in fields:
+                for steps in ({}, dict(dx=2e-2, dt=1e-3, richardson=True)):
+                    calls = []
+
+                    def counted(t, x):
+                        calls.append(np.shape(t))
+                        return field(t, x)
+
+                    got = fd_engine(counted, st, **steps)
+                    assert calls == [(9,) if steps else (5,)]
+                    want = _pointwise_fd(
+                        field, st, steps.get("dx", 1e-4), steps.get("dt", 1e-5), bool(steps)
+                    )
+                    assert got == want
 
 
 def test_fd_matches_first_order_coefficients():
@@ -321,20 +365,20 @@ def test_fd_matches_first_order_coefficients():
             rb = rate_bundle(st, p, tab)
             sd = stock_dynamics(st, p, tab)
             _, lbar_x, _ = fd_engine(
-                lambda t, x: float(log_L_arr(t, x, p)), st
+                lambda t, x: log_L_arr(t, x, p), st
             )
             np.testing.assert_allclose(lbar_x, rb.alpha_bar, rtol=1e-5, atol=1e-9)
             _, zeta_x, _ = fd_engine(
-                lambda t, x: float(log_state_price_density_arr(t, x, p)), st
+                lambda t, x: log_state_price_density_arr(t, x, p), st
             )
             np.testing.assert_allclose(-zeta_x, rb.kappa, rtol=1e-5)
             _, s_x, _ = fd_engine(
-                lambda t, x: float(log_stock_price_arr(t, x, p, tab)), st
+                lambda t, x: log_stock_price_arr(t, x, p, tab), st
             )
             np.testing.assert_allclose(s_x, sd.vol, rtol=1e-5, atol=1e-9)
             j = int(rng.integers(p.n_agents))
             _, zj_x, _ = fd_engine(
-                lambda t, x: float(log_Z_agent_arr(t, x, p, tab, j)), st
+                lambda t, x: log_Z_agent_arr(t, x, p, tab, j), st
             )
             from crraeq.dynamics import agent_dynamics
 
@@ -361,12 +405,12 @@ def test_fd_matches_second_order_coefficients():
                 return f_t + 0.5 * (f_xx + f_x**2), f_x
 
             gen_zeta, _ = second_order(
-                lambda t, x: float(log_state_price_density_arr(t, x, p))
+                lambda t, x: log_state_price_density_arr(t, x, p)
             )
             np.testing.assert_allclose(-gen_zeta, rb.riskless_rate, rtol=1e-5, atol=1e-8)
-            gen_l, _ = second_order(lambda t, x: float(log_L_arr(t, x, p)))
+            gen_l, _ = second_order(lambda t, x: log_L_arr(t, x, p))
             np.testing.assert_allclose(-gen_l, rb.rho_bar, rtol=1e-5, atol=1e-8)
             gen_s, _ = second_order(
-                lambda t, x: float(log_stock_price_arr(t, x, p, tab))
+                lambda t, x: log_stock_price_arr(t, x, p, tab)
             )
             np.testing.assert_allclose(gen_s, sd.drift, rtol=1e-5, atol=1e-8)
