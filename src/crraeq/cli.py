@@ -27,15 +27,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .calibrate import CalibrationTarget, NoConvergence, solve_gamma, wealth_shares
-from .equilibrium import (
-    evaluate_fields,
-    log_L_arr,
-    log_state_price_density_arr,
-    log_stock_price_arr,
-    log_Z_agent_arr,
-    log_Z_arr,
-    snapshot,
-)
+from .equilibrium import evaluate_fields, log_levels, snapshot
 from .model import (
     ConfigError,
     DenominatorTable,
@@ -213,10 +205,14 @@ def cmd_simulate(args) -> int:
         raise ConfigError("--paths must be positive")
     if args.workers < 1:
         raise ConfigError("--workers must be positive")
+    horizon = args.horizon if args.horizon is not None else args.t0 + 10.0
+    for flag, value in (("--t0", args.t0), ("--x0", args.x0), ("--horizon", horizon)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
+    # an explicit horizon needs no table
+    grid = _resolve_grid(args.t0, horizon, args.steps, None)
     params = _load_economy(args.config)
     table = validate(params)
-    horizon = args.horizon if args.horizon is not None else args.t0 + 10.0
-    grid = _resolve_grid(args.t0, horizon, args.steps, table)
     columns = _csv_columns(params.n_agents)
 
     terminal = []
@@ -333,40 +329,28 @@ def _fd_errors(state: MarketState, params: EconomyParams, table: DenominatorTabl
     the roundoff floor below the 1e-5 verification tolerance.
     """
     closed = evaluate_fields(state.t, state.x, params, table)
+    levels = lambda t, x: log_levels(t, x, params, table)
 
-    log_l = lambda t, x: log_L_arr(t, x, params)
-    log_zeta = lambda t, x: log_state_price_density_arr(t, x, params)
-    log_z = lambda t, x: log_Z_arr(t, x, params, table)
-    log_s = lambda t, x: log_stock_price_arr(t, x, params, table)
+    # columns: log L, log zeta, log Z, log S, then log Z^j per agent
+    l_x, zeta_x, z_x, s_x, *zj_x = fd_engine(levels, state)[1].tolist()
+    # Python floats: their ** is libm pow, numpy's ** squares
+    f_t, f_x, f_xx = fd_engine(levels, state, dx=2e-2, dt=1e-3, richardson=True)[:, :4].tolist()
+    gen_l, gen_zeta, gen_z, gen_s = (
+        ft + 0.5 * (fxx + fx**2) for ft, fx, fxx in zip(f_t, f_x, f_xx)
+    )
 
-    _, l_x, _ = fd_engine(log_l, state)
-    _, zeta_x, _ = fd_engine(log_zeta, state)
-    _, z_x, _ = fd_engine(log_z, state)
-    _, s_x, _ = fd_engine(log_s, state)
-
-    def generator(field):
-        f_t, f_x, f_xx = fd_engine(field, state, dx=2e-2, dt=1e-3, richardson=True)
-        return f_t + 0.5 * (f_xx + f_x**2)
-
-    errors = {
+    agent_errs = (_rel(a, z, FD_REL_FLOOR) for a, z in zip(closed["alpha_tilde_agents"], zj_x))
+    return {
         "alpha_bar": _rel(closed["alpha_bar"], l_x, FD_REL_FLOOR),
-        "rho_bar": _rel(closed["rho_bar"], -generator(log_l), FD_REL_FLOOR),
-        "riskless_rate": _rel(closed["riskless_rate"], -generator(log_zeta), FD_REL_FLOOR),
+        "rho_bar": _rel(closed["rho_bar"], -gen_l, FD_REL_FLOOR),
+        "riskless_rate": _rel(closed["riskless_rate"], -gen_zeta, FD_REL_FLOOR),
         "kappa": _rel(closed["kappa"], -zeta_x, FD_REL_FLOOR),
         "alpha_tilde": _rel(closed["alpha_tilde"], z_x, FD_REL_FLOOR),
-        "rho_tilde": _rel(closed["rho_tilde"], -generator(log_z), FD_REL_FLOOR),
+        "rho_tilde": _rel(closed["rho_tilde"], -gen_z, FD_REL_FLOOR),
         "sigma_S": _rel(closed["vol"], s_x, FD_REL_FLOOR),
-        "mu_S": _rel(closed["drift"], generator(log_s), FD_REL_FLOOR),
+        "mu_S": _rel(closed["drift"], gen_s, FD_REL_FLOOR),
+        "alpha_tilde_agents": max(0.0, *agent_errs),
     }
-    agent_err = 0.0
-    for j in range(params.n_agents):
-        log_zj = lambda t, x, j=j: log_Z_agent_arr(t, x, params, table, j)
-        _, zj_x, _ = fd_engine(log_zj, state)
-        agent_err = max(
-            agent_err, _rel(closed["alpha_tilde_agents"][j], zj_x, FD_REL_FLOOR)
-        )
-    errors["alpha_tilde_agents"] = agent_err
-    return errors
 
 
 def _suite_fd(params, table, seed: int, n_paths: int) -> dict:
@@ -477,14 +461,15 @@ def _parse_shares(text: str) -> tuple:
 
 
 def cmd_calibrate(args) -> int:
+    target = CalibrationTarget(shares=_parse_shares(args.shares))
+    if not 0.0 < args.tol < math.inf:
+        raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
     params = _load_economy(args.config)
-    table = validate(params)
-    shares = _parse_shares(args.shares)
-    if len(shares) != params.n_agents:
+    if len(target.shares) != params.n_agents:
         raise ConfigError(
-            f"--shares needs {params.n_agents} values for this economy, got {len(shares)}"
+            f"--shares needs {params.n_agents} values for this economy, got {len(target.shares)}"
         )
-    target = CalibrationTarget(shares=shares)
+    table = validate(params)
     gamma = solve_gamma(params, target, tol=args.tol)
     calibrated = params.with_gammas(tuple(float(g) for g in gamma))
     achieved = wealth_shares(calibrated, table, target.state)

@@ -15,9 +15,9 @@ are taken in log-space or against their largest term: naive exponentials
 overflow at |x| or t in the hundreds, ordinary states for long paths.
 
 `evaluate_fields` is the one kernel; the series, the snapshot and the
-scalar functions are views of it.  The `log_*_arr` level fields
-broadcast over array-valued (t, x) too, for the finite-difference and
-simulation oracles.
+scalar functions are views of it.  `log_levels` gives the logs of the
+levels at array-valued (t, x), for the finite-difference and simulation
+oracles.
 """
 
 from __future__ import annotations
@@ -205,11 +205,6 @@ def agent_log_terms_arr(t, x, params: EconomyParams) -> np.ndarray:
     return (alpha * x - decay * t - params.gamma_vec) / params.R
 
 
-def log_state_price_density_arr(t, x, params: EconomyParams) -> np.ndarray:
-    u = agent_log_terms_arr(t, x, params)
-    return params.R * (lse_agents(u) - log_dividend(t, x, params))
-
-
 def log_z_terms_arr(t, x, params: EconomyParams, table: DenominatorTable) -> np.ndarray:
     """Log of each |beta|=R term of Z_t: logC - log D + a x - g - b t, shape (..., M).
 
@@ -224,31 +219,27 @@ def log_z_terms_arr(t, x, params: EconomyParams, table: DenominatorTable) -> np.
     return terms
 
 
-def log_L_arr(t, x, params: EconomyParams) -> np.ndarray:
-    """log L = R logsumexp_i u_i, the multinomial theorem applied to the clearing sum."""
-    return params.R * lse_agents(agent_log_terms_arr(t, x, params))
+def log_levels(t, x, params: EconomyParams, table: DenominatorTable) -> np.ndarray:
+    """Columns [log L, log zeta, log Z, log S, log Z^1 .. log Z^J] at broadcast (t, x).
 
-
-def log_Z_arr(t, x, params: EconomyParams, table: DenominatorTable) -> np.ndarray:
-    return logsumexp(log_z_terms_arr(t, x, params, table), axis=-1)
-
-
-def log_Z_agent_arr(
-    t, x, params: EconomyParams, table: DenominatorTable, j: int
-) -> np.ndarray:
-    """log Z^j: the Z terms weighted by beta_j/R (Pascal's rule)."""
-    terms = log_z_terms_arr(t, x, params, table)
-    return logsumexp(terms, axis=-1, b=table.parts[:, j] / params.R)
-
-
-def log_stock_price_arr(t, x, params: EconomyParams, table: DenominatorTable):
-    """log S = (1-R) log delta - log zeta + log Z."""
+    log L = R logsumexp_i u_i (the multinomial theorem applied to the
+    clearing sum), log zeta = R (logsumexp_i u_i - log delta), log Z sums
+    the level-R Z terms, log S = (1-R) log delta - log zeta + log Z, and
+    log Z^j weights the Z terms by beta_j/R (Pascal's rule).  Shape
+    broadcast(t, x).shape + (J + 4,); the finite-difference oracle
+    differentiates every column in one stencil.
+    """
+    lse_u = lse_agents(agent_log_terms_arr(t, x, params))
     ld = log_dividend(t, x, params)
-    return (
-        (1 - params.R) * ld
-        - log_state_price_density_arr(t, x, params)
-        + log_Z_arr(t, x, params, table)
-    )
+    log_zeta = params.R * (lse_u - ld)
+    terms = log_z_terms_arr(t, x, params, table)
+    log_z = logsumexp(terms, axis=-1)
+    log_zj = [
+        logsumexp(terms, axis=-1, b=table.parts[:, j] / params.R)
+        for j in range(params.n_agents)
+    ]
+    log_s = (1 - params.R) * ld - log_zeta + log_z
+    return np.stack([params.R * lse_u, log_zeta, log_z, log_s, *log_zj], axis=-1)
 
 
 def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dict:
@@ -351,7 +342,8 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
 
 def state_price_density(state: MarketState, params: EconomyParams) -> float:
     """zeta_t, evaluated in log-space."""
-    return float(np.exp(log_state_price_density_arr(state.t, state.x, params)))
+    u = agent_log_terms_arr(state.t, state.x, params)
+    return float(np.exp(params.R * (lse_agents(u) - log_dividend(state.t, state.x, params))))
 
 
 def consumption(state: MarketState, params: EconomyParams, j: int) -> float:

@@ -31,8 +31,8 @@ at any affordable path count).  Such economies need importance sampling,
 which is out of scope; verify them with the FD and clearing suites.
 
 Randomness: one counter-based Philox stream per path, keyed by
-(seed, path index), so path i is the same regardless of n_paths,
-chunking, or thread count.
+(seed, path index), so path i is the same regardless of n_paths or
+chunking.
 """
 
 from __future__ import annotations
@@ -75,10 +75,10 @@ class PathGrid:
     def __post_init__(self):
         if self.t0 < 0 or not math.isfinite(self.t0):
             raise ValueError(f"t0 must be finite and nonnegative, got {self.t0}")
-        if not (self.horizon > self.t0):
-            raise ValueError("horizon must exceed t0")
+        if not (self.t0 < self.horizon < math.inf):
+            raise ValueError(f"horizon must be finite and greater than t0, got {self.horizon}")
         if self.n_steps < 1:
-            raise ValueError("need at least one step")
+            raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
 
     @property
     def dt(self) -> float:
@@ -121,17 +121,18 @@ def path_generator(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, path_index]))
 
 
-def _increments(grid: PathGrid, seed: int, path_index: int) -> np.ndarray:
+def _fill_path(row: np.ndarray, grid: PathGrid, x0: float, seed: int, path_index: int):
+    """Write path `path_index` of X from x0 into row, one value per grid node."""
     gen = path_generator(seed, path_index)
-    return gen.standard_normal(grid.n_steps) * math.sqrt(grid.dt)
+    row[0] = x0
+    np.cumsum(gen.standard_normal(grid.n_steps) * math.sqrt(grid.dt), out=row[1:])
+    row[1:] += x0
 
 
 def simulate_path(grid: PathGrid, x0: float, seed: int, path_index: int) -> SimulatedPath:
     """Exact Brownian path `path_index` of X from x0, drawn from its own substream."""
     x = np.empty(grid.n_steps + 1)
-    x[0] = x0
-    np.cumsum(_increments(grid, seed, path_index), out=x[1:])
-    x[1:] += x0
+    _fill_path(x, grid, x0, seed, path_index)
     return SimulatedPath(grid=grid, x_values=x, seed=seed)
 
 
@@ -161,26 +162,26 @@ def default_horizon(table: DenominatorTable, t0: float = 0.0) -> float:
     return t0 + max(10.0, 5.0 / table.min_denominator)
 
 
-def truncation_tail(
+def truncation_tails(
     state: MarketState,
     params: EconomyParams,
     table: DenominatorTable,
     horizon: float,
-    j: int | None = None,
-) -> float:
-    """Exact analytic tail of the wealth (agent j) or stock (j=None) integral
-    beyond the horizon: each composition term carries a factor e^{-D (T-t)}.
+) -> list[float]:
+    """Exact analytic tails beyond the horizon of the wealth integrals of
+    agents 1..J and then of the stock integral: each composition term
+    carries a factor e^{-D (T-t)}.
     """
     span = horizon - state.t
     if span <= 0:
         raise ValueError("horizon must exceed the state time")
-    terms = equilibrium.log_z_terms_arr(state.t, state.x, params, table)
+    terms = equilibrium.log_z_terms_arr(state.t, state.x, params, table) - table.d_values * span
     # agent j's sum weights the Z terms by beta_j / R (Pascal's rule)
-    weights = None if j is None else table.parts[:, j] / params.R
-    log_tail_sum = logsumexp(terms - table.d_values * span, axis=-1, b=weights)
-    log_zeta = equilibrium.log_state_price_density_arr(state.t, state.x, params)
+    weights = [table.parts[:, j] / params.R for j in range(params.n_agents)] + [None]
+    log_tail_sums = np.array([logsumexp(terms, axis=-1, b=w) for w in weights])
+    log_zeta = equilibrium.log_levels(state.t, state.x, params, table)[1]
     ld = log_dividend(state.t, state.x, params)
-    return float(np.exp((1 - params.R) * ld - log_zeta + log_tail_sum))
+    return np.exp((1 - params.R) * ld - log_zeta + log_tail_sums).tolist()
 
 
 def _resolve_grid(state_t: float, horizon, n_steps, table: DenominatorTable) -> PathGrid:
@@ -209,10 +210,8 @@ def _path_blocks(grid: PathGrid, x0: float, n_paths: int, seed: int, params: Eco
     for lo in range(0, n_paths, chunk):
         hi = min(lo + chunk, n_paths)
         x = np.empty((hi - lo, n_nodes))
-        x[:, 0] = x0
-        for i in range(lo, hi):
-            np.cumsum(_increments(grid, seed, i), out=x[i - lo, 1:])
-        x[:, 1:] += x0
+        for i, row in enumerate(x, lo):
+            _fill_path(row, grid, x0, seed, i)
 
         u = np.empty((params.n_agents,) + x.shape)
         for j, slab in enumerate(u):
@@ -269,12 +268,10 @@ def mc_oracles(
     grid = _resolve_grid(state.t, horizon, n_steps, table)
     fields = equilibrium.evaluate_fields(state.t, state.x, params, table)
     closed = [float(w) for w in fields["wealths"]] + [float(fields["stock_price"])]
-    bounds = []
-    for j, target in zip([*range(params.n_agents), None], closed):
-        bound = truncation_tail(state, params, table, grid.horizon, j)
+    bounds = truncation_tails(state, params, table, grid.horizon)
+    for bound, target in zip(bounds, closed):
         if bound > TRUNCATION_FRACTION * target:
             raise TruncationTooLoose(bound, target, grid.horizon)
-        bounds.append(bound)
 
     r_curv = params.R
     weights = _trapezoid_weights(grid)
@@ -284,7 +281,7 @@ def mc_oracles(
         columns = [np.exp(base + u_j) @ weights for u_j in u]
         columns.append(np.exp((1 - r_curv) * ld + r_curv * lse_u) @ weights)
         blocks.append(columns)
-    values = np.concatenate(blocks, axis=1) / equilibrium.state_price_density(state, params)
+    values = np.concatenate(blocks, axis=1) / fields["zeta"]
     reports = [_report(v, c, b) for v, c, b in zip(values, closed, bounds)]
     return reports[:-1], reports[-1]
 
@@ -306,9 +303,8 @@ def martingale_check(
         raise ValueError("n_paths must be positive")
     grid = _resolve_grid(0.0, horizon, n_steps, table)
     s0 = MarketState(0.0, x0)
-    closed = equilibrium.stock_price(s0, params, table) * equilibrium.state_price_density(
-        s0, params
-    )
+    fields = equilibrium.evaluate_fields(s0.t, s0.x, params, table)
+    closed = float(fields["stock_price"]) * float(fields["zeta"])
     r_curv = params.R
     weights = _trapezoid_weights(grid)
     t_end = grid.times()[-1]
@@ -316,7 +312,8 @@ def martingale_check(
     for x, _, lse_u, ld in _path_blocks(grid, x0, n_paths, seed, params):
         flow = np.exp((1 - r_curv) * ld + r_curv * lse_u) @ weights
         # payoff leg zeta_T S_T = delta_T^{1-R} Z_T
-        log_zs = (1 - r_curv) * ld[:, -1] + equilibrium.log_Z_arr(t_end, x[:, -1], params, table)
+        log_z = equilibrium.log_levels(t_end, x[:, -1], params, table)[:, 2]
+        log_zs = (1 - r_curv) * ld[:, -1] + log_z
         values.append(flow + np.exp(log_zs))
     return _report(np.concatenate(values), closed, 0.0)
 
@@ -341,7 +338,7 @@ def realized_vol_check(
     res = []
     for path in simulate_paths(grid, x0, n_paths, seed):
         t, x = grid.times(), path.x_values
-        log_s = equilibrium.log_stock_price_arr(t, x, params, table)
+        log_s = equilibrium.log_levels(t, x, params, table)[:, 3]
         fields = equilibrium.evaluate_fields(t, x, params, table)
         vol, drift = fields["vol"], fields["drift"]
         d_log_s = np.diff(log_s)
@@ -370,10 +367,13 @@ def fd_engine(
     dt: float = 1e-5,
     richardson: bool = False,
 ):
-    """Central differences (d/dt, d/dx, d2/dx2) of a scalar field f(t, x).
+    """Central differences of a scalar or vector field f(t, x) at a state.
 
-    f must broadcast over array (t, x): every stencil point, 5 of them or
-    9 with Richardson, is evaluated in one call.  With richardson=True each
+    f must broadcast over array (t, x), with its values along the first
+    axis: every stencil point, 5 of them or 9 with Richardson, is evaluated
+    in one call.  Returns the array [d/dt, d/dx, d2/dx2], of shape (3,)
+    plus the shape of one value of f, so each column of a vector field
+    gets the stencil a scalar field would.  With richardson=True each
     derivative is extrapolated from steps h and h/2, killing the leading
     h^2 error term; use it for second-order quantities where the bare-step
     roundoff floor is above the target tolerance.
@@ -398,4 +398,4 @@ def fd_engine(
     out = stencil(0)
     if richardson:
         out = (4 * stencil(1) - out) / 3
-    return float(out[0]), float(out[1]), float(out[2])
+    return out

@@ -9,7 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from crraeq.cli import _CSV_BLOCK_ROWS, _write_csv_rows, main
+import crraeq.cli
+from crraeq.cli import FD_TOL, _CSV_BLOCK_ROWS, _fd_errors, _write_csv_rows, main
+from crraeq.model import MarketState, economy_from_dict, validate
 
 BENCH = {
     "R": 2, "sigma": 0.1, "alpha_star": 0.0, "delta0": 1.0,
@@ -241,6 +243,17 @@ def test_simulate_reproducible_across_runs_and_workers(tmp_path):
         ("simulate", "--paths", "0", "--out", "x.csv"),
         ("simulate", "--workers", "0", "--out", "x.csv"),
         ("verify", "--paths", "1"),
+        ("simulate", "--x0", "nan", "--out", "x.csv"),
+        ("simulate", "--t0", "nan", "--out", "x.csv"),
+        ("simulate", "--horizon", "nan", "--out", "x.csv"),
+        ("simulate", "--horizon", "inf", "--out", "x.csv"),
+        ("simulate", "--horizon", "-1", "--out", "x.csv"),
+        ("simulate", "--t0", "-1", "--out", "x.csv"),
+        ("simulate", "--steps", "0", "--out", "x.csv"),
+        ("calibrate", "--shares", "0.3,0.7", "--tol", "-1"),
+        ("calibrate", "--shares", "0.3,0.7", "--tol", "nan"),
+        ("calibrate", "--shares", "0.3,0.7", "--tol", "0"),
+        ("calibrate", "--shares", "0.3,x"),
     ],
 )
 def test_bad_flags_exit_2_before_the_economy_is_loaded(tmp_path, monkeypatch, argv):
@@ -343,8 +356,41 @@ def test_calibrate_achieves_targets(tmp_path):
     assert abs(sum(rep["gamma"])) < 1e-12
 
 
-def test_calibrate_bad_shares_exit_2(tmp_path):
+def test_calibrate_bad_shares_exit_2(tmp_path, monkeypatch):
+    # a malformed target fails before the economy is loaded, a share count
+    # that does not fit the economy before it is validated
     cfg = write_config(tmp_path, PAIR)
+    loads = []
+    real_load = crraeq.cli._load_economy
+    monkeypatch.setattr("crraeq.cli._load_economy", lambda path: loads.append(path) or real_load(path))
+
+    def no_validate(params):
+        pytest.fail("economy validated before the share count was checked")
+
+    monkeypatch.setattr("crraeq.cli.validate", no_validate)
     for shares in ("0.3,0.8", "0.5", "0.5,half", "-0.2,1.2"):
         code, _, err = run_cli("calibrate", cfg, "--shares", shares)
         assert code == 2, shares
+        assert loads == [], shares
+    code, _, err = run_cli("calibrate", cfg, "--shares", "1.0")
+    assert code == 2
+    assert "needs 2 values" in err
+    assert len(loads) == 1
+
+
+def test_fd_errors_differentiate_every_level_in_two_calls(monkeypatch):
+    # one plain stencil and one Richardson stencil of the vector of log levels
+    calls = []
+    real_fd_engine = crraeq.cli.fd_engine
+
+    def counted(field, state, **steps):
+        calls.append(steps)
+        return real_fd_engine(field, state, **steps)
+
+    monkeypatch.setattr(crraeq.cli, "fd_engine", counted)
+    for obj in (BENCH, PAIR, TRIO):
+        params = economy_from_dict(obj)
+        calls.clear()
+        errors = _fd_errors(MarketState(1.0, 0.3), params, validate(params))
+        assert calls == [{}, dict(dx=2e-2, dt=1e-3, richardson=True)]
+        assert max(errors.values()) <= FD_TOL

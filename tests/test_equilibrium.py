@@ -6,8 +6,11 @@ from scipy.special import logsumexp
 
 from conftest import draw_economy, draw_state
 from crraeq.equilibrium import (
+    agent_log_terms_arr,
     consumption,
     consumptions,
+    log_levels,
+    log_z_terms_arr,
     lse_agents,
     pd_ratio,
     snapshot,
@@ -16,7 +19,7 @@ from crraeq.equilibrium import (
     wealth,
     wealths,
 )
-from crraeq.model import Agent, EconomyParams, MarketState, dividend, validate
+from crraeq.model import Agent, EconomyParams, MarketState, dividend, log_dividend, validate
 
 S0 = MarketState(0.0, 0.0)
 
@@ -237,3 +240,38 @@ def test_lse_agents_non_finite_inputs():
     got = lse_agents(u)
     np.testing.assert_array_equal(got, logsumexp(u, axis=-1))
     np.testing.assert_array_equal(got, [np.inf, 0.0, -np.inf, np.nan, np.inf])
+
+
+def _log_level_references(t, x, p, tab):
+    """Each log level as its own expression, one function call apiece."""
+    log_zeta = lambda: p.R * (lse_agents(agent_log_terms_arr(t, x, p)) - log_dividend(t, x, p))
+    log_z = lambda: logsumexp(log_z_terms_arr(t, x, p, tab), axis=-1)
+    refs = [
+        p.R * lse_agents(agent_log_terms_arr(t, x, p)),
+        log_zeta(),
+        log_z(),
+        (1 - p.R) * log_dividend(t, x, p) - log_zeta() + log_z(),
+    ]
+    for j in range(p.n_agents):
+        terms = log_z_terms_arr(t, x, p, tab)
+        refs.append(logsumexp(terms, axis=-1, b=tab.parts[:, j] / p.R))
+    return refs
+
+
+def test_log_levels_columns_match_their_own_expressions_bitwise():
+    trio = EconomyParams(
+        R=3, sigma=0.12, alpha_star=0.05, delta0=2.0,
+        agents=(Agent(0.4, 0.25, 0.1), Agent(0.45, -0.1, 0.0), Agent(0.5, 0.05, -0.1)),
+    )
+    rng = np.random.default_rng(75)
+    economies = [(p, validate(p)) for p in (symmetric_pair(), trio)]
+    economies += [draw_economy(rng, max_agents=4, max_r=5) for _ in range(3)]
+    for p, tab in economies:
+        t, x = rng.uniform(0.0, 10.0, 40), rng.uniform(-5.0, 5.0, 40)
+        # arrays, a scalar state, a scalar time against an array, a far state
+        for tt, xx in ((t, x), (1.5, -0.25), (2.0, x), (1.0, np.array([-3000.0, 3000.0]))):
+            got = log_levels(tt, xx, p, tab)
+            refs = _log_level_references(tt, xx, p, tab)
+            assert got.shape == np.broadcast(tt, xx).shape + (p.n_agents + 4,)
+            for k, ref in enumerate(refs):
+                assert _same_bits(got[..., k], ref), (k, tt, xx)

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import logsumexp
 
 from conftest import draw_economy
-from crraeq.equilibrium import agent_log_terms_arr, evaluate_fields, log_L_arr
+from crraeq.equilibrium import agent_log_terms_arr, evaluate_fields, log_levels
 from crraeq.model import Agent, EconomyParams, validate
 from crraeq.multiindex import enumerate_compositions
 from rm1_oracle import agent_fields, exact_multinomial
@@ -57,10 +57,11 @@ def test_clearing_sum_is_the_multinomial_theorem():
     # sum over |beta| = R of C(R, beta) e^{u.beta} == (sum_i e^{u_i})^R
     rng = np.random.default_rng(67)
     for _ in range(40):
-        p, _ = draw_economy(rng, max_agents=5)
+        p, tab = draw_economy(rng, max_agents=5)
         parts = enumerate_compositions(p.n_agents, p.R)
         log_c = np.log([float(exact_multinomial(c)) for c in parts.tolist()])
         t, x = rng.uniform(0.0, 10.0, 50), rng.uniform(-5.0, 5.0, 50)
         u = agent_log_terms_arr(t, x, p)
         by_compositions = logsumexp(log_c + u @ parts.T, axis=-1)
-        np.testing.assert_allclose(log_L_arr(t, x, p), by_compositions, rtol=1e-13, atol=1e-13)
+        log_l = log_levels(t, x, p, tab)[:, 0]
+        np.testing.assert_allclose(log_l, by_compositions, rtol=1e-13, atol=1e-13)

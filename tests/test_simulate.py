@@ -8,16 +8,14 @@ import crraeq.simulate
 from conftest import draw_economy
 from crraeq.dynamics import DegenerateStockVolatility, rate_bundle, stock_dynamics
 from crraeq.equilibrium import (
-    state_price_density,
-    log_L_arr,
-    log_state_price_density_arr,
-    log_stock_price_arr,
-    log_Z_agent_arr,
+    log_levels,
+    log_z_terms_arr,
     snapshot,
+    state_price_density,
     stock_price,
     wealth,
 )
-from crraeq.model import Agent, EconomyParams, MarketState, validate
+from crraeq.model import Agent, EconomyParams, MarketState, dividend, validate
 from crraeq.simulate import (
     OracleReport,
     PathGrid,
@@ -29,7 +27,7 @@ from crraeq.simulate import (
     mc_oracles,
     realized_vol_check,
     simulate_paths,
-    truncation_tail,
+    truncation_tails,
 )
 
 BENCH = EconomyParams(
@@ -191,7 +189,7 @@ def test_mc_oracles_match_a_plain_recomputation():
     flows = [delta ** (1 - p.R) * total ** (p.R - 1) * e_u[..., j] for j in range(2)]
     flows.append(delta ** (1 - p.R) * total**p.R)
     closed = [wealth(s, p, tab, j) for j in range(2)] + [stock_price(s, p, tab)]
-    tails = [truncation_tail(s, p, tab, grid.horizon, j) for j in (0, 1, None)]
+    tails = truncation_tails(s, p, tab, grid.horizon)
 
     for rep, flow, cf, tail in zip([*wreps, srep], flows, closed, tails):
         values = np.trapezoid(flow, t, axis=1) / zeta0
@@ -223,10 +221,27 @@ def test_truncation_guard_and_monotonicity(monkeypatch):
     with pytest.raises(TruncationTooLoose) as ei:
         mc_oracles(S0, BENCH, tab, n_paths=10, horizon=10.0, n_steps=20)
     assert ei.value.closed_form == wealth(S0, BENCH, tab, 0)
-    t1 = truncation_tail(S0, BENCH, tab, 300.0)
-    t2 = truncation_tail(S0, BENCH, tab, 600.0)
+    *_, t1 = truncation_tails(S0, BENCH, tab, 300.0)
+    *_, t2 = truncation_tails(S0, BENCH, tab, 600.0)
     assert 0 < t2 < t1
     np.testing.assert_allclose(t1, 100.0 * math.exp(-3.0), rtol=1e-10)
+
+
+def test_truncation_tails_are_the_weighted_tail_sums():
+    # agent j's tail weights each Z term's e^{-D (T-t)} tail by beta_j/R,
+    # the stock's takes them all; summed in plain exponentials here
+    rng = np.random.default_rng(545)
+    for p, tab in [draw_economy(rng, max_agents=4, max_r=5) for _ in range(6)]:
+        s = MarketState(float(rng.uniform(0.0, 3.0)), float(rng.uniform(-1.0, 1.0)))
+        horizon = s.t + float(rng.uniform(1.0, 20.0))
+        tails = truncation_tails(s, p, tab, horizon)
+        assert len(tails) == p.n_agents + 1
+        assert all(type(v) is float for v in tails)
+        decayed = np.exp(log_z_terms_arr(s.t, s.x, p, tab) - tab.d_values * (horizon - s.t))
+        prefactor = dividend(s, p) ** (1 - p.R) / state_price_density(s, p)
+        want = [*(decayed @ tab.parts / p.R), decayed.sum()]
+        np.testing.assert_allclose(tails, prefactor * np.array(want), rtol=1e-12)
+        np.testing.assert_allclose(sum(tails[:-1]), tails[-1], rtol=1e-13)
 
 
 @pytest.mark.parametrize("oracle", [
@@ -330,30 +345,30 @@ def _pointwise_fd(f, st, dx, dt, richardson):
 
 
 def test_fd_engine_one_batched_call_matches_pointwise_stencil():
+    # the vector field of every log level in one call; each column equals
+    # the stencil of that column alone, point by point, to the bit
     rng = np.random.default_rng(535)
     for _ in range(3):
         p, tab = draw_economy(rng, max_agents=3, max_r=4)
-        j = int(rng.integers(p.n_agents))
-        fields = (
-            lambda t, x: log_Z_agent_arr(t, x, p, tab, j),
-            lambda t, x: log_stock_price_arr(t, x, p, tab),
-        )
+        levels = lambda t, x: log_levels(t, x, p, tab)
         for _ in range(3):
             st = MarketState(float(rng.uniform(0.2, 5.0)), float(rng.uniform(-2, 2)))
-            for field in fields:
-                for steps in ({}, dict(dx=2e-2, dt=1e-3, richardson=True)):
-                    calls = []
+            for steps in ({}, dict(dx=2e-2, dt=1e-3, richardson=True)):
+                calls = []
 
-                    def counted(t, x):
-                        calls.append(np.shape(t))
-                        return field(t, x)
+                def counted(t, x):
+                    calls.append(np.shape(t))
+                    return levels(t, x)
 
-                    got = fd_engine(counted, st, **steps)
-                    assert calls == [(9,) if steps else (5,)]
+                got = fd_engine(counted, st, **steps)
+                assert calls == [(9,) if steps else (5,)]
+                assert got.shape == (3, p.n_agents + 4)
+                for k in range(p.n_agents + 4):
                     want = _pointwise_fd(
-                        field, st, steps.get("dx", 1e-4), steps.get("dt", 1e-5), bool(steps)
+                        lambda t, x: levels(t, x)[..., k],
+                        st, steps.get("dx", 1e-4), steps.get("dt", 1e-5), bool(steps),
                     )
-                    assert got == want
+                    assert tuple(got[:, k].tolist()) == want
 
 
 def test_fd_matches_first_order_coefficients():
@@ -364,26 +379,17 @@ def test_fd_matches_first_order_coefficients():
             st = MarketState(float(rng.uniform(0.2, 6.0)), float(rng.uniform(-3, 3)))
             rb = rate_bundle(st, p, tab)
             sd = stock_dynamics(st, p, tab)
-            _, lbar_x, _ = fd_engine(
-                lambda t, x: log_L_arr(t, x, p), st
-            )
+            lbar_x, zeta_x, _, s_x, *zj_x = fd_engine(
+                lambda t, x: log_levels(t, x, p, tab), st
+            )[1]
             np.testing.assert_allclose(lbar_x, rb.alpha_bar, rtol=1e-5, atol=1e-9)
-            _, zeta_x, _ = fd_engine(
-                lambda t, x: log_state_price_density_arr(t, x, p), st
-            )
             np.testing.assert_allclose(-zeta_x, rb.kappa, rtol=1e-5)
-            _, s_x, _ = fd_engine(
-                lambda t, x: log_stock_price_arr(t, x, p, tab), st
-            )
             np.testing.assert_allclose(s_x, sd.vol, rtol=1e-5, atol=1e-9)
             j = int(rng.integers(p.n_agents))
-            _, zj_x, _ = fd_engine(
-                lambda t, x: log_Z_agent_arr(t, x, p, tab, j), st
-            )
             from crraeq.dynamics import agent_dynamics
 
             np.testing.assert_allclose(
-                zj_x, agent_dynamics(st, p, tab, j), rtol=1e-5, atol=1e-9
+                zj_x[j], agent_dynamics(st, p, tab, j), rtol=1e-5, atol=1e-9
             )
 
 
@@ -398,19 +404,10 @@ def test_fd_matches_second_order_coefficients():
             rb = rate_bundle(st, p, tab)
             sd = stock_dynamics(st, p, tab)
 
-            def second_order(fun):
-                f_t, f_x, f_xx = fd_engine(
-                    fun, st, dx=2e-2, dt=1e-3, richardson=True
-                )
-                return f_t + 0.5 * (f_xx + f_x**2), f_x
-
-            gen_zeta, _ = second_order(
-                lambda t, x: log_state_price_density_arr(t, x, p)
+            f_t, f_x, f_xx = fd_engine(
+                lambda t, x: log_levels(t, x, p, tab), st, dx=2e-2, dt=1e-3, richardson=True
             )
+            gen_l, gen_zeta, _, gen_s = (f_t + 0.5 * (f_xx + f_x**2))[:4]
             np.testing.assert_allclose(-gen_zeta, rb.riskless_rate, rtol=1e-5, atol=1e-8)
-            gen_l, _ = second_order(lambda t, x: log_L_arr(t, x, p))
             np.testing.assert_allclose(-gen_l, rb.rho_bar, rtol=1e-5, atol=1e-8)
-            gen_s, _ = second_order(
-                lambda t, x: log_stock_price_arr(t, x, p, tab)
-            )
             np.testing.assert_allclose(gen_s, sd.drift, rtol=1e-5, atol=1e-8)
