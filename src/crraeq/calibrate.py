@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import softmax
 
 from . import equilibrium
 from .model import DenominatorTable, EconomyParams, MarketState, validate
@@ -69,7 +68,9 @@ def wealth_shares(
     the Z-weighted mean of the compositions over R.
     """
     terms = equilibrium.log_z_terms_arr(state.t, state.x, params, table)
-    return softmax(terms) @ table.parts / params.R
+    # scipy.special.softmax's two lines, so the bits are its bits
+    weights = np.exp(terms - terms.max())
+    return weights / weights.sum(keepdims=True) @ table.parts / params.R
 
 
 def solve_gamma(

@@ -26,7 +26,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import (
     DenominatorTable,
@@ -176,7 +175,8 @@ def lse_agents(u, axis=-1):
     through log1p.  Slabs are summed in agent order, which is the order
     numpy's reduction takes below 8 terms, so the bits are scipy's; its
     generic overhead (about 0.1 ms per call) is gone.  Where the maximum
-    is +-inf the result is that maximum, NaN propagates.
+    is +-inf the result is that maximum, NaN propagates.  Its sibling
+    `lse_terms` sums the long composition axis, with weights.
     """
     slabs = np.moveaxis(np.asarray(u, dtype=float), axis, 0)
     top = slabs[0]
@@ -191,6 +191,39 @@ def lse_agents(u, axis=-1):
         np.divide(s, ties, out=s, where=s != 0)
         out = np.log1p(s) + np.log(ties) + top
     return np.where(np.isinf(top), top, out)[()]
+
+
+def lse_terms(a, b=None):
+    """log sum_m b_m exp(a_m) over the last (composition) axis; b defaults to 1.
+
+    scipy.special.logsumexp(a, axis=-1, b=b)'s algorithm for real floats,
+    step by step: terms of zero weight are dropped, the maximal terms are
+    split out and counted (weighted by b), the rest is summed against the
+    maximum and added through log1p, and a negative sum gives NaN.  Where
+    that is not finite the result is log(sum b exp(a)).  Every sum is the
+    keepdims reduction scipy makes, so numpy's pairwise summation rounds
+    alike at any M and the bits are scipy's.  1-D input gives a scalar.
+    """
+    a = np.asarray(a, dtype=float)
+    if b is not None:
+        b = np.asarray(b, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kept = a if b is None else np.where(b == 0, -np.inf, a)
+        top = np.max(kept, axis=-1, keepdims=True)
+        ties = kept == top
+        m = np.sum(ties if b is None else b * ties, axis=-1, keepdims=True, dtype=float)
+        rest = np.exp(np.where(ties, -np.inf, kept) - top)
+        s = np.sum(rest if b is None else b * rest, axis=-1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        sign = np.sign(s + 1) * np.sign(m)
+        s = np.where(s < -1, -s - 2, s)
+        out = np.log1p(s) + np.log(np.abs(m)) + top
+        out[sign < 0] = np.nan
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.exp(a) if b is None else b * np.exp(a)
+            out = np.where(finite, out, np.log(np.sum(direct, axis=-1, keepdims=True)))
+    return out[..., 0][()]
 
 
 def agent_log_terms_arr(t, x, params: EconomyParams) -> np.ndarray:
@@ -233,11 +266,8 @@ def log_levels(t, x, params: EconomyParams, table: DenominatorTable) -> np.ndarr
     ld = log_dividend(t, x, params)
     log_zeta = params.R * (lse_u - ld)
     terms = log_z_terms_arr(t, x, params, table)
-    log_z = logsumexp(terms, axis=-1)
-    log_zj = [
-        logsumexp(terms, axis=-1, b=table.parts[:, j] / params.R)
-        for j in range(params.n_agents)
-    ]
+    log_z = lse_terms(terms)
+    log_zj = [lse_terms(terms, table.parts[:, j] / params.R) for j in range(params.n_agents)]
     log_s = (1 - params.R) * ld - log_zeta + log_z
     return np.stack([params.R * lse_u, log_zeta, log_z, log_s, *log_zj], axis=-1)
 
@@ -289,7 +319,7 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
         if nodes.any():
             with np.errstate(divide="ignore"):
                 sub = log_z_terms_arr(t[nodes], x[nodes], params, table) + np.log(beta[j])
-            lse_j = logsumexp(sub, axis=-1)
+            lse_j = lse_terms(sub)
             log_zj_rel[..., j][nodes] = lse_j - np.log(r_curv) - top[nodes]
             share[..., j][nodes] = np.exp(log_zj_rel[..., j][nodes] - np.log(total[nodes]))
             weights = np.exp(sub - lse_j[..., None])

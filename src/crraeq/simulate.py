@@ -41,14 +41,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import equilibrium
 from .equilibrium import EvaluatedSeries
 from .model import DenominatorTable, EconomyParams, MarketState, log_dividend
+from .multiindex import DEFAULT_COMPOSITION_CAP
 
 DEFAULT_STEPS_PER_UNIT_TIME = 1024
 TRUNCATION_FRACTION = 0.1
+# path grids share the composition table's cap on materialised entries
+_MAX_GRID_NODES = DEFAULT_COMPOSITION_CAP
 
 
 class TruncationTooLoose(Exception):
@@ -79,6 +81,11 @@ class PathGrid:
             raise ValueError(f"horizon must be finite and greater than t0, got {self.horizon}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
+        if not self.n_steps < _MAX_GRID_NODES:  # also NaN; the grid has n_steps + 1 nodes
+            raise ValueError(
+                f"n_steps must be below {_MAX_GRID_NODES} (a grid of at most "
+                f"{_MAX_GRID_NODES} nodes), got {self.n_steps}"
+            )
 
     @property
     def dt(self) -> float:
@@ -178,7 +185,7 @@ def truncation_tails(
     terms = equilibrium.log_z_terms_arr(state.t, state.x, params, table) - table.d_values * span
     # agent j's sum weights the Z terms by beta_j / R (Pascal's rule)
     weights = [table.parts[:, j] / params.R for j in range(params.n_agents)] + [None]
-    log_tail_sums = np.array([logsumexp(terms, axis=-1, b=w) for w in weights])
+    log_tail_sums = np.array([equilibrium.lse_terms(terms, w) for w in weights])
     log_zeta = equilibrium.log_levels(state.t, state.x, params, table)[1]
     ld = log_dividend(state.t, state.x, params)
     return np.exp((1 - params.R) * ld - log_zeta + log_tail_sums).tolist()
@@ -188,7 +195,15 @@ def _resolve_grid(state_t: float, horizon, n_steps, table: DenominatorTable) -> 
     if horizon is None:
         horizon = default_horizon(table, state_t)
     if n_steps is None:
-        n_steps = max(1, math.ceil((horizon - state_t) * DEFAULT_STEPS_PER_UNIT_TIME))
+        steps = (horizon - state_t) * DEFAULT_STEPS_PER_UNIT_TIME
+        if not steps <= _MAX_GRID_NODES - 1:  # NaN too
+            longest = (_MAX_GRID_NODES - 1) / DEFAULT_STEPS_PER_UNIT_TIME
+            raise ValueError(
+                f"horizon must be at most t0 + {longest:g} at the default "
+                f"{DEFAULT_STEPS_PER_UNIT_TIME} steps per unit time, got {horizon}"
+            )
+        # a horizon at or before t0 gets one step, which PathGrid rejects
+        n_steps = math.ceil(steps) if steps > 0 else 1
     return PathGrid(t0=state_t, horizon=float(horizon), n_steps=int(n_steps))
 
 

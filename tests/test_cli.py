@@ -254,6 +254,9 @@ def test_simulate_reproducible_across_runs_and_workers(tmp_path):
         ("calibrate", "--shares", "0.3,0.7", "--tol", "nan"),
         ("calibrate", "--shares", "0.3,0.7", "--tol", "0"),
         ("calibrate", "--shares", "0.3,x"),
+        ("simulate", "--horizon", "1e306", "--out", "x.csv"),
+        ("simulate", "--horizon", "1e12", "--out", "x.csv"),
+        ("simulate", "--steps", "1000000000000", "--out", "x.csv"),
     ],
 )
 def test_bad_flags_exit_2_before_the_economy_is_loaded(tmp_path, monkeypatch, argv):
@@ -264,6 +267,21 @@ def test_bad_flags_exit_2_before_the_economy_is_loaded(tmp_path, monkeypatch, ar
     code, _, err = run_cli(argv[0], write_config(tmp_path, PAIR), *argv[1:])
     assert code == 2
     assert "must be" in err
+
+
+def test_import_and_evaluate_without_scipy():
+    code = (
+        "import json, sys\n"
+        "import crraeq, crraeq.cli\n"
+        "p = crraeq.economy_from_dict(json.loads(sys.argv[1]))\n"
+        "crraeq.snapshot(crraeq.MarketState(1.0, 0.5), p, crraeq.validate(p))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(PAIR)], capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def _per_value_csv(path_id, matrix):

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import logsumexp, softmax
 
 from conftest import draw_economy, draw_state
+from crraeq.calibrate import wealth_shares
 from crraeq.equilibrium import (
     agent_log_terms_arr,
     consumption,
@@ -12,6 +13,7 @@ from crraeq.equilibrium import (
     log_levels,
     log_z_terms_arr,
     lse_agents,
+    lse_terms,
     pd_ratio,
     snapshot,
     state_price_density,
@@ -36,6 +38,12 @@ def symmetric_pair(rho=0.05, a=0.3, R=2, sigma=0.1):
         R=R, sigma=sigma, alpha_star=0.0, delta0=1.0,
         agents=(Agent(rho, a, 0.0), Agent(rho, -a, 0.0)),
     )
+
+
+TRIO = EconomyParams(
+    R=3, sigma=0.12, alpha_star=0.05, delta0=2.0,
+    agents=(Agent(0.4, 0.25, 0.1), Agent(0.45, -0.1, 0.0), Agent(0.5, 0.05, -0.1)),
+)
 
 
 def test_zeta_single_agent_initial():
@@ -242,6 +250,48 @@ def test_lse_agents_non_finite_inputs():
     np.testing.assert_array_equal(got, [np.inf, 0.0, -np.inf, np.nan, np.inf])
 
 
+def _lse_terms_cases(m, rng):
+    """Batches of m terms: random rows at four scales, rows past exp's overflow,
+    integer rows full of ties, and rows with +-inf, NaN or nothing but -inf."""
+    batches = [rng.normal(size=(6, m)) * scale for scale in (1e-3, 1.0, 50.0, 800.0)]
+    batches.append(rng.normal(size=(6, m)) + 720.0)
+    batches.append(rng.integers(-2, 3, size=(6, m)).astype(float))
+    special = rng.normal(size=(5, m))
+    special[0, 0] = np.inf
+    special[1, -1] = -np.inf
+    special[2, m // 2] = np.nan
+    special[3] = -np.inf
+    special[4, : (m + 1) // 2] = -np.inf
+    batches.append(special)
+    return batches
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 17, 1716])
+def test_lse_terms_matches_scipy_bits(m):
+    rng = np.random.default_rng(200 + m)
+    weights = rng.integers(0, 4, size=m) / 3.0  # a quarter of them zero
+    mixed = rng.normal(size=m)  # signed weights: the s < -1 branch and NaN rows
+    for batch in _lse_terms_cases(m, rng):
+        for b in (None, weights, mixed):
+            want = logsumexp(batch, axis=-1, b=b)
+            np.testing.assert_array_equal(lse_terms(batch, b), want, strict=True)
+            for row, want_row in zip(batch, want):
+                got = lse_terms(row, b)
+                assert np.ndim(got) == 0
+                np.testing.assert_array_equal(got, want_row, strict=True)
+
+
+def test_wealth_shares_match_scipy_softmax_bits():
+    rng = np.random.default_rng(76)
+    economies = [(p, validate(p)) for p in (symmetric_pair(), TRIO)]
+    economies += [draw_economy(rng, max_agents=4, max_r=5) for _ in range(3)]
+    for p, tab in economies:
+        for state in (S0, MarketState(2.5, -1.5), MarketState(1.0, 3000.0)):
+            terms = log_z_terms_arr(state.t, state.x, p, tab)
+            want = softmax(terms) @ tab.parts / p.R
+            np.testing.assert_array_equal(wealth_shares(p, tab, state), want, strict=True)
+
+
 def _log_level_references(t, x, p, tab):
     """Each log level as its own expression, one function call apiece."""
     log_zeta = lambda: p.R * (lse_agents(agent_log_terms_arr(t, x, p)) - log_dividend(t, x, p))
@@ -259,12 +309,8 @@ def _log_level_references(t, x, p, tab):
 
 
 def test_log_levels_columns_match_their_own_expressions_bitwise():
-    trio = EconomyParams(
-        R=3, sigma=0.12, alpha_star=0.05, delta0=2.0,
-        agents=(Agent(0.4, 0.25, 0.1), Agent(0.45, -0.1, 0.0), Agent(0.5, 0.05, -0.1)),
-    )
     rng = np.random.default_rng(75)
-    economies = [(p, validate(p)) for p in (symmetric_pair(), trio)]
+    economies = [(p, validate(p)) for p in (symmetric_pair(), TRIO)]
     economies += [draw_economy(rng, max_agents=4, max_r=5) for _ in range(3)]
     for p, tab in economies:
         t, x = rng.uniform(0.0, 10.0, 40), rng.uniform(-5.0, 5.0, 40)

@@ -75,8 +75,24 @@ def test_grid_validation():
         PathGrid(2.0, 2.0, 4)
     with pytest.raises(ValueError):
         PathGrid(0.0, 1.0, 0)
+    # at most 10M nodes, refused before any allocation
+    for n_steps in (10**7, 10**12, math.inf, math.nan):
+        with pytest.raises(ValueError, match="n_steps must be below"):
+            PathGrid(0.0, 1.0, n_steps)
+    assert PathGrid(0.0, 1.0, 10**7 - 1).n_steps == 10**7 - 1
     g = PathGrid(1.0, 2.0, 4)
     np.testing.assert_allclose(g.times(), [1.0, 1.25, 1.5, 1.75, 2.0])
+
+
+def test_huge_horizon_without_n_steps_is_a_value_error():
+    tab = validate(BENCH)
+    # at the default 1024 steps per unit time, 1e306 overflows the step
+    # count and 1e12 is finite but asks for petabytes
+    for horizon in (1e306, 1e12):
+        with pytest.raises(ValueError, match="horizon must be at most"):
+            mc_oracles(S0, BENCH, tab, n_paths=2, horizon=horizon)
+        with pytest.raises(ValueError, match="horizon must be at most"):
+            martingale_check(BENCH, tab, n_paths=2, horizon=horizon)
 
 
 def test_series_single_agent_pd_constant():
