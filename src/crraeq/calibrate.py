@@ -68,9 +68,11 @@ def wealth_shares(
     the Z-weighted mean of the compositions over R.
     """
     terms = equilibrium.log_z_terms_arr(state.t, state.x, params, table)
-    # scipy.special.softmax's two lines, so the bits are its bits
+    # the weights are scipy.special.softmax's two lines, so their bits are
+    # its bits; einsum sums them against the compositions in one fixed
+    # order, where a BLAS product's bits vary with its thread count
     weights = np.exp(terms - terms.max())
-    return weights / weights.sum(keepdims=True) @ table.parts / params.R
+    return np.einsum("m,mj->j", weights / weights.sum(keepdims=True), table.parts) / params.R
 
 
 def solve_gamma(

@@ -179,18 +179,24 @@ def lse_agents(u, axis=-1):
     `lse_terms` sums the long composition axis, with weights.
     """
     slabs = np.moveaxis(np.asarray(u, dtype=float), axis, 0)
-    top = slabs[0]
+    top = np.copy(slabs[0])  # an array even for 0-d slabs, so out= works
     for slab in slabs[1:]:
-        top = np.maximum(top, slab)
-    ties, s = np.zeros_like(top), np.zeros_like(top)
+        np.maximum(top, slab, out=top)
+    ties, s, d = np.zeros_like(top), np.zeros_like(top), np.empty_like(top)
+    tied = np.empty(top.shape, dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
         for slab in slabs:
-            d = slab - top
-            ties += d == 0
-            s += np.exp(d) * (d != 0)
+            np.subtract(slab, top, out=d)
+            ties += np.equal(d, 0, out=tied)
+            np.exp(d, out=d)
+            d *= np.logical_not(tied, out=tied)  # d != 0, NaN included
+            s += d
         np.divide(s, ties, out=s, where=s != 0)
-        out = np.log1p(s) + np.log(ties) + top
-    return np.where(np.isinf(top), top, out)[()]
+        np.log1p(s, out=s)
+        s += np.log(ties, out=ties)
+        s += top
+    np.copyto(s, top, where=np.isinf(top))
+    return s[()]
 
 
 def lse_terms(a, b=None):

@@ -17,10 +17,14 @@ their logsumexp, so `mc_oracles` draws each block of paths once and
 reduces every one of them from it; `martingale_check` reads the same
 blocks.  A block holds the agent log terms agent-major, one contiguous
 (paths, nodes) slab per agent, which `equilibrium.lse_agents` sums slab
-by slab.  Truncating the integral at a finite horizon leaves an
-analytically known tail (each composition term decays like
-e^{-D(beta) (T-t)}), which is reported as `truncation_bound` and must
-stay small relative to the closed form.
+by slab.  Blocks have a fixed, cache-sized budget of nodes and reuse
+their buffers, so memory does not grow with the path count.  Each path's
+time integral is an einsum over its nodes, which adds them in one order
+at any block size and BLAS thread count, so the reports have the same
+bits however the paths are blocked.  Truncating the integral at a
+finite horizon leaves an analytically known tail (each composition term
+decays like e^{-D(beta) (T-t)}), which is reported as `truncation_bound`
+and must stay small relative to the closed form.
 
 The z-scores assume square-integrable integrands.  A composition term
 e^{c X_u - m u} has finite second moment of its time integral only when
@@ -51,6 +55,8 @@ DEFAULT_STEPS_PER_UNIT_TIME = 1024
 TRUNCATION_FRACTION = 0.1
 # path grids share the composition table's cap on materialised entries
 _MAX_GRID_NODES = DEFAULT_COMPOSITION_CAP
+# nodes per agent slab of one Monte Carlo block (512 KiB of float64)
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class TruncationTooLoose(Exception):
@@ -208,39 +214,54 @@ def _resolve_grid(state_t: float, horizon, n_steps, table: DenominatorTable) -> 
 
 
 def _path_blocks(grid: PathGrid, x0: float, n_paths: int, seed: int, params: EconomyParams):
-    """Draw the paths block by block; yield each block's (x, u, lse_u, log delta).
+    """Draw the paths block by block; yield each block's (rows, x, u, lse_u, log delta).
 
-    x has shape (paths, nodes).  u holds the agent log terms agent-major,
+    rows is the block's slice of path indices and x its paths, shape
+    (paths, nodes).  u holds the agent log terms agent-major,
     (J, paths, nodes), so each agent's slab is contiguous; u[j] is
     ((alpha_j x - decay_j t) - gamma_j) / R, the order of
     `equilibrium.agent_log_terms_arr`, and lse_u = lse_agents(u, axis=0).
-    Blocks bound the memory; each path's values are independent of the
-    blocking, so any reduction order downstream gives identical bits.
+    A block holds at most _BLOCK_ELEMENTS nodes per slab (at least one
+    path), so it stays in cache and memory does not grow with n_paths.
+    The x and u buffers are refilled for every block: a consumer keeps
+    what it needs before it asks for the next one.  Each path's values
+    do not depend on the blocking, so a reduction along the nodes of each
+    path (the einsum quadrature, not a BLAS product) gives the same bits
+    at any blocking.
     """
     t = grid.times()
-    n_nodes = len(t)
     alpha = params.alpha_vec
-    decay = params.rho_vec + 0.5 * alpha**2
-    chunk = max(1, min(n_paths, int(4e6 / (n_nodes * max(params.n_agents, 2)))))
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
-        x = np.empty((hi - lo, n_nodes))
+    decay_t = [d * t for d in params.rho_vec + 0.5 * alpha**2]
+    n_rows = max(1, min(n_paths, _BLOCK_ELEMENTS // len(t)))
+    x_buf = np.empty((n_rows, len(t)))
+    u_buf = np.empty((params.n_agents,) + x_buf.shape)
+    for lo in range(0, n_paths, n_rows):
+        rows = slice(lo, min(lo + n_rows, n_paths))
+        x, u = x_buf[: rows.stop - lo], u_buf[:, : rows.stop - lo]
         for i, row in enumerate(x, lo):
             _fill_path(row, grid, x0, seed, i)
-
-        u = np.empty((params.n_agents,) + x.shape)
         for j, slab in enumerate(u):
             np.multiply(alpha[j], x, out=slab)
-            slab -= decay[j] * t
+            slab -= decay_t[j]
             slab -= params.gamma_vec[j]
             slab /= params.R
-        yield x, u, equilibrium.lse_agents(u, axis=0), log_dividend(t[None, :], x, params)
+        yield rows, x, u, equilibrium.lse_agents(u, axis=0), log_dividend(t[None, :], x, params)
 
 
 def _trapezoid_weights(grid: PathGrid) -> np.ndarray:
     weights = np.full(grid.n_steps + 1, grid.dt)
     weights[0] = weights[-1] = grid.dt / 2
     return weights
+
+
+def _quadrature(exponent: np.ndarray, weights: np.ndarray, out: np.ndarray):
+    """out[p] = sum_n exp(exponent[p, n]) weights[n], overwriting exponent.
+
+    einsum sums each path's nodes in one fixed order, so the bits do not
+    depend on the number of paths in a block or on BLAS threads.
+    """
+    np.exp(exponent, out=exponent)
+    np.einsum("pn,n->p", exponent, weights, out=out)
 
 
 def _report(values: np.ndarray, closed_form: float, bound: float) -> OracleReport:
@@ -290,13 +311,19 @@ def mc_oracles(
 
     r_curv = params.R
     weights = _trapezoid_weights(grid)
-    blocks = []
-    for _, u, lse_u, ld in _path_blocks(grid, state.x, n_paths, seed, params):
-        base = (1 - r_curv) * ld + (r_curv - 1) * lse_u
-        columns = [np.exp(base + u_j) @ weights for u_j in u]
-        columns.append(np.exp((1 - r_curv) * ld + r_curv * lse_u) @ weights)
-        blocks.append(columns)
-    values = np.concatenate(blocks, axis=1) / fields["zeta"]
+    values = np.empty((params.n_agents + 1, n_paths))
+    for rows, _, u, lse_u, ld in _path_blocks(grid, state.x, n_paths, seed, params):
+        # one scratch buffer per block: the stock's exponent, then each agent's
+        scratch = np.multiply(r_curv, lse_u)
+        ld *= 1 - r_curv
+        scratch += ld  # (1-R) log delta + R lse_u
+        _quadrature(scratch, weights, values[-1, rows])
+        lse_u *= r_curv - 1
+        lse_u += ld  # base = (1-R) log delta + (R-1) lse_u
+        for u_j, out in zip(u, values[:-1, rows]):
+            np.add(lse_u, u_j, out=scratch)
+            _quadrature(scratch, weights, out)
+    values /= fields["zeta"]
     reports = [_report(v, c, b) for v, c, b in zip(values, closed, bounds)]
     return reports[:-1], reports[-1]
 
@@ -323,14 +350,20 @@ def martingale_check(
     r_curv = params.R
     weights = _trapezoid_weights(grid)
     t_end = grid.times()[-1]
-    values = []
-    for x, _, lse_u, ld in _path_blocks(grid, x0, n_paths, seed, params):
-        flow = np.exp((1 - r_curv) * ld + r_curv * lse_u) @ weights
-        # payoff leg zeta_T S_T = delta_T^{1-R} Z_T
-        log_z = equilibrium.log_levels(t_end, x[:, -1], params, table)[:, 2]
-        log_zs = (1 - r_curv) * ld[:, -1] + log_z
-        values.append(flow + np.exp(log_zs))
-    return _report(np.concatenate(values), closed, 0.0)
+    values, x_end, ld_end = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
+    for rows, x, _, lse_u, ld in _path_blocks(grid, x0, n_paths, seed, params):
+        ld *= 1 - r_curv
+        x_end[rows], ld_end[rows] = x[:, -1], ld[:, -1]
+        lse_u *= r_curv
+        ld += lse_u  # (1-R) log delta + R lse_u
+        _quadrature(ld, weights, values[rows])
+    # payoff leg zeta_T S_T = delta_T^{1-R} Z_T, at most a block's terms per call
+    step = max(1, _BLOCK_ELEMENTS // len(table.parts))
+    for lo in range(0, n_paths, step):
+        rows = slice(lo, lo + step)
+        log_z = equilibrium.log_levels(t_end, x_end[rows], params, table)[:, 2]
+        values[rows] += np.exp(ld_end[rows] + log_z)
+    return _report(values, closed, 0.0)
 
 
 def realized_vol_check(

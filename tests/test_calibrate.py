@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -132,3 +136,26 @@ def test_no_convergence_reports_residual():
         solve_gamma(p, CalibrationTarget((0.3, 0.7)), tol=1e-16, max_iter=3)
     assert ei.value.max_iter == 3
     assert ei.value.residual > 0
+
+
+def test_wealth_shares_bytes_do_not_depend_on_blas_threads():
+    # R10 J10 (M = 92378): a BLAS product over the compositions gave
+    # different bits under one and two OpenBLAS threads here
+    code = (
+        "from crraeq.calibrate import wealth_shares\n"
+        "from crraeq.model import Agent, EconomyParams, MarketState, validate\n"
+        "agents = tuple(Agent(0.8 + 0.05 * (k + 1), -0.2 + 0.4 * k / 9, 0.0) for k in range(10))\n"
+        "p = EconomyParams(R=10, sigma=0.1, alpha_star=0.0, delta0=1.0, agents=agents)\n"
+        "tab = validate(p)\n"
+        "for t, x in ((0.0, 0.0), (1.0, 0.5)):\n"
+        "    print(wealth_shares(p, tab, MarketState(t, x)).tobytes().hex())\n"
+    )
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        res = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert res.returncode == 0, res.stderr
+        outs.append(res.stdout)
+    assert outs[0] == outs[1]

@@ -28,6 +28,12 @@ TRIO = {
                {"rho": 0.45, "alpha": -0.1, "gamma": 0.0},
                {"rho": 0.5, "alpha": 0.05, "gamma": -0.1}],
 }
+# MC_PAIR of acceptance test c06
+MC_PAIR = {
+    "R": 2, "sigma": 0.1, "alpha_star": 0.0, "delta0": 1.0,
+    "agents": [{"rho": 0.2, "alpha": 0.2, "gamma": 0.1},
+               {"rho": 0.2, "alpha": -0.2, "gamma": -0.1}],
+}
 
 
 def write_config(tmp_path, obj, name="econ.json"):
@@ -327,6 +333,15 @@ def test_verify_all_passes_on_benchmark(tmp_path):
     for suite in rep["suites"]:
         for check in suite["checks"]:
             assert check["pass"], check
+
+
+@pytest.mark.parametrize("suite", ["martingale", "mc"])
+def test_verify_bytes_do_not_depend_on_blas_threads(tmp_path, suite):
+    cfg = write_config(tmp_path, MC_PAIR)
+    argv = ["verify", cfg, "--suite", suite, "--paths", "300", "--seed", "12"]
+    one, two = (run_proc(argv, env={"OPENBLAS_NUM_THREADS": n}) for n in ("1", "2"))
+    assert one.returncode == 0, one.stderr
+    assert (one.stdout, one.stderr, one.returncode) == (two.stdout, two.stderr, two.returncode)
 
 
 def test_verify_clearing_three_agents(tmp_path):

@@ -288,8 +288,11 @@ def test_wealth_shares_match_scipy_softmax_bits():
     for p, tab in economies:
         for state in (S0, MarketState(2.5, -1.5), MarketState(1.0, 3000.0)):
             terms = log_z_terms_arr(state.t, state.x, p, tab)
-            want = softmax(terms) @ tab.parts / p.R
-            np.testing.assert_array_equal(wealth_shares(p, tab, state), want, strict=True)
+            # scipy's softmax weights, summed against the compositions by einsum
+            want = np.einsum("m,mj->j", softmax(terms), tab.parts) / p.R
+            got = wealth_shares(p, tab, state)
+            np.testing.assert_array_equal(got, want, strict=True)
+            np.testing.assert_allclose(got, softmax(terms) @ tab.parts / p.R, rtol=1e-14)
 
 
 def _log_level_references(t, x, p, tab):

@@ -34,6 +34,15 @@ BENCH = EconomyParams(
     R=2, sigma=0.1, alpha_star=0.0, delta0=1.0, agents=(Agent(0.02, 0.0, 0.0),)
 )
 S0 = MarketState(0.0, 0.0)
+# MC_PAIR and MC_TRIO of acceptance test c06
+PAIR = EconomyParams(
+    R=2, sigma=0.1, alpha_star=0.0, delta0=1.0,
+    agents=(Agent(0.2, 0.2, 0.1), Agent(0.2, -0.2, -0.1)),
+)
+TRIO = EconomyParams(
+    R=3, sigma=0.08, alpha_star=0.02, delta0=1.0,
+    agents=(Agent(0.25, 0.12, 0.1), Agent(0.25, 0.0, 0.0), Agent(0.25, -0.12, -0.1)),
+)
 
 
 def two_agent(rho=0.3, a=0.4, R=2, sigma=0.15):
@@ -182,12 +191,13 @@ def test_wealth_oracles_sum_to_stock_oracle():
 
 
 def test_mc_oracles_match_a_plain_recomputation():
-    # 1500 paths of 2001 nodes span two blocks of the single pass
     p = two_agent()
     tab = validate(p)
     s = MarketState(0.5, 0.2)
     grid = PathGrid(s.t, 20.5, 2000)
     n = 1500
+    # the paths span many blocks of the single pass
+    assert n * (grid.n_steps + 1) > 10 * crraeq.simulate._BLOCK_ELEMENTS
     wreps, srep = mc_oracles(
         s, p, tab, n_paths=n, horizon=grid.horizon, n_steps=grid.n_steps, seed=9
     )
@@ -214,6 +224,49 @@ def test_mc_oracles_match_a_plain_recomputation():
         assert rep.closed_form == cf
         assert rep.truncation_bound == tail
         assert rep.n_paths == n
+
+
+def test_martingale_check_matches_a_plain_recomputation():
+    p = two_agent()
+    tab = validate(p)
+    grid = PathGrid(0.0, 4.0, 2000)
+    n = 300
+    # the paths span several blocks of the single pass
+    assert n * (grid.n_steps + 1) > 4 * crraeq.simulate._BLOCK_ELEMENTS
+    rep = martingale_check(p, tab, n_paths=n, horizon=grid.horizon, n_steps=grid.n_steps, seed=3)
+
+    t = grid.times()
+    x = np.array([path.x_values for path in simulate_paths(grid, 0.0, n, seed=3)])
+    delta = p.delta0 * np.exp(p.sigma * x + (p.alpha_star * p.sigma - p.sigma**2 / 2) * t)
+    total = sum(
+        np.exp((a.alpha * x - (a.rho + a.alpha**2 / 2) * t - a.gamma) / p.R) for a in p.agents
+    )
+    # zeta delta = delta^{1-R} (sum_i e^{u_i})^R, and delta_T^{1-R} Z_T = zeta_T S_T
+    flow = np.trapezoid(delta ** (1 - p.R) * total**p.R, t, axis=1)
+    ends = [MarketState(t[-1], x_end) for x_end in x[:, -1]]
+    payoff = np.array([stock_price(e, p, tab) * state_price_density(e, p) for e in ends])
+    values = flow + payoff
+
+    np.testing.assert_allclose(rep.estimate, values.mean(), rtol=1e-13)
+    np.testing.assert_allclose(rep.std_error, values.std(ddof=1) / math.sqrt(n), rtol=1e-13)
+    np.testing.assert_allclose(
+        rep.closed_form, stock_price(S0, p, tab) * state_price_density(S0, p), rtol=1e-13
+    )
+    assert rep.truncation_bound == 0.0
+    assert rep.n_paths == n
+
+
+@pytest.mark.parametrize("p", [PAIR, TRIO], ids=["pair", "trio"])
+def test_oracle_bits_do_not_depend_on_blocking(monkeypatch, p):
+    tab = validate(p)
+    n_paths, n_steps = 30, 200
+    mc = dict(n_paths=n_paths, horizon=default_horizon(tab), n_steps=n_steps, seed=4)
+    mart = dict(n_paths=n_paths, horizon=2.0, n_steps=n_steps, seed=4)
+    want = mc_oracles(S0, p, tab, **mc), martingale_check(p, tab, **mart)
+    assert crraeq.simulate._BLOCK_ELEMENTS >= n_paths * (n_steps + 1)  # one block
+    for per_block in (1, 7):
+        monkeypatch.setattr(crraeq.simulate, "_BLOCK_ELEMENTS", per_block * (n_steps + 1))
+        assert (mc_oracles(S0, p, tab, **mc), martingale_check(p, tab, **mart)) == want
 
 
 def test_stock_oracle_scales_with_delta0():
