@@ -86,13 +86,22 @@ def solve_gamma(
     The gamma values on params are ignored; the solve always starts from
     zero weights.
     """
+    return solve_gamma_on_table(params, validate(params), target, tol, max_iter)
+
+
+def solve_gamma_on_table(
+    params: EconomyParams,
+    table: DenominatorTable,
+    target: CalibrationTarget,
+    tol: float = 1e-10,
+    max_iter: int = 200,
+) -> np.ndarray:
+    """`solve_gamma` on the economy's validated table, which gamma does not enter."""
     j = params.n_agents
     if len(target.shares) != j:
         raise ValueError(f"need {j} target shares, got {len(target.shares)}")
     if j == 1:
         return np.zeros(1)
-
-    table = validate(params)
 
     def shares_at(g):
         return wealth_shares(params.with_gammas(g), table, target.state)

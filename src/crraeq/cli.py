@@ -26,8 +26,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .calibrate import CalibrationTarget, NoConvergence, solve_gamma, wealth_shares
-from .equilibrium import evaluate_fields, log_levels, snapshot
+from .calibrate import CalibrationTarget, NoConvergence, solve_gamma_on_table, wealth_shares
+from .equilibrium import evaluate_fields, snapshot
 from .model import (
     ConfigError,
     DenominatorTable,
@@ -40,6 +40,7 @@ from .model import (
 )
 from .multiindex import CompositionCapExceeded
 from .simulate import (
+    MAX_PATHS,
     TruncationTooLoose,
     _resolve_grid,
     default_horizon,
@@ -329,7 +330,7 @@ def _fd_errors(state: MarketState, params: EconomyParams, table: DenominatorTabl
     the roundoff floor below the 1e-5 verification tolerance.
     """
     closed = evaluate_fields(state.t, state.x, params, table)
-    levels = lambda t, x: log_levels(t, x, params, table)
+    levels = lambda t, x: evaluate_fields(t, x, params, table)["log_levels"]
 
     # columns: log L, log zeta, log Z, log S, then log Z^j per agent
     l_x, zeta_x, z_x, s_x, *zj_x = fd_engine(levels, state)[1].tolist()
@@ -385,7 +386,7 @@ def _suite_mc(params, table, seed: int, n_paths: int) -> dict:
     The quadrature grid uses dt near 0.5.  The trapezoid is not exact
     there: on the benchmark pair and trio it biases the estimates by
     +0.7e-3 to +1.2e-3 relative, which is visible against the standard
-    error at 2000 paths (ROADMAP item 2 replaces it with Simpson's rule).
+    error at 2000 paths.
     """
     state = MarketState(0.0, 0.0)
     horizon = default_horizon(table)
@@ -429,6 +430,8 @@ _SUITE_RUNNERS = {
 def cmd_verify(args) -> int:
     if args.paths < 2:
         raise ConfigError("--paths must be at least 2")
+    if args.paths > MAX_PATHS:
+        raise ConfigError(f"--paths must be at most {MAX_PATHS}, got {args.paths}")
     params = _load_economy(args.config)
     table = validate(params)
     wanted = tuple(_SUITE_RUNNERS) if args.suite == "all" else (args.suite,)
@@ -470,7 +473,7 @@ def cmd_calibrate(args) -> int:
             f"--shares needs {params.n_agents} values for this economy, got {len(target.shares)}"
         )
     table = validate(params)
-    gamma = solve_gamma(params, target, tol=args.tol)
+    gamma = solve_gamma_on_table(params, table, target, tol=args.tol)
     calibrated = params.with_gammas(tuple(float(g) for g in gamma))
     achieved = wealth_shares(calibrated, table, target.state)
     _print_json(

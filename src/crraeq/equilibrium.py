@@ -15,14 +15,11 @@ are taken in log-space or against their largest term: naive exponentials
 overflow at |x| or t in the hundreds, ordinary states for long paths.
 
 `evaluate_fields` is the one kernel; the series, the snapshot and the
-scalar functions are views of it.  `log_levels` gives the logs of the
-levels at array-valued (t, x), for the finite-difference and simulation
-oracles.
+scalar functions are views of it.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +35,6 @@ from .model import (
 VOL_DEGENERACY_TOL = 1e-12
 # below this a sum of exponentials may have lost bits to underflow
 _FULL_PRECISION_SHARE = np.finfo(float).tiny / np.finfo(float).eps
-
-# fault-injection hook: the verification suite's self-test sets this to a
-# nonzero value and expects the finite-difference checks to flag the rate;
-# it is read once, at import
-RATE_BIAS_ENV = "CRRAEQ_INJECT_RATE_BIAS"
-_RATE_BIAS = float(os.environ.get(RATE_BIAS_ENV) or 0.0)
 
 
 class DegenerateStockVolatility(ModelError):
@@ -103,11 +94,12 @@ class EquilibriumSnapshot:
 class EvaluatedSeries:
     """Every closed-form quantity along one path; arrays indexed by grid node.
 
-    Per-agent arrays have shape (n_nodes, J), agent order as in params.
-    A series evaluated at a single state has no grid (None) and 0-d
-    arrays.  Portfolios are undefined where the stock volatility
-    vanishes, so building a series with such a node raises
-    DegenerateStockVolatility carrying the node's `grid_index`.
+    Per-agent arrays have shape (n_nodes, J), agent order as in params;
+    `log_levels` has shape (n_nodes, J + 4), the columns log L, log zeta,
+    log Z, log S and log Z^1 .. log Z^J.  A series evaluated at a single
+    state has no grid (None) and 0-d arrays.  Portfolios are undefined
+    where the stock volatility vanishes, so building a series with such a
+    node raises DegenerateStockVolatility carrying the node's `grid_index`.
     """
 
     grid: "object"
@@ -129,6 +121,7 @@ class EvaluatedSeries:
     wealths: np.ndarray
     alpha_tilde_agents: np.ndarray
     portfolios: np.ndarray
+    log_levels: np.ndarray
 
     def __post_init__(self):
         bad = np.flatnonzero(np.abs(self.vol) < VOL_DEGENERACY_TOL)
@@ -199,36 +192,27 @@ def lse_agents(u, axis=-1):
     return s[()]
 
 
-def lse_terms(a, b=None):
-    """log sum_m b_m exp(a_m) over the last (composition) axis; b defaults to 1.
+def lse_terms(a):
+    """log sum_m exp(a_m) over the last (composition) axis.
 
-    scipy.special.logsumexp(a, axis=-1, b=b)'s algorithm for real floats,
-    step by step: terms of zero weight are dropped, the maximal terms are
-    split out and counted (weighted by b), the rest is summed against the
-    maximum and added through log1p, and a negative sum gives NaN.  Where
-    that is not finite the result is log(sum b exp(a)).  Every sum is the
-    keepdims reduction scipy makes, so numpy's pairwise summation rounds
-    alike at any M and the bits are scipy's.  1-D input gives a scalar.
+    scipy.special.logsumexp(a, axis=-1)'s algorithm for real floats, step
+    by step: the maximal terms are split out and counted, the rest is
+    summed against the maximum and added through log1p.  Where that is
+    not finite the result is log(sum exp(a)).  Every sum is the keepdims
+    reduction scipy makes, so numpy's pairwise summation rounds alike at
+    any M and the bits are scipy's.  1-D input gives a scalar.
     """
     a = np.asarray(a, dtype=float)
-    if b is not None:
-        b = np.asarray(b, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        kept = a if b is None else np.where(b == 0, -np.inf, a)
-        top = np.max(kept, axis=-1, keepdims=True)
-        ties = kept == top
-        m = np.sum(ties if b is None else b * ties, axis=-1, keepdims=True, dtype=float)
-        rest = np.exp(np.where(ties, -np.inf, kept) - top)
-        s = np.sum(rest if b is None else b * rest, axis=-1, keepdims=True)
+        top = np.max(a, axis=-1, keepdims=True)
+        ties = a == top
+        m = np.sum(ties, axis=-1, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(ties, -np.inf, a) - top), axis=-1, keepdims=True)
         s = np.where(s == 0, s, s / m)
-        sign = np.sign(s + 1) * np.sign(m)
-        s = np.where(s < -1, -s - 2, s)
-        out = np.log1p(s) + np.log(np.abs(m)) + top
-        out[sign < 0] = np.nan
+        out = np.log1p(s) + np.log(m) + top
         finite = np.isfinite(out)
         if not finite.all():
-            direct = np.exp(a) if b is None else b * np.exp(a)
-            out = np.where(finite, out, np.log(np.sum(direct, axis=-1, keepdims=True)))
+            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=-1, keepdims=True)))
     return out[..., 0][()]
 
 
@@ -258,26 +242,6 @@ def log_z_terms_arr(t, x, params: EconomyParams, table: DenominatorTable) -> np.
     return terms
 
 
-def log_levels(t, x, params: EconomyParams, table: DenominatorTable) -> np.ndarray:
-    """Columns [log L, log zeta, log Z, log S, log Z^1 .. log Z^J] at broadcast (t, x).
-
-    log L = R logsumexp_i u_i (the multinomial theorem applied to the
-    clearing sum), log zeta = R (logsumexp_i u_i - log delta), log Z sums
-    the level-R Z terms, log S = (1-R) log delta - log zeta + log Z, and
-    log Z^j weights the Z terms by beta_j/R (Pascal's rule).  Shape
-    broadcast(t, x).shape + (J + 4,); the finite-difference oracle
-    differentiates every column in one stencil.
-    """
-    lse_u = lse_agents(agent_log_terms_arr(t, x, params))
-    ld = log_dividend(t, x, params)
-    log_zeta = params.R * (lse_u - ld)
-    terms = log_z_terms_arr(t, x, params, table)
-    log_z = lse_terms(terms)
-    log_zj = [lse_terms(terms, table.parts[:, j] / params.R) for j in range(params.n_agents)]
-    log_s = (1 - params.R) * ld - log_zeta + log_z
-    return np.stack([params.R * lse_u, log_zeta, log_z, log_s, *log_zj], axis=-1)
-
-
 def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dict:
     """Every `EvaluatedSeries` field but the grid, at broadcast (t, x).
 
@@ -286,7 +250,10 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
     against the largest one and reduced against the rows [1, a, b - a^2/2,
     beta, beta a]; by Pascal's rule the beta rows give the wealth shares
     E_Z[beta_j]/R and alpha_tilde^j.  einsum reduces in the same order at
-    one state and along a path, so the two agree to the bit.
+    one state and along a path, so the two agree to the bit.  The entry
+    `log_levels` stacks the logs [log L, log zeta, log Z, log S,
+    log Z^1 .. log Z^J] that the levels are exponentiated from; the
+    finite-difference oracle differentiates every column in one stencil.
     """
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     r_curv, sigma, n_agents = params.R, params.sigma, params.n_agents
@@ -316,6 +283,7 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
     share = z_beta / (r_curv * total[..., None])
     with np.errstate(divide="ignore", invalid="ignore"):
         log_zj_rel = np.log(z_beta / r_curv)  # log Z^j - top
+        log_zj = top[..., None] + log_zj_rel
         at_agents = a0 + sums[..., 3 + n_agents :] / z_beta
 
     # a share below tiny/eps has lost bits to underflowed terms: redo that
@@ -326,7 +294,8 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
             with np.errstate(divide="ignore"):
                 sub = log_z_terms_arr(t[nodes], x[nodes], params, table) + np.log(beta[j])
             lse_j = lse_terms(sub)
-            log_zj_rel[..., j][nodes] = lse_j - np.log(r_curv) - top[nodes]
+            log_zj[..., j][nodes] = lse_j - np.log(r_curv)
+            log_zj_rel[..., j][nodes] = log_zj[..., j][nodes] - top[nodes]
             share[..., j][nodes] = np.exp(log_zj_rel[..., j][nodes] - np.log(total[nodes]))
             weights = np.exp(sub - lse_j[..., None])
             at_agents[..., j][nodes] = a0 + np.einsum("...m,m->...", weights, a - a0)
@@ -335,7 +304,6 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
         rho_bar
         + r_curv * sigma * (params.alpha_star + alpha_bar)
         - sigma**2 * r_curv * (r_curv + 1) / 2
-        + _RATE_BIAS
     )
     vol = sigma + alpha_tilde - alpha_bar
     drift = (
@@ -350,12 +318,13 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
     # inf portfolios; EvaluatedSeries rejects them, while the coefficient
     # views stay usable at that state.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_s = prefactor + log_z
         return dict(
             t=t,
             x=x,
             dividend=np.exp(log_delta),
             zeta=np.exp(log_zeta),
-            stock_price=np.exp(prefactor + log_z),
+            stock_price=np.exp(log_s),
             pd_ratio=np.exp(log_z - r_curv * lse_u),
             alpha_bar=alpha_bar,
             rho_bar=rho_bar,
@@ -370,6 +339,9 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
             wealths=np.exp((prefactor + top)[..., None] + log_zj_rel),
             alpha_tilde_agents=at_agents,
             portfolios=share * ((sigma + at_agents - alpha_bar[..., None]) / vol[..., None]),
+            log_levels=np.concatenate(
+                [np.stack([r_curv * lse_u, log_zeta, log_z, log_s], axis=-1), log_zj], axis=-1
+            ),
         )
 
 

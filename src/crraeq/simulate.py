@@ -53,8 +53,10 @@ from .multiindex import DEFAULT_COMPOSITION_CAP
 
 DEFAULT_STEPS_PER_UNIT_TIME = 1024
 TRUNCATION_FRACTION = 0.1
-# path grids share the composition table's cap on materialised entries
+# path grids and Monte Carlo path counts share the composition table's cap
+# on materialised entries
 _MAX_GRID_NODES = DEFAULT_COMPOSITION_CAP
+MAX_PATHS = DEFAULT_COMPOSITION_CAP
 # nodes per agent slab of one Monte Carlo block (512 KiB of float64)
 _BLOCK_ELEMENTS = 1 << 16
 
@@ -189,10 +191,12 @@ def truncation_tails(
     if span <= 0:
         raise ValueError("horizon must exceed the state time")
     terms = equilibrium.log_z_terms_arr(state.t, state.x, params, table) - table.d_values * span
-    # agent j's sum weights the Z terms by beta_j / R (Pascal's rule)
-    weights = [table.parts[:, j] / params.R for j in range(params.n_agents)] + [None]
-    log_tail_sums = np.array([equilibrium.lse_terms(terms, w) for w in weights])
-    log_zeta = equilibrium.log_levels(state.t, state.x, params, table)[1]
+    # agent j's sum weights the Z terms by beta_j / R (Pascal's rule): rows
+    # of log-weighted terms, one per agent, then the stock's plain terms
+    with np.errstate(divide="ignore"):
+        rows = np.vstack([terms + np.log(table.parts.T / params.R), terms])
+    log_tail_sums = equilibrium.lse_terms(rows)
+    log_zeta = equilibrium.evaluate_fields(state.t, state.x, params, table)["log_levels"][1]
     ld = log_dividend(state.t, state.x, params)
     return np.exp((1 - params.R) * ld - log_zeta + log_tail_sums).tolist()
 
@@ -248,6 +252,14 @@ def _path_blocks(grid: PathGrid, x0: float, n_paths: int, seed: int, params: Eco
         yield rows, x, u, equilibrium.lse_agents(u, axis=0), log_dividend(t[None, :], x, params)
 
 
+def _check_path_count(n_paths: int) -> None:
+    """Reject a path count before any per-path array is allocated."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be positive")
+    if n_paths > MAX_PATHS:
+        raise ValueError(f"n_paths must be at most {MAX_PATHS}, got {n_paths}")
+
+
 def _trapezoid_weights(grid: PathGrid) -> np.ndarray:
     weights = np.full(grid.n_steps + 1, grid.dt)
     weights[0] = weights[-1] = grid.dt / 2
@@ -299,8 +311,7 @@ def mc_oracles(
     checks of the closed forms.  Every truncation tail is checked, agents
     first, before any path is drawn.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
+    _check_path_count(n_paths)
     grid = _resolve_grid(state.t, horizon, n_steps, table)
     fields = equilibrium.evaluate_fields(state.t, state.x, params, table)
     closed = [float(w) for w in fields["wealths"]] + [float(fields["stock_price"])]
@@ -341,8 +352,7 @@ def martingale_check(
 
     The identity is exact for every horizon, so truncation_bound is zero.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
+    _check_path_count(n_paths)
     grid = _resolve_grid(0.0, horizon, n_steps, table)
     s0 = MarketState(0.0, x0)
     fields = equilibrium.evaluate_fields(s0.t, s0.x, params, table)
@@ -361,8 +371,8 @@ def martingale_check(
     step = max(1, _BLOCK_ELEMENTS // len(table.parts))
     for lo in range(0, n_paths, step):
         rows = slice(lo, lo + step)
-        log_z = equilibrium.log_levels(t_end, x_end[rows], params, table)[:, 2]
-        values[rows] += np.exp(ld_end[rows] + log_z)
+        levels = equilibrium.evaluate_fields(t_end, x_end[rows], params, table)["log_levels"]
+        values[rows] += np.exp(ld_end[rows] + levels[:, 2])
     return _report(values, closed, 0.0)
 
 
@@ -386,9 +396,8 @@ def realized_vol_check(
     res = []
     for path in simulate_paths(grid, x0, n_paths, seed):
         t, x = grid.times(), path.x_values
-        log_s = equilibrium.log_levels(t, x, params, table)[:, 3]
         fields = equilibrium.evaluate_fields(t, x, params, table)
-        vol, drift = fields["vol"], fields["drift"]
+        log_s, vol, drift = fields["log_levels"][:, 3], fields["vol"], fields["drift"]
         d_log_s = np.diff(log_s)
         expected = (drift[:-1] - 0.5 * vol[:-1] ** 2) * grid.dt
         res.append((d_log_s - expected) / (vol[:-1] * math.sqrt(grid.dt)))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import crraeq.cli
+from crraeq.calibrate import CalibrationTarget, solve_gamma
 from crraeq.cli import FD_TOL, _CSV_BLOCK_ROWS, _fd_errors, _write_csv_rows, main
 from crraeq.model import MarketState, economy_from_dict, validate
 
@@ -263,6 +264,7 @@ def test_simulate_reproducible_across_runs_and_workers(tmp_path):
         ("simulate", "--horizon", "1e306", "--out", "x.csv"),
         ("simulate", "--horizon", "1e12", "--out", "x.csv"),
         ("simulate", "--steps", "1000000000000", "--out", "x.csv"),
+        ("verify", "--paths", "1000000000000"),
     ],
 )
 def test_bad_flags_exit_2_before_the_economy_is_loaded(tmp_path, monkeypatch, argv):
@@ -351,19 +353,27 @@ def test_verify_clearing_three_agents(tmp_path):
     assert json.loads(out)["pass"] is True
 
 
-def test_verify_fault_injection_names_the_rate(tmp_path):
+def test_verify_fault_injection_names_the_rate(tmp_path, monkeypatch):
+    # a closed-form rate off by 1e-3 while every log level stays exact:
+    # the fd suite must flag the rate and nothing else
+    real_fields = crraeq.cli.evaluate_fields
+
+    def biased_rate(*args):
+        fields = real_fields(*args)
+        fields["riskless_rate"] = fields["riskless_rate"] + 1e-3
+        return fields
+
+    monkeypatch.setattr(crraeq.cli, "evaluate_fields", biased_rate)
     cfg = write_config(tmp_path, BENCH)
-    res = run_proc(
-        ["verify", cfg, "--suite", "fd"], env={"CRRAEQ_INJECT_RATE_BIAS": "1e-3"}
-    )
-    assert res.returncode == 1
-    rep = json.loads(res.stdout)
+    code, out, err = run_cli("verify", cfg, "--suite", "fd")
+    assert code == 1
+    rep = json.loads(out)
     assert rep["pass"] is False
     failing = [
         c["quantity"] for s in rep["suites"] for c in s["checks"] if not c["pass"]
     ]
     assert failing == ["riskless_rate"]
-    assert "riskless_rate" in res.stderr
+    assert "riskless_rate" in err
 
 
 def test_calibrate_trivial_and_symmetric(tmp_path):
@@ -387,6 +397,27 @@ def test_calibrate_achieves_targets(tmp_path):
     rep = json.loads(out)
     np.testing.assert_allclose(rep["achieved_shares"], [0.3, 0.7], atol=1e-11)
     assert abs(sum(rep["gamma"])) < 1e-12
+
+
+def test_calibrate_validates_once(tmp_path, monkeypatch):
+    calls = []
+    real_validate = crraeq.cli.validate
+
+    def counting_validate(params):
+        calls.append(params)
+        return real_validate(params)
+
+    monkeypatch.setattr(crraeq.cli, "validate", counting_validate)
+    monkeypatch.setattr(crraeq.calibrate, "validate", counting_validate)
+    cfg = write_config(tmp_path, TRIO)
+    code, out, _ = run_cli("calibrate", cfg, "--shares", "0.2,0.5,0.3")
+    assert code == 0
+    assert len(calls) == 1
+    # the same gamma, to the bit, as the library solve that validates for itself
+    params = economy_from_dict(TRIO)
+    target = CalibrationTarget((0.2, 0.5, 0.3))
+    assert json.loads(out)["gamma"] == solve_gamma(params, target).tolist()
+    assert len(calls) == 2
 
 
 def test_calibrate_bad_shares_exit_2(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ import crraeq.simulate
 from conftest import draw_economy
 from crraeq.dynamics import DegenerateStockVolatility, rate_bundle, stock_dynamics
 from crraeq.equilibrium import (
-    log_levels,
+    evaluate_fields,
     log_z_terms_arr,
     snapshot,
     state_price_density,
@@ -17,6 +17,7 @@ from crraeq.equilibrium import (
 )
 from crraeq.model import Agent, EconomyParams, MarketState, dividend, validate
 from crraeq.simulate import (
+    MAX_PATHS,
     OracleReport,
     PathGrid,
     TruncationTooLoose,
@@ -129,6 +130,9 @@ def test_series_matches_pointwise_snapshot():
             assert ser.snapshot_at(k) == snapshot(
                 MarketState(float(ser.t[k]), float(ser.x[k])), p, tab
             )
+            # snapshot_at does not carry the log levels: the one-state kernel call
+            one = evaluate_fields(float(ser.t[k]), float(ser.x[k]), p, tab)["log_levels"]
+            np.testing.assert_array_equal(ser.log_levels[k], one, strict=True)
 
 
 def test_series_clearing_and_equivariance():
@@ -317,16 +321,22 @@ def test_truncation_tails_are_the_weighted_tail_sums():
     lambda p, tab, n: mc_oracles(S0, p, tab, n_paths=n, horizon=5.0, n_steps=20),
     lambda p, tab, n: martingale_check(p, tab, n_paths=n, horizon=1.0, n_steps=20),
 ], ids=["mc_oracles", "martingale_check"])
-@pytest.mark.parametrize("n_paths", [0, -3])
+@pytest.mark.parametrize("n_paths", [0, -3, MAX_PATHS + 1])
 def test_oracles_reject_nonpositive_path_counts(monkeypatch, oracle, n_paths):
+    # and counts over the cap, before their per-path arrays are allocated
     p = two_agent()
     tab = validate(p)
 
     def no_draws(seed, path_index):
         raise AssertionError("paths drawn before the path count was checked")
 
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("per-path arrays allocated before the path count was checked")
+
     monkeypatch.setattr(crraeq.simulate, "path_generator", no_draws)
-    with pytest.raises(ValueError, match="^n_paths must be positive$"):
+    monkeypatch.setattr(crraeq.simulate.np, "empty", no_arrays)
+    message = "positive$" if n_paths < 1 else f"at most {MAX_PATHS}, got {n_paths}$"
+    with pytest.raises(ValueError, match="^n_paths must be " + message):
         oracle(p, tab, n_paths)
 
 
@@ -419,7 +429,7 @@ def test_fd_engine_one_batched_call_matches_pointwise_stencil():
     rng = np.random.default_rng(535)
     for _ in range(3):
         p, tab = draw_economy(rng, max_agents=3, max_r=4)
-        levels = lambda t, x: log_levels(t, x, p, tab)
+        levels = lambda t, x: evaluate_fields(t, x, p, tab)["log_levels"]
         for _ in range(3):
             st = MarketState(float(rng.uniform(0.2, 5.0)), float(rng.uniform(-2, 2)))
             for steps in ({}, dict(dx=2e-2, dt=1e-3, richardson=True)):
@@ -449,7 +459,7 @@ def test_fd_matches_first_order_coefficients():
             rb = rate_bundle(st, p, tab)
             sd = stock_dynamics(st, p, tab)
             lbar_x, zeta_x, _, s_x, *zj_x = fd_engine(
-                lambda t, x: log_levels(t, x, p, tab), st
+                lambda t, x: evaluate_fields(t, x, p, tab)["log_levels"], st
             )[1]
             np.testing.assert_allclose(lbar_x, rb.alpha_bar, rtol=1e-5, atol=1e-9)
             np.testing.assert_allclose(-zeta_x, rb.kappa, rtol=1e-5)
@@ -474,7 +484,8 @@ def test_fd_matches_second_order_coefficients():
             sd = stock_dynamics(st, p, tab)
 
             f_t, f_x, f_xx = fd_engine(
-                lambda t, x: log_levels(t, x, p, tab), st, dx=2e-2, dt=1e-3, richardson=True
+                lambda t, x: evaluate_fields(t, x, p, tab)["log_levels"],
+                st, dx=2e-2, dt=1e-3, richardson=True,
             )
             gen_l, gen_zeta, _, gen_s = (f_t + 0.5 * (f_xx + f_x**2))[:4]
             np.testing.assert_allclose(-gen_zeta, rb.riskless_rate, rtol=1e-5, atol=1e-8)
