@@ -11,12 +11,15 @@ The iteration is a damped fixed point
     gamma_j <- gamma_j + 0.5 R log(current share_j / target share_j)
 
 motivated by the single-composition limit where share_j is proportional
-to exp(-gamma_j / R) at the initial state.  If progress stalls, a
-finite-difference Newton step on the share map (restricted to the
-zero-sum subspace) takes over.  Each share map evaluation is one pass
-over the level-R Z terms: by Pascal's rule share_j = E_Z[beta_j] / R.
-The composition table does not involve gamma, so the economy is
-validated once and every iterate is evaluated on that one table.
+to exp(-gamma_j / R) at the initial state.  If progress stalls, a Newton
+step takes over.  Each share map evaluation is one pass over the level-R
+Z terms: by Pascal's rule share_j = E_Z[beta_j] / R, and its Jacobian is
+exactly -Cov_Z(beta / R), which needs one more pass and no finite
+difference.  The covariance annihilates a common shift of gamma, so its
+minimum-norm Newton step sums to zero.  Every iterate's shares are
+computed once.  The composition table does not involve gamma, so the
+economy is validated once and every iterate is evaluated on that one
+table.
 """
 
 from __future__ import annotations
@@ -59,20 +62,26 @@ class CalibrationTarget:
             raise ValueError(f"shares must sum to 1, got sum {sum(self.shares)!r}")
 
 
+def _z_weights(
+    params: EconomyParams, table: DenominatorTable, state: MarketState
+) -> np.ndarray:
+    """The probabilities of E_Z: the level-R Z terms normalised to sum to one."""
+    terms = equilibrium.log_z_terms_arr(state.t, state.x, params, table)
+    # scipy.special.softmax's two lines, so their bits are its bits
+    weights = np.exp(terms - terms.max())
+    return weights / weights.sum(keepdims=True)
+
+
 def wealth_shares(
     params: EconomyParams, table: DenominatorTable, state: MarketState
 ) -> np.ndarray:
     """w^j/S = E_Z[beta_j]/R at a state (Pascal's rule).
 
     The delta and zeta prefactors cancel in the ratio, so the shares are
-    the Z-weighted mean of the compositions over R.
+    the Z-weighted mean of the compositions over R.  einsum sums in one
+    fixed order, where a BLAS product's bits vary with its thread count.
     """
-    terms = equilibrium.log_z_terms_arr(state.t, state.x, params, table)
-    # the weights are scipy.special.softmax's two lines, so their bits are
-    # its bits; einsum sums them against the compositions in one fixed
-    # order, where a BLAS product's bits vary with its thread count
-    weights = np.exp(terms - terms.max())
-    return np.einsum("m,mj->j", weights / weights.sum(keepdims=True), table.parts) / params.R
+    return np.einsum("m,mj->j", _z_weights(params, table, state), table.parts) / params.R
 
 
 def solve_gamma(
@@ -100,21 +109,19 @@ def solve_gamma_on_table(
     j = params.n_agents
     if len(target.shares) != j:
         raise ValueError(f"need {j} target shares, got {len(target.shares)}")
-    if j == 1:
-        return np.zeros(1)
 
     def shares_at(g):
         return wealth_shares(params.with_gammas(g), table, target.state)
 
     tgt = np.array(target.shares)
     gamma = np.zeros(j)
+    shares = shares_at(gamma)
     r_curv = params.R
     best = math.inf
     stall = 0
     residual = math.inf
 
     for _ in range(max_iter):
-        shares = shares_at(gamma)
         residual = float(np.max(np.abs(shares - tgt)))
         if residual <= tol:
             return gamma - gamma.mean()
@@ -125,7 +132,7 @@ def solve_gamma_on_table(
             stall += 1
 
         if stall >= 4:
-            step = _newton_step(shares_at, gamma, shares, tgt)
+            step = _newton_step(params.with_gammas(gamma), table, target.state, shares, tgt)
             stall = 0
         else:
             step = 0.5 * r_curv * np.log(shares / tgt)
@@ -138,23 +145,19 @@ def solve_gamma_on_table(
             if float(np.max(np.abs(new_shares - tgt))) < residual:
                 break
             step = step / 2
-        gamma = candidate
+        gamma, shares = candidate, new_shares
 
     raise NoConvergence(max_iter, residual)
 
 
-def _newton_step(shares_at, gamma, shares, tgt):
-    """Least-squares Newton direction on the zero-sum subspace."""
-    j = len(gamma)
-    basis = np.zeros((j, j - 1))
-    for k in range(j - 1):
-        basis[k, k] = 1.0
-        basis[-1, k] = -1.0
-    h = 1e-6
-    jac = np.empty((j, j - 1))
-    for k in range(j - 1):
-        up = shares_at(gamma + h * basis[:, k])
-        dn = shares_at(gamma - h * basis[:, k])
-        jac[:, k] = (up - dn) / (2 * h)
-    coeff, *_ = np.linalg.lstsq(jac, tgt - shares, rcond=None)
-    return basis @ coeff
+def _newton_step(params, table, state, shares, tgt):
+    """Minimum-norm Newton step from the exact Jacobian -Cov_Z(beta / R).
+
+    shares is E_Z[beta / R] at params' gamma, so it centres the
+    compositions.  A common shift of gamma is in the covariance's null
+    space, and the minimum-norm solution is orthogonal to it.
+    """
+    centred = table.parts / params.R - shares
+    cov = np.einsum("m,mj,mk->jk", _z_weights(params, table, state), centred, centred)
+    step, *_ = np.linalg.lstsq(cov, shares - tgt, rcond=None)
+    return step

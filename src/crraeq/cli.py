@@ -256,48 +256,32 @@ def _check(name: str, value: float, threshold: float) -> dict:
 def _suite_clearing(params, table, seed: int, n_paths: int) -> dict:
     """Market clearing and pricing identities at randomized states."""
     rng = np.random.default_rng(seed)
-    names = (
-        "consumption_clearing",
-        "wealth_aggregation",
-        "portfolio_sum",
-        "bond_clearing",
-        "pd_identity",
-        "risk_premium",
-    )
-    worst = dict.fromkeys(names, 0.0)
+    snaps = []
     for _ in range(N_SUITE_STATES):
         st = MarketState(float(rng.uniform(0.0, 10.0)), float(rng.uniform(-5.0, 5.0)))
-        snap = snapshot(st, params, table)
-        s, delta = snap.stock_price, snap.dividend
-        worst["consumption_clearing"] = max(
-            worst["consumption_clearing"],
-            abs(math.fsum(snap.consumptions) - delta) / delta,
-        )
-        worst["wealth_aggregation"] = max(
-            worst["wealth_aggregation"], abs(math.fsum(snap.wealths) - s) / s
-        )
-        worst["portfolio_sum"] = max(
-            worst["portfolio_sum"], abs(math.fsum(snap.portfolios) - 1.0)
-        )
-        bond = math.fsum(
-            w - pi * s for w, pi in zip(snap.wealths, snap.portfolios)
-        )
-        worst["bond_clearing"] = max(worst["bond_clearing"], abs(bond) / s)
-        worst["pd_identity"] = max(
-            worst["pd_identity"], abs(snap.pd_ratio - s / delta) / snap.pd_ratio
-        )
-        lhs = snap.stock.drift + delta / s - snap.rates.riskless_rate
-        rhs = snap.rates.kappa * snap.stock.vol
-        worst["risk_premium"] = max(
-            worst["risk_premium"], _rel(lhs, rhs, IDENTITY_REL_FLOOR)
-        )
+        snaps.append(snapshot(st, params, table))
+    identities = (  # (quantity, tolerance, its error at one snapshot)
+        ("consumption_clearing", CONSUMPTION_TOL,
+         lambda snap: abs(math.fsum(snap.consumptions) - snap.dividend) / snap.dividend),
+        ("wealth_aggregation", IDENTITY_TOL,
+         lambda snap: abs(math.fsum(snap.wealths) - snap.stock_price) / snap.stock_price),
+        ("portfolio_sum", IDENTITY_TOL, lambda snap: abs(math.fsum(snap.portfolios) - 1.0)),
+        ("bond_clearing", IDENTITY_TOL, lambda snap: abs(math.fsum(
+            w - pi * snap.stock_price for w, pi in zip(snap.wealths, snap.portfolios)
+        )) / snap.stock_price),
+        ("pd_identity", IDENTITY_TOL,
+         lambda snap: abs(snap.pd_ratio - snap.stock_price / snap.dividend) / snap.pd_ratio),
+        ("risk_premium", RISK_PREMIUM_TOL, lambda snap: _rel(
+            snap.stock.drift + snap.dividend / snap.stock_price - snap.rates.riskless_rate,
+            snap.rates.kappa * snap.stock.vol,
+            IDENTITY_REL_FLOOR,
+        )),
+    )
+    # max(0.0, *errors) is the running max from 0.0: it keeps the first of
+    # equal values and passes over NaN
     checks = [
-        _check("consumption_clearing", worst["consumption_clearing"], CONSUMPTION_TOL),
-        _check("wealth_aggregation", worst["wealth_aggregation"], IDENTITY_TOL),
-        _check("portfolio_sum", worst["portfolio_sum"], IDENTITY_TOL),
-        _check("bond_clearing", worst["bond_clearing"], IDENTITY_TOL),
-        _check("pd_identity", worst["pd_identity"], IDENTITY_TOL),
-        _check("risk_premium", worst["risk_premium"], RISK_PREMIUM_TOL),
+        _check(name, max(0.0, *(error(snap) for snap in snaps)), tol)
+        for name, tol, error in identities
     ]
     return {
         "suite": "clearing",

@@ -228,6 +228,15 @@ def agent_log_terms_arr(t, x, params: EconomyParams) -> np.ndarray:
     return (alpha * x - decay * t - params.gamma_vec) / params.R
 
 
+def _clearing_logs(t, x, params: EconomyParams):
+    """(u, lse u, log delta) at (t, x): the O(J) market-clearing side.
+
+    log zeta = R (lse u - log delta), and log c^j = log delta + u_j - lse u.
+    """
+    u = agent_log_terms_arr(t, x, params)
+    return u, lse_agents(u), log_dividend(t, x, params)
+
+
 def log_z_terms_arr(t, x, params: EconomyParams, table: DenominatorTable) -> np.ndarray:
     """Log of each |beta|=R term of Z_t: logC - log D + a x - g - b t, shape (..., M).
 
@@ -258,9 +267,7 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     r_curv, sigma, n_agents = params.R, params.sigma, params.n_agents
 
-    u = agent_log_terms_arr(t, x, params)
-    lse_u = lse_agents(u)
-    log_delta = log_dividend(t, x, params)
+    u, lse_u, log_delta = _clearing_logs(t, x, params)
     log_zeta = r_curv * (lse_u - log_delta)
     log_c = log_delta[..., None] + u - lse_u[..., None]
     p = np.exp(u - lse_u[..., None])
@@ -350,8 +357,8 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
 
 def state_price_density(state: MarketState, params: EconomyParams) -> float:
     """zeta_t, evaluated in log-space."""
-    u = agent_log_terms_arr(state.t, state.x, params)
-    return float(np.exp(params.R * (lse_agents(u) - log_dividend(state.t, state.x, params))))
+    _, lse_u, log_delta = _clearing_logs(state.t, state.x, params)
+    return float(np.exp(params.R * (lse_u - log_delta)))
 
 
 def consumption(state: MarketState, params: EconomyParams, j: int) -> float:
@@ -366,8 +373,8 @@ def consumptions(state: MarketState, params: EconomyParams) -> tuple[float, ...]
     share at an extreme state underflows only if c^j itself is below the
     float range, not because share * delta rounds to zero.
     """
-    u = agent_log_terms_arr(state.t, state.x, params)
-    log_c = log_dividend(state.t, state.x, params) + u - lse_agents(u)
+    u, lse_u, log_delta = _clearing_logs(state.t, state.x, params)
+    log_c = log_delta + u - lse_u
     return tuple(float(v) for v in np.exp(log_c))
 
 

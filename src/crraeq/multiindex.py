@@ -37,9 +37,7 @@ def composition_count(j: int, k: int) -> int:
     return math.comb(k + j - 1, j - 1)
 
 
-def enumerate_compositions(
-    j: int, k: int, cap: int = DEFAULT_COMPOSITION_CAP
-) -> np.ndarray:
+def enumerate_compositions(j: int, k: int) -> np.ndarray:
     """All compositions of k into j nonnegative parts, lexicographically descending.
 
     Returns an (M, j) int64 array with one composition per row.  Stars and
@@ -49,15 +47,16 @@ def enumerate_compositions(
     reversed `itertools.combinations` listing is the descending one.  The
     order is fixed so that any downstream output built from the table is
     reproducible byte for byte.  Raises CompositionCapExceeded, before
-    allocating, when the array would hold more than `cap` entries.
+    allocating, when the array would hold more than DEFAULT_COMPOSITION_CAP
+    entries.
     """
     if j < 1:
         raise ValueError(f"need at least one part, got j={j}")
     if k < 0:
         raise ValueError(f"order must be nonnegative, got k={k}")
     count = composition_count(j, k)
-    if count * j > cap:
-        raise CompositionCapExceeded(j, k, count, cap)
+    if count * j > DEFAULT_COMPOSITION_CAP:
+        raise CompositionCapExceeded(j, k, count, DEFAULT_COMPOSITION_CAP)
 
     slots = k + j - 1
     bars = np.fromiter(

@@ -155,8 +155,7 @@ def simulate_paths(
     grid: PathGrid, x0: float, n_paths: int, seed: int
 ) -> list[SimulatedPath]:
     """Exact Brownian paths 0..n_paths-1 of X from x0; deterministic given seed."""
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
+    _check_path_count(n_paths)
     return [simulate_path(grid, x0, seed, i) for i in range(n_paths)]
 
 
@@ -196,8 +195,8 @@ def truncation_tails(
     with np.errstate(divide="ignore"):
         rows = np.vstack([terms + np.log(table.parts.T / params.R), terms])
     log_tail_sums = equilibrium.lse_terms(rows)
-    log_zeta = equilibrium.evaluate_fields(state.t, state.x, params, table)["log_levels"][1]
-    ld = log_dividend(state.t, state.x, params)
+    _, lse_u, ld = equilibrium._clearing_logs(state.t, state.x, params)
+    log_zeta = params.R * (lse_u - ld)
     return np.exp((1 - params.R) * ld - log_zeta + log_tail_sums).tolist()
 
 

@@ -159,3 +159,103 @@ def test_wealth_shares_bytes_do_not_depend_on_blas_threads():
         assert res.returncode == 0, res.stderr
         outs.append(res.stdout)
     assert outs[0] == outs[1]
+
+
+def ladder(r, j):
+    """The R, J economy with rho_k = 0.8 + 0.05 k and alpha spread over [-0.2, 0.2]."""
+    agents = tuple(Agent(0.8 + 0.05 * (k + 1), -0.2 + 0.4 * k / (j - 1), 0.0) for k in range(j))
+    return EconomyParams(R=r, sigma=0.1, alpha_star=0.0, delta0=1.0, agents=agents)
+
+
+def shares_one_to_j(j):
+    total = j * (j + 1) // 2
+    return CalibrationTarget(tuple(k / total for k in range(1, j + 1)))
+
+
+def test_solver_evaluates_each_gamma_once(monkeypatch):
+    seen = []
+    real_shares = crraeq.calibrate.wealth_shares
+
+    def recording_shares(params, table, state):
+        seen.append(params.gamma_vec.tobytes())
+        return real_shares(params, table, state)
+
+    monkeypatch.setattr(crraeq.calibrate, "wealth_shares", recording_shares)
+    solve_gamma(ladder(7, 7), shares_one_to_j(7))
+    assert seen and len(set(seen)) == len(seen)
+
+
+def test_exact_share_jacobian_matches_central_differences():
+    # the share map's Jacobian is -Cov_Z(beta / R); the oracle is central
+    # differences of wealth_shares along each gamma_k
+    rng = np.random.default_rng(5)
+    h = 1e-6
+    checked = 0
+    while checked < 4:
+        p, tab = draw_economy(rng, max_agents=5)
+        if p.n_agents == 1:
+            continue
+        p = p.with_gammas(rng.uniform(-2.0, 2.0, p.n_agents))
+        shares = wealth_shares(p, tab, S0)
+        fd = np.empty((p.n_agents, p.n_agents))
+        for k in range(p.n_agents):
+            bump = np.zeros(p.n_agents)
+            bump[k] = h
+            up = wealth_shares(p.with_gammas(p.gamma_vec + bump), tab, S0)
+            down = wealth_shares(p.with_gammas(p.gamma_vec - bump), tab, S0)
+            fd[:, k] = (up - down) / (2 * h)
+        weights = crraeq.calibrate._z_weights(p, tab, S0)
+        centred = tab.parts / p.R - shares
+        exact = -np.einsum("m,mj,mk->jk", weights, centred, centred)
+        np.testing.assert_allclose(exact, fd, rtol=0, atol=1e-8)
+        # the Newton step solves the linearised equation and sums to zero
+        raw = rng.uniform(0.5, 2.0, p.n_agents)
+        tgt = raw / raw.sum()
+        step = crraeq.calibrate._newton_step(p, tab, S0, shares, tgt)
+        scale = max(1.0, np.abs(step).max())
+        np.testing.assert_allclose(fd @ step, tgt - shares, rtol=0, atol=1e-8 * scale)
+        assert abs(step.sum()) <= 1e-10 * scale
+        checked += 1
+
+
+def test_fallback_economy_converges(monkeypatch):
+    # the damped step stalls here, so the Newton fallback has to finish the solve
+    newton_steps = []
+    real_step = crraeq.calibrate._newton_step
+
+    def counting_step(*args):
+        newton_steps.append(args)
+        return real_step(*args)
+
+    monkeypatch.setattr(crraeq.calibrate, "_newton_step", counting_step)
+    rho_alpha = ((0.4625, 0.9811), (0.5152, 0.2663), (0.4818, 0.5146),
+                 (0.1477, -0.09442), (0.5167, -0.9826))
+    p = EconomyParams(
+        R=7, sigma=0.06914, alpha_star=0.001891, delta0=1.0,
+        agents=tuple(Agent(rho, alpha, 0.0) for rho, alpha in rho_alpha),
+    )
+    tgt = CalibrationTarget((0.03006, 0.01265, 0.1961, 0.001338, 0.759852))
+    gamma = solve_gamma(p, tgt, tol=1e-10)
+    assert newton_steps
+    calibrated = p.with_gammas(gamma)
+    shares = wealth_shares(calibrated, validate(calibrated), S0)
+    assert np.max(np.abs(shares - tgt.shares)) <= 1e-10
+
+
+@pytest.mark.parametrize("params, want", [
+    (
+        EconomyParams(
+            R=3, sigma=0.08, alpha_star=0.02, delta0=1.0,
+            agents=(Agent(0.25, 0.12, 0.1), Agent(0.25, 0.0, 0.0), Agent(0.25, -0.12, -0.1)),
+        ),
+        ("0x1.b050a7792abdep+0", "-0x1.19ae048b102e6p-2", "-0x1.69e5265666b24p+0"),
+    ),
+    (
+        ladder(4, 4),
+        ("0x1.a7b9cd22f87f5p+1", "0x1.d51136a3f85dep-2", "-0x1.41a84d26742e6p+0",
+         "-0x1.4187cd643d73ep+1"),
+    ),
+], ids=["trio", "ladder_r4j4"])
+def test_gamma_bits_are_pinned(params, want):
+    gamma = solve_gamma(params, shares_one_to_j(params.n_agents))
+    assert tuple(float(g).hex() for g in gamma) == want

@@ -320,10 +320,11 @@ def test_truncation_tails_are_the_weighted_tail_sums():
 @pytest.mark.parametrize("oracle", [
     lambda p, tab, n: mc_oracles(S0, p, tab, n_paths=n, horizon=5.0, n_steps=20),
     lambda p, tab, n: martingale_check(p, tab, n_paths=n, horizon=1.0, n_steps=20),
-], ids=["mc_oracles", "martingale_check"])
+    lambda p, tab, n: simulate_paths(PathGrid(0.0, 1.0, 20), 0.0, n, seed=0),
+], ids=["mc_oracles", "martingale_check", "simulate_paths"])
 @pytest.mark.parametrize("n_paths", [0, -3, MAX_PATHS + 1])
 def test_oracles_reject_nonpositive_path_counts(monkeypatch, oracle, n_paths):
-    # and counts over the cap, before their per-path arrays are allocated
+    # and counts over the cap, before any path is drawn or per-path array allocated
     p = two_agent()
     tab = validate(p)
 
