@@ -27,26 +27,8 @@ from .multiindex import (
     enumerate_compositions,
     log_multinomial_coefficient,
 )
-from .equilibrium import (
-    EquilibriumSnapshot,
-    consumption,
-    consumptions,
-    pd_ratio,
-    snapshot,
-    state_price_density,
-    stock_price,
-    wealth,
-    wealths,
-)
-from .dynamics import (
-    DegenerateStockVolatility,
-    RateBundle,
-    StockDynamics,
-    agent_dynamics,
-    portfolio,
-    rate_bundle,
-    stock_dynamics,
-)
+from .equilibrium import EquilibriumSnapshot, consumptions, snapshot, state_price_density
+from .dynamics import DegenerateStockVolatility, RateBundle, StockDynamics
 
 __all__ = [
     "Agent",
@@ -61,25 +43,16 @@ __all__ = [
     "NonpositiveDenominator",
     "RateBundle",
     "StockDynamics",
-    "agent_dynamics",
     "composition_count",
-    "consumption",
     "consumptions",
     "dividend",
     "economy_from_dict",
     "enumerate_compositions",
     "lambda_j",
     "log_multinomial_coefficient",
-    "pd_ratio",
-    "portfolio",
-    "rate_bundle",
     "snapshot",
     "state_price_density",
-    "stock_dynamics",
-    "stock_price",
     "validate",
-    "wealth",
-    "wealths",
 ]
 
 __version__ = "0.1.0"

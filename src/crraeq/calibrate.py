@@ -32,6 +32,9 @@ import numpy as np
 from . import equilibrium
 from .model import DenominatorTable, EconomyParams, MarketState, validate
 
+# four ulps of 1, the largest a share can be: a finer tolerance cannot be met
+TOL_FLOOR = 2.0**-50
+
 
 class NoConvergence(Exception):
     """Target shares were not matched within tolerance by max_iter."""
@@ -90,7 +93,7 @@ def solve_gamma(
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> np.ndarray:
-    """gamma with sum zero reproducing the target shares within tol.
+    """gamma with sum zero reproducing the target shares within tol >= TOL_FLOOR.
 
     The gamma values on params are ignored; the solve always starts from
     zero weights.
@@ -109,6 +112,8 @@ def solve_gamma_on_table(
     j = params.n_agents
     if len(target.shares) != j:
         raise ValueError(f"need {j} target shares, got {len(target.shares)}")
+    if not tol >= TOL_FLOOR:
+        raise ValueError(f"tol must be at least 2**-50 (about 8.9e-16), got {tol!r}")
 
     def shares_at(g):
         return wealth_shares(params.with_gammas(g), table, target.state)

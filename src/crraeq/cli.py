@@ -26,7 +26,13 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .calibrate import CalibrationTarget, NoConvergence, solve_gamma_on_table, wealth_shares
+from .calibrate import (
+    TOL_FLOOR,
+    CalibrationTarget,
+    NoConvergence,
+    solve_gamma_on_table,
+    wealth_shares,
+)
 from .equilibrium import evaluate_fields, snapshot
 from .model import (
     ConfigError,
@@ -449,8 +455,8 @@ def _parse_shares(text: str) -> tuple:
 
 def cmd_calibrate(args) -> int:
     target = CalibrationTarget(shares=_parse_shares(args.shares))
-    if not 0.0 < args.tol < math.inf:
-        raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
+    if not TOL_FLOOR <= args.tol < math.inf:
+        raise ConfigError(f"--tol must be finite and at least 2**-50, got {args.tol}")
     params = _load_economy(args.config)
     if len(target.shares) != params.n_agents:
         raise ConfigError(

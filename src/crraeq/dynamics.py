@@ -24,55 +24,16 @@ pi^j = w^j (sigma + alpha_tilde^j - alpha_bar) / (S (sigma + alpha_tilde - alpha
 
 Weighted averages are taken against the largest term, never as ratios
 of separately exponentiated sums, so they stay accurate when the terms
-span hundreds of log-units.  The coefficients are computed, together
-with the levels, by `equilibrium.evaluate_fields`; the functions here
-are its views at one state.
+span hundreds of log-units.  `equilibrium.evaluate_fields` computes the
+coefficients together with the levels; read them at one state from
+`equilibrium.snapshot` (`.rates`, `.stock`, `.alpha_tilde_agents`,
+`.portfolios`) and along a path from `simulate.evaluate_series`.  This
+module holds no code: it re-exports the coefficient records.
 """
 
 from __future__ import annotations
 
-from . import equilibrium
 # re-exported: the coefficient records live with the kernel
 from .equilibrium import DegenerateStockVolatility, RateBundle, StockDynamics
-from .model import DenominatorTable, EconomyParams, MarketState
 
-
-def rate_bundle(
-    state: MarketState, params: EconomyParams, table: DenominatorTable
-) -> RateBundle:
-    """alpha_bar, rho_bar, riskless rate, and market price of risk at a state."""
-    f = equilibrium.evaluate_fields(state.t, state.x, params, table)
-    return RateBundle(
-        alpha_bar=float(f["alpha_bar"]),
-        rho_bar=float(f["rho_bar"]),
-        riskless_rate=float(f["riskless_rate"]),
-        kappa=float(f["kappa"]),
-    )
-
-
-def stock_dynamics(
-    state: MarketState, params: EconomyParams, table: DenominatorTable
-) -> StockDynamics:
-    """alpha_tilde, rho_tilde, stock volatility, and stock drift at a state."""
-    f = equilibrium.evaluate_fields(state.t, state.x, params, table)
-    return StockDynamics(
-        alpha_tilde=float(f["alpha_tilde"]),
-        rho_tilde=float(f["rho_tilde"]),
-        vol=float(f["vol"]),
-        drift=float(f["drift"]),
-    )
-
-
-def agent_dynamics(
-    state: MarketState, params: EconomyParams, table: DenominatorTable, j: int
-) -> float:
-    """alpha_tilde^j, the x-loading of agent j's wealth sum Z^j."""
-    f = equilibrium.evaluate_fields(state.t, state.x, params, table)
-    return float(f["alpha_tilde_agents"][j])
-
-
-def portfolio(
-    state: MarketState, params: EconomyParams, table: DenominatorTable, j: int
-) -> float:
-    """Fraction of the risky asset held by agent j (the pi^j of the budget split)."""
-    return equilibrium.snapshot(state, params, table).portfolios[j]
+__all__ = ["DegenerateStockVolatility", "RateBundle", "StockDynamics"]

@@ -14,8 +14,11 @@ are weighted moments of the same terms (see the dynamics module).  Sums
 are taken in log-space or against their largest term: naive exponentials
 overflow at |x| or t in the hundreds, ordinary states for long paths.
 
-`evaluate_fields` is the one kernel; the series, the snapshot and the
-scalar functions are views of it.
+`evaluate_fields` is the one kernel: `snapshot` is its view at one state
+and `simulate.evaluate_series` its view along a path.  Only the O(J)
+market-clearing side, `state_price_density` and `consumptions`, is
+evaluated without it; that side needs no validated table, so it also
+works where some D(beta) <= 0.
 """
 
 from __future__ import annotations
@@ -84,8 +87,8 @@ class EquilibriumSnapshot:
     wealths: tuple[float, ...]
     stock_price: float
     pd_ratio: float
-    rates: "object"
-    stock: "object"
+    rates: RateBundle
+    stock: StockDynamics
     alpha_tilde_agents: tuple[float, ...]
     portfolios: tuple[float, ...]
 
@@ -166,10 +169,13 @@ def lse_agents(u, axis=-1):
     scipy.special.logsumexp's algorithm: the maximal terms are split out
     (counted as ties), the rest is summed against the maximum and added
     through log1p.  Slabs are summed in agent order, which is the order
-    numpy's reduction takes below 8 terms, so the bits are scipy's; its
-    generic overhead (about 0.1 ms per call) is gone.  Where the maximum
-    is +-inf the result is that maximum, NaN propagates.  Its sibling
-    `lse_terms` sums the long composition axis, with weights.
+    numpy's reduction takes along an outer axis (the agent-major Monte
+    Carlo layout) and along the last axis below 8 terms, so there the bits
+    are scipy's.  Along a last axis of 8 or more agents numpy sums in
+    interleaved partials, and the two differ by rounding, a few 1e-16
+    relative.  scipy's generic overhead (about 0.1 ms per call) is gone.
+    Where the maximum is +-inf the result is that maximum, NaN propagates.
+    Its sibling `lse_terms` sums the long composition axis, with weights.
     """
     slabs = np.moveaxis(np.asarray(u, dtype=float), axis, 0)
     top = np.copy(slabs[0])  # an array even for 0-d slabs, so out= works
@@ -322,8 +328,8 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
     log_z = top + np.log(total)
     prefactor = (1 - r_curv) * log_delta - log_zeta
     # Levels beyond the float range are inf by design.  A vanishing vol gives
-    # inf portfolios; EvaluatedSeries rejects them, while the coefficient
-    # views stay usable at that state.
+    # inf portfolios; EvaluatedSeries rejects them, while the kernel's
+    # coefficients stay usable at that state.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         log_s = prefactor + log_z
         return dict(
@@ -352,18 +358,13 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
         )
 
 
-# --- scalar operations -------------------------------------------------------
+# --- one state -----------------------------------------------------------------
 
 
 def state_price_density(state: MarketState, params: EconomyParams) -> float:
     """zeta_t, evaluated in log-space."""
     _, lse_u, log_delta = _clearing_logs(state.t, state.x, params)
     return float(np.exp(params.R * (lse_u - log_delta)))
-
-
-def consumption(state: MarketState, params: EconomyParams, j: int) -> float:
-    """Agent j's consumption c_t^j = delta_t * (softmax share of agent j)."""
-    return consumptions(state, params)[j]
 
 
 def consumptions(state: MarketState, params: EconomyParams) -> tuple[float, ...]:
@@ -376,34 +377,6 @@ def consumptions(state: MarketState, params: EconomyParams) -> tuple[float, ...]
     u, lse_u, log_delta = _clearing_logs(state.t, state.x, params)
     log_c = log_delta + u - lse_u
     return tuple(float(v) for v in np.exp(log_c))
-
-
-def wealth(
-    state: MarketState, params: EconomyParams, table: DenominatorTable, j: int
-) -> float:
-    """Agent j's wealth: delta^{1-R} zeta^{-1} times the composition sum of R-1."""
-    return float(evaluate_fields(state.t, state.x, params, table)["wealths"][j])
-
-
-def wealths(
-    state: MarketState, params: EconomyParams, table: DenominatorTable
-) -> tuple[float, ...]:
-    fields = evaluate_fields(state.t, state.x, params, table)
-    return tuple(float(v) for v in fields["wealths"])
-
-
-def stock_price(
-    state: MarketState, params: EconomyParams, table: DenominatorTable
-) -> float:
-    """S_t = delta^{1-R} zeta^{-1} Z_t; equals the sum of agent wealths."""
-    return float(evaluate_fields(state.t, state.x, params, table)["stock_price"])
-
-
-def pd_ratio(
-    state: MarketState, params: EconomyParams, table: DenominatorTable
-) -> float:
-    """Price-dividend ratio S_t/delta_t = Z_t / (sum_i e^{u_i})^R."""
-    return float(evaluate_fields(state.t, state.x, params, table)["pd_ratio"])
 
 
 def snapshot(

@@ -46,17 +46,21 @@ def enumerate_compositions(j: int, k: int) -> np.ndarray:
     lexicographic order give the parts in lexicographic order, so the
     reversed `itertools.combinations` listing is the descending one.  The
     order is fixed so that any downstream output built from the table is
-    reproducible byte for byte.  Raises CompositionCapExceeded, before
-    allocating, when the array would hold more than DEFAULT_COMPOSITION_CAP
-    entries.
+    reproducible byte for byte.  Raises ValueError when the k+j-1 slots do
+    not fit in int64, and CompositionCapExceeded, before allocating, when
+    the array would hold more than DEFAULT_COMPOSITION_CAP entries.
     """
     if j < 1:
         raise ValueError(f"need at least one part, got j={j}")
     if k < 0:
         raise ValueError(f"order must be nonnegative, got k={k}")
+    if k + j - 1 > np.iinfo(np.int64).max:
+        raise ValueError(f"compositions of {k} into {j} parts are beyond the int64 range")
     count = composition_count(j, k)
     if count * j > DEFAULT_COMPOSITION_CAP:
         raise CompositionCapExceeded(j, k, count, DEFAULT_COMPOSITION_CAP)
+    if j == 1:
+        return np.array([[k]], dtype=np.int64)  # combinations() would hold range(k)
 
     slots = k + j - 1
     bars = np.fromiter(
@@ -71,11 +75,23 @@ def log_multinomial_coefficient(parts) -> np.ndarray:
     """log( |beta|! / prod_i beta_i! ) for each composition beta along the last axis.
 
     Log-factorials come from math.lgamma, so large orders stay finite, and
-    are summed slot by slot.
+    are summed slot by slot.  They are tabulated at 0..max order when that
+    is no more values than the entries; otherwise (few compositions of a
+    large order, such as one agent's at a huge R) only at the values that
+    occur, each entry replaced by its rank among them.  Either way each
+    log-factorial is the same float.
     """
     parts = np.asarray(parts, dtype=np.int64)
     order = parts.sum(axis=-1)
-    log_fact = np.array([math.lgamma(v + 1) for v in range(int(order.max(initial=0)) + 1)])
+    top = int(order.max(initial=0))
+    if top < parts.size:
+        values = range(top + 1)
+    else:
+        keys = np.append(parts, order[..., None], axis=-1)
+        values, ranks = np.unique(keys, return_inverse=True)
+        ranks = ranks.reshape(keys.shape)
+        parts, order, values = ranks[..., :-1], ranks[..., -1], values.tolist()
+    log_fact = np.array([math.lgamma(v + 1) for v in values])
     total = log_fact[parts[..., 0]]
     for slot in range(1, parts.shape[-1]):
         total = total + log_fact[parts[..., slot]]

@@ -16,7 +16,6 @@ import pytest
 
 from conftest import draw_economy, draw_state
 from crraeq.cli import _fd_errors
-from crraeq.dynamics import rate_bundle, stock_dynamics
 from crraeq.equilibrium import consumptions, snapshot
 from crraeq.model import (
     Agent,
@@ -204,7 +203,7 @@ def test_c06_monte_carlo_oracles_reproduce_closed_forms():
 def test_c07_heterogeneity_moves_stock_volatility():
     p = economy(3, 0.1, 0.0, [(0.15, 0.3, 0.0), (0.15, -0.3, 0.0)])
     tab = validate(p)
-    sd = stock_dynamics(MarketState(1.0, 0.5), p, tab)
+    sd = snapshot(MarketState(1.0, 0.5), p, tab).stock
     gap = abs(sd.vol - p.sigma)
     print(f"c07 volatility: two-agent |sigma_S - sigma| = {gap:.2e}")
     assert gap > 1e-6
@@ -215,7 +214,7 @@ def test_c07_heterogeneity_moves_stock_volatility():
         tab = validate(single)
         for _ in range(25):
             st = draw_state(rng)
-            sd = stock_dynamics(st, single, tab)
+            sd = snapshot(st, single, tab).stock
             worst = max(worst, abs(sd.vol - single.sigma))
     assert worst <= 1e-12
 
@@ -228,7 +227,7 @@ def test_c08_riskless_rate_decreases_in_risk_aversion():
         rates = {}
         for r_curv in range(2, 11 + 1):
             p = economy(r_curv, sigma, alpha_star, [(0.9, alpha, 0.0)])
-            rates[r_curv] = rate_bundle(st, p, validate(p)).riskless_rate
+            rates[r_curv] = snapshot(st, p, validate(p)).rates.riskless_rate
         for r_curv in range(2, 10 + 1):
             if r_curv + 1 > (alpha_star + alpha) / sigma:
                 assert rates[r_curv + 1] < rates[r_curv], (alpha_star, alpha, sigma, r_curv)

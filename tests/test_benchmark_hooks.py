@@ -1,0 +1,57 @@
+"""The package names that the benchmark's tracer (perfbench/tracing.py) reaches into.
+
+The tracer wraps package functions by module attribute and binds their
+arguments by name, so a rename silently zeroes its counters; these tests
+make such a rename fail here instead.
+"""
+
+import inspect
+import subprocess
+import sys
+from pathlib import Path
+
+import crraeq.calibrate
+import crraeq.cli
+import crraeq.simulate
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _parameters(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_tracer_installs_and_uninstalls(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    main = crraeq.cli.main
+    recorder = tracing.Recorder()
+    try:
+        recorder.install()
+    finally:  # a failed install must not leave wrappers in the package
+        recorder.uninstall()
+    assert crraeq.cli.main is main
+
+
+def test_names_the_tracer_binds_exist():
+    assert _parameters(crraeq.calibrate.solve_gamma) == ["params", "target", "tol", "max_iter"]
+    assert _parameters(crraeq.simulate.evaluate_series) == ["path", "params", "table"]
+    assert {"table", "n_paths", "horizon", "n_steps", "seed", "x0"} <= set(
+        _parameters(crraeq.simulate.martingale_check)
+    )
+    assert _parameters(crraeq.simulate._resolve_grid) == [
+        "state_t", "horizon", "n_steps", "table"
+    ]
+    for module, name in [
+        (crraeq.calibrate, "equilibrium"),
+        (crraeq.simulate, "simulate_paths"),
+        (crraeq.simulate, "fd_engine"),
+        (crraeq.cli, "main"),
+    ]:
+        assert hasattr(module, name), name
+
+
+def test_package_import_loads_the_dynamics_module():
+    code = "import sys, crraeq; assert 'crraeq.dynamics' in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)

@@ -13,7 +13,7 @@ from crraeq.calibrate import (
     solve_gamma,
     wealth_shares,
 )
-from crraeq.equilibrium import stock_price, wealths
+from crraeq.equilibrium import snapshot
 from crraeq.model import Agent, EconomyParams, MarketState, validate
 
 S0 = MarketState(0.0, 0.0)
@@ -59,8 +59,8 @@ def test_two_agent_asymmetric_target():
     shares = wealth_shares(calibrated, tab, S0)
     np.testing.assert_allclose(shares, [0.3, 0.7], atol=1e-8)
     # calibration cannot break aggregation
-    w = wealths(S0, calibrated, tab)
-    s = stock_price(S0, calibrated, tab)
+    snap = snapshot(S0, calibrated, tab)
+    w, s = snap.wealths, snap.stock_price
     assert abs(sum(w) - s) <= 1e-10 * s
 
 
@@ -133,7 +133,7 @@ def test_no_convergence_reports_residual():
         agents=(Agent(0.3, 0.4, 0.0), Agent(0.35, -0.4, 0.0)),
     )
     with pytest.raises(NoConvergence) as ei:
-        solve_gamma(p, CalibrationTarget((0.3, 0.7)), tol=1e-16, max_iter=3)
+        solve_gamma(p, CalibrationTarget((0.3, 0.7)), tol=1e-12, max_iter=3)
     assert ei.value.max_iter == 3
     assert ei.value.residual > 0
 
@@ -183,6 +183,19 @@ def test_solver_evaluates_each_gamma_once(monkeypatch):
     monkeypatch.setattr(crraeq.calibrate, "wealth_shares", recording_shares)
     solve_gamma(ladder(7, 7), shares_one_to_j(7))
     assert seen and len(set(seen)) == len(seen)
+
+
+def test_tolerance_below_the_share_floor_fails_before_any_evaluation(monkeypatch):
+    def no_shares(params, table, state):
+        raise AssertionError("shares evaluated")
+
+    monkeypatch.setattr(crraeq.calibrate, "wealth_shares", no_shares)
+    p, target = ladder(3, 3), shares_one_to_j(3)
+    for tol in (1e-17, 2.0**-51, 0.0, float("nan")):
+        with pytest.raises(ValueError, match=r"at least 2\*\*-50"):
+            solve_gamma(p, target, tol=tol)
+    with pytest.raises(AssertionError, match="shares evaluated"):
+        solve_gamma(p, target, tol=crraeq.calibrate.TOL_FLOOR)
 
 
 def test_exact_share_jacobian_matches_central_differences():

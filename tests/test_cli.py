@@ -98,6 +98,13 @@ def test_input_errors_exit_2(tmp_path):
     assert code == 2
 
 
+def test_order_beyond_int64_exits_2_without_a_traceback(tmp_path):
+    res = run_proc(["validate", write_config(tmp_path, dict(BENCH, R=1e19))])
+    assert res.returncode == 2
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("error:") and "int64" in line
+
+
 def test_io_errors_exit_3(tmp_path):
     code, _, err = run_cli("validate", str(tmp_path / "missing.json"))
     assert code == 3
@@ -260,6 +267,7 @@ def test_simulate_reproducible_across_runs_and_workers(tmp_path):
         ("calibrate", "--shares", "0.3,0.7", "--tol", "-1"),
         ("calibrate", "--shares", "0.3,0.7", "--tol", "nan"),
         ("calibrate", "--shares", "0.3,0.7", "--tol", "0"),
+        ("calibrate", "--shares", "0.3,0.7", "--tol", "1e-17"),
         ("calibrate", "--shares", "0.3,x"),
         ("simulate", "--horizon", "1e306", "--out", "x.csv"),
         ("simulate", "--horizon", "1e12", "--out", "x.csv"),

@@ -3,14 +3,8 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import draw_economy, draw_state
-from crraeq.dynamics import (
-    DegenerateStockVolatility,
-    agent_dynamics,
-    portfolio,
-    rate_bundle,
-    stock_dynamics,
-)
-from crraeq.equilibrium import stock_price, wealths
+from crraeq.dynamics import DegenerateStockVolatility
+from crraeq.equilibrium import evaluate_fields, snapshot
 from crraeq.model import Agent, EconomyParams, MarketState, dividend, validate
 
 S0 = MarketState(0.0, 0.0)
@@ -32,7 +26,7 @@ def symmetric_pair(rho=0.05, a=0.3, R=2, sigma=0.1):
 
 def test_single_agent_rates_collapse():
     p = single_agent(rho=0.02, alpha=0.0, R=2, sigma=0.1)
-    rb = rate_bundle(S0, p, validate(p))
+    rb = snapshot(S0, p, validate(p)).rates
     np.testing.assert_allclose(rb.alpha_bar, 0.0, atol=1e-15)
     np.testing.assert_allclose(rb.rho_bar, 0.02, rtol=1e-12)
     np.testing.assert_allclose(rb.riskless_rate, -0.01, rtol=1e-10)
@@ -43,7 +37,7 @@ def test_single_agent_rates_general_state():
     p = single_agent(rho=0.3, alpha=0.4, R=3, sigma=0.2, alpha_star=0.1)
     tab = validate(p)
     s = MarketState(4.0, -1.2)
-    rb = rate_bundle(s, p, tab)
+    rb = snapshot(s, p, tab).rates
     np.testing.assert_allclose(rb.alpha_bar, 0.4, rtol=1e-13)
     np.testing.assert_allclose(rb.rho_bar, 0.3, rtol=1e-13)
     expected_r = 0.3 + 3 * 0.2 * (0.1 + 0.4) - 0.2**2 * 3 * 4 / 2
@@ -55,7 +49,7 @@ def test_rate_identities_hold_exactly():
     for _ in range(30):
         p, tab = draw_economy(rng)
         s = draw_state(rng)
-        rb = rate_bundle(s, p, tab)
+        rb = snapshot(s, p, tab).rates
         assert abs(rb.kappa - (p.R * p.sigma - rb.alpha_bar)) <= 1e-14
         expected = (
             rb.rho_bar
@@ -67,7 +61,7 @@ def test_rate_identities_hold_exactly():
 
 def test_symmetric_pair_alpha_bar_zero():
     p = symmetric_pair()
-    rb = rate_bundle(S0, p, validate(p))
+    rb = snapshot(S0, p, validate(p)).rates
     np.testing.assert_allclose(rb.alpha_bar, 0.0, atol=1e-15)
     np.testing.assert_allclose(rb.kappa, 2 * 0.1, rtol=1e-13)
 
@@ -77,10 +71,11 @@ def test_single_agent_stock_vol_equals_dividend_vol():
         p = single_agent(rho=0.5, alpha=0.3, R=r, sigma=0.15)
         tab = validate(p)
         for s in [S0, MarketState(3.0, 1.0)]:
-            sd = stock_dynamics(s, p, tab)
+            snap = snapshot(s, p, tab)
+            sd = snap.stock
             np.testing.assert_allclose(sd.alpha_tilde, 0.3, rtol=1e-13)
             assert abs(sd.vol - 0.15) <= 1e-12
-            rb = rate_bundle(s, p, tab)
+            rb = snap.rates
             np.testing.assert_allclose(sd.rho_tilde, rb.rho_bar, rtol=1e-12)
 
 
@@ -90,7 +85,7 @@ def test_disagreement_moves_stock_vol():
         agents=(Agent(0.15, 0.3, 0.0), Agent(0.15, -0.3, 0.0)),
     )
     tab = validate(p)
-    sd = stock_dynamics(MarketState(1.0, 0.5), p, tab)
+    sd = snapshot(MarketState(1.0, 0.5), p, tab).stock
     assert abs(sd.vol - p.sigma) > 1e-6
 
 
@@ -99,30 +94,33 @@ def test_vol_identity():
     for _ in range(20):
         p, tab = draw_economy(rng)
         s = draw_state(rng)
-        rb = rate_bundle(s, p, tab)
-        sd = stock_dynamics(s, p, tab)
+        snap = snapshot(s, p, tab)
+        rb, sd = snap.rates, snap.stock
         assert abs(sd.vol - (p.sigma + sd.alpha_tilde - rb.alpha_bar)) <= 1e-14
 
 
 def test_agent_dynamics_collapses():
     p = single_agent(rho=0.4, alpha=0.25, R=4, sigma=0.2)
     tab = validate(p)
-    np.testing.assert_allclose(agent_dynamics(MarketState(2.0, 0.3), p, tab, 0), 0.25, rtol=1e-13)
+    np.testing.assert_allclose(
+        snapshot(MarketState(2.0, 0.3), p, tab).alpha_tilde_agents[0], 0.25, rtol=1e-13
+    )
     q = EconomyParams(
         R=3, sigma=0.15, alpha_star=0.0, delta0=1.0,
         agents=(Agent(0.3, 0.2, 0.1), Agent(0.3, 0.2, 0.1)),
     )
     qtab = validate(q)
     s = MarketState(1.0, -0.4)
-    np.testing.assert_allclose(
-        agent_dynamics(s, q, qtab, 0), agent_dynamics(s, q, qtab, 1), rtol=1e-13
-    )
+    at = snapshot(s, q, qtab).alpha_tilde_agents
+    np.testing.assert_allclose(at[0], at[1], rtol=1e-13)
 
 
 def test_portfolio_single_agent_unity():
     p = single_agent(rho=0.2, alpha=0.1, R=3, sigma=0.2)
     tab = validate(p)
-    np.testing.assert_allclose(portfolio(MarketState(2.0, 1.0), p, tab, 0), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(
+        snapshot(MarketState(2.0, 1.0), p, tab).portfolios[0], 1.0, rtol=1e-12
+    )
 
 
 def test_portfolio_identical_agents_split_evenly():
@@ -132,8 +130,9 @@ def test_portfolio_identical_agents_split_evenly():
     )
     tab = validate(p)
     s = MarketState(1.0, 0.5)
+    pis = snapshot(s, p, tab).portfolios
     for j in range(3):
-        np.testing.assert_allclose(portfolio(s, p, tab, j), 1 / 3, rtol=1e-12)
+        np.testing.assert_allclose(pis[j], 1 / 3, rtol=1e-12)
 
 
 def test_portfolio_clearing_sweep():
@@ -143,13 +142,14 @@ def test_portfolio_clearing_sweep():
         p, tab = draw_economy(rng)
         s = draw_state(rng)
         try:
-            pis = [portfolio(s, p, tab, j) for j in range(p.n_agents)]
+            snap = snapshot(s, p, tab)
         except DegenerateStockVolatility:
             continue
+        pis = snap.portfolios
         done += 1
         assert abs(sum(pis) - 1.0) <= 1e-10
-        w = wealths(s, p, tab)
-        sp = stock_price(s, p, tab)
+        w = snap.wealths
+        sp = snap.stock_price
         bond_total = sum(wj - pij * sp for wj, pij in zip(w, pis))
         assert abs(bond_total) <= 1e-10 * sp
 
@@ -159,14 +159,15 @@ def test_degenerate_volatility_at_real_state():
     p = symmetric_pair(rho=0.05, a=0.3)
     tab = validate(p)
 
+    # the kernel, not snapshot: snapshot rejects the state where vol vanishes
     def vol_at(x):
-        return stock_dynamics(MarketState(0.0, x), p, tab).vol
+        return float(evaluate_fields(0.0, x, p, tab)["vol"])
 
     assert vol_at(0.0) < 0 < vol_at(40.0)
     x_star = brentq(vol_at, 0.0, 40.0, xtol=1e-14)
     assert abs(vol_at(x_star)) < 1e-12
     with pytest.raises(DegenerateStockVolatility):
-        portfolio(MarketState(0.0, x_star), p, tab, 0)
+        snapshot(MarketState(0.0, x_star), p, tab)
 
 
 def test_risk_premium_identity():
@@ -174,9 +175,8 @@ def test_risk_premium_identity():
     for _ in range(25):
         p, tab = draw_economy(rng)
         s = draw_state(rng)
-        rb = rate_bundle(s, p, tab)
-        sd = stock_dynamics(s, p, tab)
-        sp = stock_price(s, p, tab)
+        snap = snapshot(s, p, tab)
+        rb, sd, sp = snap.rates, snap.stock, snap.stock_price
         lhs = sd.drift + dividend(s, p) / sp - rb.riskless_rate
         rhs = rb.kappa * sd.vol
         scale = max(abs(lhs), abs(rhs), 1e-3)
@@ -190,7 +190,7 @@ def test_single_agent_rate_decreasing_in_curvature():
         rates = {}
         for r in range(2, 12):
             p = single_agent(rho=0.9, alpha=alpha, R=r, sigma=sigma, alpha_star=alpha_star)
-            rates[r] = rate_bundle(S0, p, validate(p)).riskless_rate
+            rates[r] = snapshot(S0, p, validate(p)).rates.riskless_rate
         for r in range(2, 11):
             if r + 1 > (alpha_star + alpha) / sigma:
                 assert rates[r + 1] < rates[r]

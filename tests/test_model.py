@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -40,6 +41,14 @@ def test_validate_rejects_divergent_economy():
     (beta, d), = ei.value.offenders
     assert beta == (2,)
     np.testing.assert_allclose(d, -0.009, rtol=1e-10)
+
+
+def test_one_agent_at_a_huge_order_fails_fast():
+    # one composition, so only the log-factorial of R itself is taken
+    start = time.perf_counter()
+    with pytest.raises(NonpositiveDenominator):
+        validate(single_agent(R=10**12))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sufficient_condition_implies_valid():

@@ -141,6 +141,26 @@ def test_log_coefficient_accurate_at_order_64():
         )
 
 
+def test_log_coefficient_bits_do_not_depend_on_the_tabulation():
+    # a whole table tabulates the log-factorials 0..k; a single row has fewer
+    # entries than that, so only the values in it are tabulated
+    for j, k in [(3, 5), (5, 8), (2, 40)]:
+        comps = enumerate_compositions(j, k)
+        rows = np.array([log_multinomial_coefficient(c) for c in comps])
+        whole = log_multinomial_coefficient(comps)
+        assert np.array_equal(whole.view(np.int64), rows.view(np.int64))
+
+
+def test_one_part_at_a_huge_order_is_one_row():
+    assert enumerate_compositions(1, 10**12).tolist() == [[10**12]]
+    assert log_multinomial_coefficient([[10**12]]).tolist() == [0.0]
+    assert enumerate_compositions(1, 2**63 - 1).tolist() == [[2**63 - 1]]
+    with pytest.raises(ValueError, match="int64"):
+        enumerate_compositions(1, 2**63)
+    with pytest.raises(ValueError, match="int64"):
+        enumerate_compositions(3, 2**63 - 2)
+
+
 def test_cap_enforced():
     with pytest.raises(CompositionCapExceeded) as ei:
         enumerate_compositions(8, 32)  # C(39,7) = 15380937 > 1e7

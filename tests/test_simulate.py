@@ -6,15 +6,8 @@ from scipy.optimize import brentq
 
 import crraeq.simulate
 from conftest import draw_economy
-from crraeq.dynamics import DegenerateStockVolatility, rate_bundle, stock_dynamics
-from crraeq.equilibrium import (
-    evaluate_fields,
-    log_z_terms_arr,
-    snapshot,
-    state_price_density,
-    stock_price,
-    wealth,
-)
+from crraeq.dynamics import DegenerateStockVolatility
+from crraeq.equilibrium import evaluate_fields, log_z_terms_arr, snapshot, state_price_density
 from crraeq.model import Agent, EconomyParams, MarketState, dividend, validate
 from crraeq.simulate import (
     MAX_PATHS,
@@ -161,8 +154,9 @@ def test_series_degenerate_volatility_carries_grid_index():
         agents=(Agent(0.05, 0.3, 0.0), Agent(0.05, -0.3, 0.0)),
     )
     tab = validate(p)
+    # the kernel, not snapshot: snapshot rejects the state where vol vanishes
     x_star = brentq(
-        lambda x: stock_dynamics(MarketState(0.0, x), p, tab).vol, 0.0, 40.0, xtol=1e-14
+        lambda x: float(evaluate_fields(0.0, x, p, tab)["vol"]), 0.0, 40.0, xtol=1e-14
     )
     grid = PathGrid(0.0, 1.0, 2)
     path = simulate_paths(grid, 0.0, 1, 1)[0]
@@ -218,7 +212,8 @@ def test_mc_oracles_match_a_plain_recomputation():
     zeta0 = delta[0, 0] ** -p.R * total[0, 0] ** p.R
     flows = [delta ** (1 - p.R) * total ** (p.R - 1) * e_u[..., j] for j in range(2)]
     flows.append(delta ** (1 - p.R) * total**p.R)
-    closed = [wealth(s, p, tab, j) for j in range(2)] + [stock_price(s, p, tab)]
+    snap = snapshot(s, p, tab)
+    closed = [*snap.wealths, snap.stock_price]
     tails = truncation_tails(s, p, tab, grid.horizon)
 
     for rep, flow, cf, tail in zip([*wreps, srep], flows, closed, tails):
@@ -248,13 +243,17 @@ def test_martingale_check_matches_a_plain_recomputation():
     # zeta delta = delta^{1-R} (sum_i e^{u_i})^R, and delta_T^{1-R} Z_T = zeta_T S_T
     flow = np.trapezoid(delta ** (1 - p.R) * total**p.R, t, axis=1)
     ends = [MarketState(t[-1], x_end) for x_end in x[:, -1]]
-    payoff = np.array([stock_price(e, p, tab) * state_price_density(e, p) for e in ends])
+    payoff = np.array(
+        [snapshot(e, p, tab).stock_price * state_price_density(e, p) for e in ends]
+    )
     values = flow + payoff
 
     np.testing.assert_allclose(rep.estimate, values.mean(), rtol=1e-13)
     np.testing.assert_allclose(rep.std_error, values.std(ddof=1) / math.sqrt(n), rtol=1e-13)
     np.testing.assert_allclose(
-        rep.closed_form, stock_price(S0, p, tab) * state_price_density(S0, p), rtol=1e-13
+        rep.closed_form,
+        snapshot(S0, p, tab).stock_price * state_price_density(S0, p),
+        rtol=1e-13,
     )
     assert rep.truncation_bound == 0.0
     assert rep.n_paths == n
@@ -293,7 +292,7 @@ def test_truncation_guard_and_monotonicity(monkeypatch):
     monkeypatch.setattr(crraeq.simulate, "path_generator", no_draws)
     with pytest.raises(TruncationTooLoose) as ei:
         mc_oracles(S0, BENCH, tab, n_paths=10, horizon=10.0, n_steps=20)
-    assert ei.value.closed_form == wealth(S0, BENCH, tab, 0)
+    assert ei.value.closed_form == snapshot(S0, BENCH, tab).wealths[0]
     *_, t1 = truncation_tails(S0, BENCH, tab, 300.0)
     *_, t2 = truncation_tails(S0, BENCH, tab, 600.0)
     assert 0 < t2 < t1
@@ -352,7 +351,7 @@ def test_default_horizon_follows_min_denominator():
 def test_martingale_check_small_horizon_degenerates():
     p = two_agent()
     tab = validate(p)
-    closed = stock_price(S0, p, tab) * state_price_density(S0, p)
+    closed = snapshot(S0, p, tab).stock_price * state_price_density(S0, p)
     rep = martingale_check(p, tab, n_paths=500, horizon=1e-8, n_steps=1, seed=1)
     np.testing.assert_allclose(rep.estimate, closed, rtol=1e-4)
     np.testing.assert_allclose(rep.closed_form, closed, rtol=1e-12)
@@ -457,8 +456,8 @@ def test_fd_matches_first_order_coefficients():
         p, tab = draw_economy(rng, max_agents=3, max_r=4)
         for _ in range(5):
             st = MarketState(float(rng.uniform(0.2, 6.0)), float(rng.uniform(-3, 3)))
-            rb = rate_bundle(st, p, tab)
-            sd = stock_dynamics(st, p, tab)
+            snap = snapshot(st, p, tab)
+            rb, sd = snap.rates, snap.stock
             lbar_x, zeta_x, _, s_x, *zj_x = fd_engine(
                 lambda t, x: evaluate_fields(t, x, p, tab)["log_levels"], st
             )[1]
@@ -466,10 +465,8 @@ def test_fd_matches_first_order_coefficients():
             np.testing.assert_allclose(-zeta_x, rb.kappa, rtol=1e-5)
             np.testing.assert_allclose(s_x, sd.vol, rtol=1e-5, atol=1e-9)
             j = int(rng.integers(p.n_agents))
-            from crraeq.dynamics import agent_dynamics
-
             np.testing.assert_allclose(
-                zj_x[j], agent_dynamics(st, p, tab, j), rtol=1e-5, atol=1e-9
+                zj_x[j], snap.alpha_tilde_agents[j], rtol=1e-5, atol=1e-9
             )
 
 
@@ -481,8 +478,8 @@ def test_fd_matches_second_order_coefficients():
         p, tab = draw_economy(rng, max_agents=3, max_r=4, min_denominator=0.01)
         for _ in range(4):
             st = MarketState(float(rng.uniform(0.2, 5.0)), float(rng.uniform(-2, 2)))
-            rb = rate_bundle(st, p, tab)
-            sd = stock_dynamics(st, p, tab)
+            snap = snapshot(st, p, tab)
+            rb, sd = snap.rates, snap.stock
 
             f_t, f_x, f_xx = fd_engine(
                 lambda t, x: evaluate_fields(t, x, p, tab)["log_levels"],
