@@ -38,6 +38,9 @@ from .model import (
 VOL_DEGENERACY_TOL = 1e-12
 # below this a sum of exponentials may have lost bits to underflow
 _FULL_PRECISION_SHARE = np.finfo(float).tiny / np.finfo(float).eps
+# the most float64 terms a block holds at once (512 KiB): the kernel's node
+# blocks and the Monte Carlo path blocks share this budget
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class DegenerateStockVolatility(ModelError):
@@ -243,6 +246,18 @@ def _clearing_logs(t, x, params: EconomyParams):
     return u, lse_agents(u), log_dividend(t, x, params)
 
 
+def _fill_log_z_terms(t, x, shift, table: DenominatorTable, out, scratch):
+    """out[..., m] = log of Z term m at (t, x), given shift = log_offsets - g.
+
+    t and x carry a trailing unit axis; scratch is a buffer of out's shape.
+    The order of operations is `log_z_terms_arr`'s, so the bits are too.
+    """
+    np.multiply(table.x_coefs, x, out=out)
+    out += shift
+    out -= np.multiply(table.t_coefs, t, out=scratch)
+    return out
+
+
 def log_z_terms_arr(t, x, params: EconomyParams, table: DenominatorTable) -> np.ndarray:
     """Log of each |beta|=R term of Z_t: logC - log D + a x - g - b t, shape (..., M).
 
@@ -251,10 +266,66 @@ def log_z_terms_arr(t, x, params: EconomyParams, table: DenominatorTable) -> np.
     """
     t = np.asarray(t, dtype=float)[..., None]
     x = np.asarray(x, dtype=float)[..., None]
-    g = table.parts @ params.gamma_vec / params.R
-    terms = table.x_coefs * x + (table.log_coeffs - np.log(table.d_values) - g)
-    terms -= table.t_coefs * t
-    return terms
+    shift = table.log_offsets - table.parts @ params.gamma_vec / params.R
+    out = np.empty(np.broadcast_shapes(t.shape, x.shape, shift.shape))
+    return _fill_log_z_terms(t, x, shift, table, out, np.empty_like(out))
+
+
+def _z_side(t, x, params: EconomyParams, table: DenominatorTable):
+    """The level-R Z reductions at flat nodes (t, x), of shape (nodes, 1).
+
+    Returns top = the largest log term, the total Z/e^top, alpha_tilde,
+    rho_tilde, and per agent (nodes, J): log Z^j, log Z^j - top, the
+    wealth share and alpha_tilde^j.  The terms are streamed in node blocks
+    of at most _BLOCK_ELEMENTS (at least one node) through two buffers
+    refilled for every block, so memory is O(block + nodes J).  Each
+    node's terms, their largest and their einsum against the rows do not
+    depend on the other nodes of its block, so neither do the bits.
+    """
+    r_curv, n_agents = params.R, params.n_agents
+    a0, b0, rows = table.a0, table.b0, table.rows
+    shift = table.log_offsets - table.parts @ params.gamma_vec / r_curv
+    n_nodes, per_block = len(t), max(1, _BLOCK_ELEMENTS // shift.size)
+    terms = np.empty((min(n_nodes, per_block), shift.size))
+    scratch = np.empty_like(terms)
+    top, sums = np.empty(n_nodes), np.empty((n_nodes, len(rows)))
+    share = np.empty((n_nodes, n_agents))
+    redone = []
+    for lo in range(0, n_nodes, per_block):
+        blk = slice(lo, min(lo + per_block, n_nodes))
+        k = blk.stop - lo
+        z = _fill_log_z_terms(t[blk], x[blk], shift, table, terms[:k], scratch[:k])
+        top[blk] = z.max(axis=-1)
+        z -= top[blk, None]
+        np.einsum("nm,km->nk", np.exp(z, out=z), rows, out=sums[blk])
+        # a share below tiny/eps has lost bits to underflowed terms: redo that
+        # agent's sums in log space, masked to beta_j > 0, at those nodes only
+        np.divide(sums[blk, 3 : 3 + n_agents], r_curv * sums[blk, :1], out=share[blk])
+        low = share[blk] < _FULL_PRECISION_SHARE
+        for j in np.flatnonzero(low.any(axis=0)):
+            nodes = lo + np.flatnonzero(low[:, j])
+            sub = _fill_log_z_terms(
+                t[nodes], x[nodes], shift, table, terms[: len(nodes)], scratch[: len(nodes)]
+            )
+            with np.errstate(divide="ignore"):
+                sub += np.log(table.parts[:, j])
+            lse_j = lse_terms(sub)
+            sub -= lse_j[:, None]
+            weighted_a = np.einsum("nm,m->n", np.exp(sub, out=sub), rows[1])
+            redone.append((nodes, j, lse_j, weighted_a))
+
+    total, z_beta = sums[:, 0], sums[:, 3 : 3 + n_agents]
+    alpha_tilde, rho_tilde = a0 + sums[:, 1] / total, b0 + sums[:, 2] / total
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_zj_rel = np.log(z_beta / r_curv)  # log Z^j - top
+        log_zj = top[:, None] + log_zj_rel
+        at_agents = a0 + sums[:, 3 + n_agents :] / z_beta
+    for nodes, j, lse_j, weighted_a in redone:
+        log_zj[nodes, j] = lse_j - np.log(r_curv)
+        log_zj_rel[nodes, j] = log_zj[nodes, j] - top[nodes]
+        share[nodes, j] = np.exp(log_zj_rel[nodes, j] - np.log(total[nodes]))
+        at_agents[nodes, j] = a0 + weighted_a
+    return top, total, alpha_tilde, rho_tilde, log_zj, log_zj_rel, share, at_agents
 
 
 def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dict:
@@ -262,13 +333,16 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
 
     The L side is O(J): under the L weights beta is multinomial(R, p) with
     p = softmax(u).  The Z side is one pass over the level-R Z terms, taken
-    against the largest one and reduced against the rows [1, a, b - a^2/2,
-    beta, beta a]; by Pascal's rule the beta rows give the wealth shares
-    E_Z[beta_j]/R and alpha_tilde^j.  einsum reduces in the same order at
-    one state and along a path, so the two agree to the bit.  The entry
-    `log_levels` stacks the logs [log L, log zeta, log Z, log S,
-    log Z^1 .. log Z^J] that the levels are exponentiated from; the
-    finite-difference oracle differentiates every column in one stencil.
+    against the largest one and reduced against the table's rows [1, a,
+    b - a^2/2, beta, beta a]; by Pascal's rule the beta rows give the
+    wealth shares E_Z[beta_j]/R and alpha_tilde^j.  The pass streams node
+    blocks of at most _BLOCK_ELEMENTS (65,536) terms, so memory is
+    O(block + nodes J) at any M.  einsum reduces each node in the same
+    order at one state, along a path and in any block, so they agree to
+    the bit.  The entry `log_levels` stacks the logs [log L, log zeta,
+    log Z, log S, log Z^1 .. log Z^J] that the levels are exponentiated
+    from; the finite-difference oracle differentiates every column in one
+    stencil.
     """
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     r_curv, sigma, n_agents = params.R, params.sigma, params.n_agents
@@ -281,37 +355,9 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
     spread = (0.5 - 0.5 / r_curv) * (params.alpha_vec - alpha_bar[..., None]) ** 2
     rho_bar = np.einsum("...j,...j->...", p, params.rho_vec + spread)
 
-    # a and b are centred on their midrange, so the sums round at their
-    # spread rather than at their size (which the discount rates set)
-    a, beta = table.x_coefs, table.parts.T
-    b = table.t_coefs - 0.5 * a**2
-    a0, b0 = 0.5 * (a.max() + a.min()), 0.5 * (b.max() + b.min())
-    coefs = np.vstack([np.ones_like(a), a - a0, b - b0, beta, beta * (a - a0)])
-    terms = log_z_terms_arr(t, x, params, table)
-    top = terms.max(axis=-1)
-    terms -= top[..., None]
-    sums = np.einsum("...m,km->...k", np.exp(terms, out=terms), coefs)
-    total, z_beta = sums[..., 0], sums[..., 3 : 3 + n_agents]
-    alpha_tilde, rho_tilde = a0 + sums[..., 1] / total, b0 + sums[..., 2] / total
-    share = z_beta / (r_curv * total[..., None])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_zj_rel = np.log(z_beta / r_curv)  # log Z^j - top
-        log_zj = top[..., None] + log_zj_rel
-        at_agents = a0 + sums[..., 3 + n_agents :] / z_beta
-
-    # a share below tiny/eps has lost bits to underflowed terms: redo that
-    # agent's sums in log space, masked to beta_j > 0, at those nodes only
-    for j in range(n_agents):
-        nodes = share[..., j] < _FULL_PRECISION_SHARE
-        if nodes.any():
-            with np.errstate(divide="ignore"):
-                sub = log_z_terms_arr(t[nodes], x[nodes], params, table) + np.log(beta[j])
-            lse_j = lse_terms(sub)
-            log_zj[..., j][nodes] = lse_j - np.log(r_curv)
-            log_zj_rel[..., j][nodes] = log_zj[..., j][nodes] - top[nodes]
-            share[..., j][nodes] = np.exp(log_zj_rel[..., j][nodes] - np.log(total[nodes]))
-            weights = np.exp(sub - lse_j[..., None])
-            at_agents[..., j][nodes] = a0 + np.einsum("...m,m->...", weights, a - a0)
+    z_side = _z_side(t.reshape(-1, 1), x.reshape(-1, 1), params, table)
+    top, total, alpha_tilde, rho_tilde = (v.reshape(t.shape)[()] for v in z_side[:4])
+    log_zj, log_zj_rel, share, at_agents = (v.reshape(t.shape + (n_agents,)) for v in z_side[4:])
 
     riskless = (
         rho_bar

@@ -22,9 +22,9 @@ the rest of the package keys its sums off.  Every sum runs over these
 level-R rows: agent j's wealth sum over the compositions of R-1 is, by
 Pascal's rule C(R-1, beta - e_j) = C(R, beta) beta_j / R, the level-R sum
 weighted by beta_j / R.  The table is integer composition arrays plus the
-coefficients that do not involve gamma, so one table serves every choice
-of the log weights; the gamma.beta/R terms are formed from the params at
-each evaluation.
+coefficients that do not involve gamma, the kernel's reduction rows
+among them, so one table serves every choice of the log weights; the
+gamma.beta/R terms are formed from the params at each evaluation.
 """
 
 from __future__ import annotations
@@ -147,9 +147,14 @@ class DenominatorTable:
         x_coefs[m]    = alpha.beta / R
         t_coefs[m]    = rho.beta / R + alpha^2.beta / (2R)
         d_values[m]   = D(beta) > 0
+        log_offsets[m] = log_coeffs[m] - log d_values[m]
 
-    None of them involves gamma.  Agent j's wealth sum weights the same
-    rows by beta_j / R, so no other level is stored.
+    so the log of each Z term is log_offsets - gamma.beta/R + a x - t_coefs t
+    with a = x_coefs.  `rows` holds the kernel's reduction rows
+    [1, a - a0, b - b0, beta, beta (a - a0)], shape (3 + 2J, M), with
+    b = t_coefs - a^2/2 and a0, b0 the midranges of a and b.  None of
+    them involves gamma.  Agent j's wealth sum weights the same rows by
+    beta_j / R, so no other level is stored.
     """
 
     parts: np.ndarray
@@ -157,6 +162,10 @@ class DenominatorTable:
     log_coeffs: np.ndarray
     x_coefs: np.ndarray
     t_coefs: np.ndarray
+    log_offsets: np.ndarray
+    rows: np.ndarray
+    a0: float
+    b0: float
     min_denominator: float
     footnote_holds: bool
 
@@ -198,12 +207,21 @@ def validate(params: EconomyParams) -> DenominatorTable:
     if bad.size:
         raise NonpositiveDenominator([(tuple(parts[i].tolist()), float(d_values[i])) for i in bad])
 
+    # a and b are centred on their midrange, so the kernel's sums round at
+    # their spread rather than at their size (which the discount rates set)
+    a, beta = x_coefs, parts.T
+    b = t_coefs - 0.5 * a**2
+    a0, b0 = 0.5 * (a.max() + a.min()), 0.5 * (b.max() + b.min())
     return DenominatorTable(
         parts=parts,
         d_values=d_values,
         log_coeffs=log_coeffs,
         x_coefs=x_coefs,
         t_coefs=t_coefs,
+        log_offsets=log_coeffs - np.log(d_values),
+        rows=np.vstack([np.ones_like(a), a - a0, b - b0, beta, beta * (a - a0)]),
+        a0=a0,
+        b0=b0,
         min_denominator=float(d_values.min()),
         footnote_holds=sufficient_condition_margin(params) >= 0.0,
     )

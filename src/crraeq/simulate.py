@@ -17,14 +17,15 @@ their logsumexp, so `mc_oracles` draws each block of paths once and
 reduces every one of them from it; `martingale_check` reads the same
 blocks.  A block holds the agent log terms agent-major, one contiguous
 (paths, nodes) slab per agent, which `equilibrium.lse_agents` sums slab
-by slab.  Blocks have a fixed, cache-sized budget of nodes and reuse
-their buffers, so memory does not grow with the path count.  Each path's
-time integral is an einsum over its nodes, which adds them in one order
-at any block size and BLAS thread count, so the reports have the same
-bits however the paths are blocked.  Truncating the integral at a
-finite horizon leaves an analytically known tail (each composition term
-decays like e^{-D(beta) (T-t)}), which is reported as `truncation_bound`
-and must stay small relative to the closed form.
+by slab.  Blocks have a fixed, cache-sized budget of nodes, the one the
+field kernel's node blocks use, and reuse their buffers, so memory does
+not grow with the path count.  Each path's time integral is an einsum
+over its nodes, which adds them in one order at any block size and BLAS
+thread count, so the reports have the same bits however the paths are
+blocked.  Truncating the integral at a finite horizon leaves an
+analytically known tail (each composition term decays like
+e^{-D(beta) (T-t)}), which is reported as `truncation_bound` and must
+stay small relative to the closed form.
 
 The z-scores assume square-integrable integrands.  A composition term
 e^{c X_u - m u} has finite second moment of its time integral only when
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import equilibrium
-from .equilibrium import EvaluatedSeries
+from .equilibrium import _BLOCK_ELEMENTS, EvaluatedSeries
 from .model import DenominatorTable, EconomyParams, MarketState, log_dividend
 from .multiindex import DEFAULT_COMPOSITION_CAP
 
@@ -57,8 +58,6 @@ TRUNCATION_FRACTION = 0.1
 # on materialised entries
 _MAX_GRID_NODES = DEFAULT_COMPOSITION_CAP
 MAX_PATHS = DEFAULT_COMPOSITION_CAP
-# nodes per agent slab of one Monte Carlo block (512 KiB of float64)
-_BLOCK_ELEMENTS = 1 << 16
 
 
 class TruncationTooLoose(Exception):
@@ -366,12 +365,9 @@ def martingale_check(
         lse_u *= r_curv
         ld += lse_u  # (1-R) log delta + R lse_u
         _quadrature(ld, weights, values[rows])
-    # payoff leg zeta_T S_T = delta_T^{1-R} Z_T, at most a block's terms per call
-    step = max(1, _BLOCK_ELEMENTS // len(table.parts))
-    for lo in range(0, n_paths, step):
-        rows = slice(lo, lo + step)
-        levels = equilibrium.evaluate_fields(t_end, x_end[rows], params, table)["log_levels"]
-        values[rows] += np.exp(ld_end[rows] + levels[:, 2])
+    # payoff leg zeta_T S_T = delta_T^{1-R} Z_T; the kernel bounds its own memory
+    log_z_end = equilibrium.evaluate_fields(t_end, x_end, params, table)["log_levels"][:, 2]
+    values += np.exp(ld_end + log_z_end)
     return _report(values, closed, 0.0)
 
 

@@ -29,6 +29,12 @@ def draw_economy(rng, max_agents=4, max_r=6, min_denominator=0.0):
             return p, tab
 
 
+def ladder(r, j):
+    """The R, J economy with rho_k = 0.8 + 0.05 k and alpha spread over [-0.2, 0.2]."""
+    agents = tuple(Agent(0.8 + 0.05 * (k + 1), -0.2 + 0.4 * k / (j - 1), 0.0) for k in range(j))
+    return EconomyParams(R=r, sigma=0.1, alpha_star=0.0, delta0=1.0, agents=agents)
+
+
 def draw_state(rng, max_t=10.0, max_abs_x=5.0):
     from crraeq.model import MarketState
 

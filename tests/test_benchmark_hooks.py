@@ -12,6 +12,7 @@ from pathlib import Path
 
 import crraeq.calibrate
 import crraeq.cli
+import crraeq.model
 import crraeq.simulate
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -50,6 +51,18 @@ def test_names_the_tracer_binds_exist():
         (crraeq.cli, "main"),
     ]:
         assert hasattr(module, name), name
+
+
+def test_table_fields_the_tracer_reads_exist():
+    # the series counter sizes its temporaries from the table's d_values
+    params = crraeq.model.EconomyParams(
+        R=2, sigma=0.1, alpha_star=0.0, delta0=1.0,
+        agents=(crraeq.model.Agent(0.2, 0.2, 0.1), crraeq.model.Agent(0.2, -0.2, -0.1)),
+    )
+    table = crraeq.model.validate(params)
+    for name in ("d_values", "parts", "x_coefs", "t_coefs"):
+        assert hasattr(table, name), name
+    assert table.d_values.size == len(table.parts) == 3
 
 
 def test_package_import_loads_the_dynamics_module():

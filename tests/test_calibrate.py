@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import crraeq.calibrate
-from conftest import draw_economy
+from conftest import draw_economy, ladder
 from crraeq.calibrate import (
     CalibrationTarget,
     NoConvergence,
@@ -159,12 +159,6 @@ def test_wealth_shares_bytes_do_not_depend_on_blas_threads():
         assert res.returncode == 0, res.stderr
         outs.append(res.stdout)
     assert outs[0] == outs[1]
-
-
-def ladder(r, j):
-    """The R, J economy with rho_k = 0.8 + 0.05 k and alpha spread over [-0.2, 0.2]."""
-    agents = tuple(Agent(0.8 + 0.05 * (k + 1), -0.2 + 0.4 * k / (j - 1), 0.0) for k in range(j))
-    return EconomyParams(R=r, sigma=0.1, alpha_star=0.0, delta0=1.0, agents=agents)
 
 
 def shares_one_to_j(j):

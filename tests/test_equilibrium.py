@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp, softmax
 
-from conftest import draw_economy, draw_state
+import crraeq.equilibrium
+from conftest import draw_economy, draw_state, ladder
 from crraeq.calibrate import wealth_shares
 from crraeq.equilibrium import (
     agent_log_terms_arr,
@@ -17,6 +19,7 @@ from crraeq.equilibrium import (
     state_price_density,
 )
 from crraeq.model import Agent, EconomyParams, MarketState, dividend, log_dividend, validate
+from crraeq.simulate import PathGrid, evaluate_series, simulate_path
 
 S0 = MarketState(0.0, 0.0)
 
@@ -339,3 +342,82 @@ def test_log_levels_columns_match_their_own_expressions_bitwise():
                 assert _same_bits(got[..., k], refs[k]), (k, tt, xx)
             for k in (2, *range(4, p.n_agents + 4)):
                 np.testing.assert_allclose(got[..., k], refs[k], rtol=1e-14, atol=1e-14, err_msg=k)
+
+
+# MC_PAIR of acceptance test c06
+PAIR = EconomyParams(
+    R=2, sigma=0.1, alpha_star=0.0, delta0=1.0,
+    agents=(Agent(0.2, 0.2, 0.1), Agent(0.2, -0.2, -0.1)),
+)
+
+
+def _spy_on_fallback(monkeypatch):
+    """Record each log-space redo of an underflowed agent sum."""
+    calls = []
+    real = crraeq.equilibrium.lse_terms
+
+    def spy(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(crraeq.equilibrium, "lse_terms", spy)
+    return calls
+
+
+def test_node_blocking_never_changes_a_bit(monkeypatch):
+    rng = np.random.default_rng(914)
+    economies = [PAIR, TRIO, ladder(4, 4), ladder(6, 6)]
+    while len(economies) < 7:  # three draws with agent sums that can underflow
+        p, _ = draw_economy(rng, max_agents=5, max_r=6)
+        if p.n_agents > 1:
+            economies.append(p)
+    n_far = 150
+    inputs = [
+        (np.linspace(0.0, 1.0, 1025), 0.03 * np.cumsum(rng.normal(size=1025))),  # a path
+        (1.0, 0.5),  # a 0-d state
+        (rng.uniform(0.0, 5.0, (7, 1)), rng.uniform(-3.0, 3.0, (1, 9))),  # a (7, 9) broadcast
+        (2.0, rng.uniform(-3.0, 3.0, 40)),  # a scalar t against an array x
+        (np.zeros(0), np.zeros(0)),  # no nodes
+    ]
+    # far states, where some agent's sum underflows, among ordinary ones
+    far = (np.linspace(0.0, 2.0, n_far), np.resize([-3000.0, 0.5, 3000.0, 20000.0], n_far))
+    fallback = _spy_on_fallback(monkeypatch)
+    for p in economies:
+        tab = validate(p)
+        n_terms = len(tab.parts)
+        for t, x in [*inputs, far]:
+            monkeypatch.setattr(crraeq.equilibrium, "_BLOCK_ELEMENTS", 2000 * n_terms)
+            want = evaluate_fields(t, x, p, tab)  # one block
+            for nodes in (1, 7, 64):
+                monkeypatch.setattr(crraeq.equilibrium, "_BLOCK_ELEMENTS", nodes * n_terms)
+                del fallback[:]
+                got = evaluate_fields(t, x, p, tab)
+                assert got.keys() == want.keys()
+                for k in want:
+                    assert _same_bits(got[k], want[k]), (p, k, np.shape(x), nodes)
+                if x is far[1]:
+                    assert fallback, "no agent sum underflowed at the far states"
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_memory_is_bounded_by_the_block(monkeypatch):
+    # numpy reports its buffers to tracemalloc; one (nodes, M) float64
+    # array is 15 MB here, the two (block, M) buffers about 1 MB
+    p = ladder(6, 6)
+    tab = validate(p)
+    path = simulate_path(PathGrid(0.0, 1.0, 4096), 0.0, seed=0, path_index=0)
+    assert len(path.x_values) * len(tab.parts) * 8 > 15e6
+    assert _traced_peak(lambda: evaluate_series(path, p, tab)) < 8 * 2**20
+    # the log-space redo of underflowed sums is blocked as well
+    fallback = _spy_on_fallback(monkeypatch)
+    t = np.linspace(0.0, 1.0, 2000)
+    assert _traced_peak(lambda: evaluate_fields(t, 20000.0, p, tab)) < 8 * 2**20
+    assert sum(shape[0] for shape in fallback) >= len(t)

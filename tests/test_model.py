@@ -18,6 +18,7 @@ from crraeq.model import (
     sufficient_condition_margin,
     validate,
 )
+from conftest import draw_economy
 from rm1_oracle import denominator, lifted_block
 
 
@@ -127,6 +128,27 @@ def test_validate_deterministic():
     np.testing.assert_array_equal(a.log_coeffs, b.log_coeffs)
     np.testing.assert_array_equal(a.x_coefs, b.x_coefs)
     np.testing.assert_array_equal(a.t_coefs, b.t_coefs)
+    np.testing.assert_array_equal(a.log_offsets, b.log_offsets)
+    np.testing.assert_array_equal(a.rows, b.rows)
+    assert (a.a0, a.b0) == (b.a0, b.b0)
+
+
+def test_reduction_rows_are_their_expressions_bitwise():
+    # the gamma-free rows the kernel reduces the Z terms against
+    rng = np.random.default_rng(131)
+    for _ in range(8):
+        p, tab = draw_economy(rng, max_agents=5, max_r=6)
+        a, beta = tab.x_coefs, tab.parts.T
+        b = tab.t_coefs - 0.5 * a**2
+        a0, b0 = 0.5 * (a.max() + a.min()), 0.5 * (b.max() + b.min())
+        assert (float(tab.a0).hex(), float(tab.b0).hex()) == (float(a0).hex(), float(b0).hex())
+        rows = [np.ones_like(a), a - a0, b - b0, *beta, *(beta * (a - a0))]
+        assert tab.rows.shape == (3 + 2 * p.n_agents, len(tab.parts))
+        assert tab.rows.dtype == np.float64
+        for got, want in zip(tab.rows, rows):
+            assert np.array_equal(got.view(np.int64), np.asarray(want, float).view(np.int64))
+        offsets = tab.log_coeffs - np.log(tab.d_values)
+        assert np.array_equal(tab.log_offsets.view(np.int64), offsets.view(np.int64))
 
 
 def test_table_lift_matches_plus_unit():
