@@ -33,7 +33,7 @@ from .calibrate import (
     solve_gamma_on_table,
     wealth_shares,
 )
-from .equilibrium import evaluate_fields, snapshot
+from .equilibrium import EvaluatedSeries, evaluate_fields, snapshot
 from .model import (
     ConfigError,
     DenominatorTable,
@@ -48,6 +48,7 @@ from .multiindex import CompositionCapExceeded
 from .simulate import (
     MAX_PATHS,
     TruncationTooLoose,
+    _MAX_GRID_NODES,
     _resolve_grid,
     default_horizon,
     evaluate_series,
@@ -207,11 +208,18 @@ def _write_csv_rows(fh, path_id: int, matrix: np.ndarray) -> None:
         fh.write(template % tuple(block.ravel().tolist()))
 
 
+def _check_seed(seed: int) -> None:
+    """Path streams are keyed by an unsigned 64-bit seed."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"--seed must be in [0, 2**64), got {seed}")
+
+
 def cmd_simulate(args) -> int:
     if args.paths < 1:
         raise ConfigError("--paths must be positive")
     if args.workers < 1:
         raise ConfigError("--workers must be positive")
+    _check_seed(args.seed)
     horizon = args.horizon if args.horizon is not None else args.t0 + 10.0
     for flag, value in (("--t0", args.t0), ("--x0", args.x0), ("--horizon", horizon)):
         if not math.isfinite(value):
@@ -259,13 +267,22 @@ def _check(name: str, value: float, threshold: float) -> dict:
     }
 
 
+def _worst(gaps) -> float:
+    """The largest gap (from 0.0, bit for bit), or NaN if any gap is NaN:
+    an identity that is undefined at some state fails its check."""
+    gaps = list(gaps)
+    return math.nan if any(map(math.isnan, gaps)) else max(0.0, *gaps)
+
+
+def _suite(name: str, checks: list, **header) -> dict:
+    return {"suite": name, **header, "checks": checks, "pass": all(c["pass"] for c in checks)}
+
+
 def _suite_clearing(params, table, seed: int, n_paths: int) -> dict:
-    """Market clearing and pricing identities at randomized states."""
-    rng = np.random.default_rng(seed)
-    snaps = []
-    for _ in range(N_SUITE_STATES):
-        st = MarketState(float(rng.uniform(0.0, 10.0)), float(rng.uniform(-5.0, 5.0)))
-        snaps.append(snapshot(st, params, table))
+    """Market clearing and pricing identities at randomized states, in one kernel call."""
+    t, x = np.random.default_rng(seed).uniform((0.0, -5.0), (10.0, 5.0), (N_SUITE_STATES, 2)).T
+    series = EvaluatedSeries(**evaluate_fields(t, x, params, table))
+    snaps = [series.snapshot_at(k) for k in range(N_SUITE_STATES)]
     identities = (  # (quantity, tolerance, its error at one snapshot)
         ("consumption_clearing", CONSUMPTION_TOL,
          lambda snap: abs(math.fsum(snap.consumptions) - snap.dividend) / snap.dividend),
@@ -283,82 +300,60 @@ def _suite_clearing(params, table, seed: int, n_paths: int) -> dict:
             IDENTITY_REL_FLOOR,
         )),
     )
-    # max(0.0, *errors) is the running max from 0.0: it keeps the first of
-    # equal values and passes over NaN
-    checks = [
-        _check(name, max(0.0, *(error(snap) for snap in snaps)), tol)
-        for name, tol, error in identities
-    ]
-    return {
-        "suite": "clearing",
-        "n_states": N_SUITE_STATES,
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
+    checks = [_check(name, _worst(map(error, snaps)), tol) for name, tol, error in identities]
+    return _suite("clearing", checks, n_states=N_SUITE_STATES)
 
 
-FD_QUANTITIES = (
-    "alpha_bar",
-    "rho_bar",
-    "riskless_rate",
-    "kappa",
-    "alpha_tilde",
-    "rho_tilde",
-    "alpha_tilde_agents",
-    "sigma_S",
-    "mu_S",
-)
+def _fd_errors(t, x, params: EconomyParams, table: DenominatorTable) -> dict:
+    """Worst relative gaps between closed-form Ito coefficients and FD oracles.
 
-
-def _fd_errors(state: MarketState, params: EconomyParams, table: DenominatorTable) -> dict:
-    """Relative gaps between closed-form Ito coefficients and FD oracles.
-
-    First-order coefficients are x-derivatives of the log fields; the
-    dt-generator identity (d_t f + d_xx f / 2) / f = h_t + (h_xx + h_x^2) / 2
-    for h = log f recovers the second-order ones.  The second-order
-    stencils use Richardson extrapolation with wider steps, which keeps
-    the roundoff floor below the 1e-5 verification tolerance.
+    t and x are one state or 1-d arrays of states; the closed forms, the
+    plain stencil and the Richardson stencil are each one kernel call over
+    all of them.  Each quantity's value is its worst gap over the states
+    (and the agents), NaN if any gap is NaN.  First-order coefficients are
+    x-derivatives of the log fields; the dt-generator identity
+    (d_t f + d_xx f / 2) / f = h_t + (h_xx + h_x^2) / 2 for h = log f
+    recovers the second-order ones.  The second-order stencils use
+    Richardson extrapolation with wider steps, which keeps the roundoff
+    floor below the 1e-5 verification tolerance.
     """
-    closed = evaluate_fields(state.t, state.x, params, table)
+    t, x = np.broadcast_arrays(np.atleast_1d(t), np.atleast_1d(x))
+    closed = evaluate_fields(t, x, params, table)
     levels = lambda t, x: evaluate_fields(t, x, params, table)["log_levels"]
 
-    # columns: log L, log zeta, log Z, log S, then log Z^j per agent
-    l_x, zeta_x, z_x, s_x, *zj_x = fd_engine(levels, state)[1].tolist()
+    # one row per state; columns: log L, log zeta, log Z, log S, then log Z^j per agent
+    first = fd_engine(levels, t, x)[1].tolist()
+    l_x, zeta_x, z_x, s_x = zip(*(row[:4] for row in first))
+    f_t, f_x, f_xx = fd_engine(levels, t, x, dx=2e-2, dt=1e-3, richardson=True)[..., :4].tolist()
     # Python floats: their ** is libm pow, numpy's ** squares
-    f_t, f_x, f_xx = fd_engine(levels, state, dx=2e-2, dt=1e-3, richardson=True)[:, :4].tolist()
-    gen_l, gen_zeta, gen_z, gen_s = (
-        ft + 0.5 * (fxx + fx**2) for ft, fx, fxx in zip(f_t, f_x, f_xx)
-    )
+    gen_l, gen_zeta, gen_z, gen_s = zip(*(
+        [ft + 0.5 * (fxx + fx**2) for ft, fx, fxx in zip(*rows)] for rows in zip(f_t, f_x, f_xx)
+    ))
 
-    agent_errs = (_rel(a, z, FD_REL_FLOOR) for a, z in zip(closed["alpha_tilde_agents"], zj_x))
+    def worst(closed_form, oracle):
+        pairs = zip(np.ravel(closed_form).tolist(), oracle)
+        return _worst(_rel(a, b, FD_REL_FLOOR) for a, b in pairs)
+
     return {
-        "alpha_bar": _rel(closed["alpha_bar"], l_x, FD_REL_FLOOR),
-        "rho_bar": _rel(closed["rho_bar"], -gen_l, FD_REL_FLOOR),
-        "riskless_rate": _rel(closed["riskless_rate"], -gen_zeta, FD_REL_FLOOR),
-        "kappa": _rel(closed["kappa"], -zeta_x, FD_REL_FLOOR),
-        "alpha_tilde": _rel(closed["alpha_tilde"], z_x, FD_REL_FLOOR),
-        "rho_tilde": _rel(closed["rho_tilde"], -gen_z, FD_REL_FLOOR),
-        "sigma_S": _rel(closed["vol"], s_x, FD_REL_FLOOR),
-        "mu_S": _rel(closed["drift"], gen_s, FD_REL_FLOOR),
-        "alpha_tilde_agents": max(0.0, *agent_errs),
+        "alpha_bar": worst(closed["alpha_bar"], l_x),
+        "rho_bar": worst(closed["rho_bar"], [-g for g in gen_l]),
+        "riskless_rate": worst(closed["riskless_rate"], [-g for g in gen_zeta]),
+        "kappa": worst(closed["kappa"], [-v for v in zeta_x]),
+        "alpha_tilde": worst(closed["alpha_tilde"], z_x),
+        "rho_tilde": worst(closed["rho_tilde"], [-g for g in gen_z]),
+        "alpha_tilde_agents": worst(
+            closed["alpha_tilde_agents"], [v for row in first for v in row[4:]]
+        ),
+        "sigma_S": worst(closed["vol"], s_x),
+        "mu_S": worst(closed["drift"], gen_s),
     }
 
 
 def _suite_fd(params, table, seed: int, n_paths: int) -> dict:
-    """Every Ito coefficient against its finite-difference oracle."""
-    rng = np.random.default_rng(seed)
-    worst = dict.fromkeys(FD_QUANTITIES, 0.0)
-    for _ in range(N_SUITE_STATES):
-        st = MarketState(float(rng.uniform(0.2, 5.0)), float(rng.uniform(-2.0, 2.0)))
-        for name, err in _fd_errors(st, params, table).items():
-            worst[name] = max(worst[name], err)
-    checks = [_check(name, worst[name], FD_TOL) for name in FD_QUANTITIES]
-    return {
-        "suite": "fd",
-        "n_states": N_SUITE_STATES,
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
+    """Every Ito coefficient against its finite-difference oracle, in three kernel calls."""
+    t, x = np.random.default_rng(seed).uniform((0.2, -2.0), (5.0, 2.0), (N_SUITE_STATES, 2)).T
+    checks = [_check(name, err, FD_TOL) for name, err in _fd_errors(t, x, params, table).items()]
+    return _suite("fd", checks, n_states=N_SUITE_STATES)
 
 
 def _mc_check(name: str, rep) -> dict:
@@ -376,10 +371,19 @@ def _suite_mc(params, table, seed: int, n_paths: int) -> dict:
     The quadrature grid uses dt near 0.5.  The trapezoid is not exact
     there: on the benchmark pair and trio it biases the estimates by
     +0.7e-3 to +1.2e-3 relative, which is visible against the standard
-    error at 2000 paths.
+    error at 2000 paths.  Near the D > 0 boundary the horizon 5 / min D
+    needs more grid nodes than a path may hold; that is a model-level
+    failure of this suite, raised before any path is drawn.
     """
     state = MarketState(0.0, 0.0)
     horizon = default_horizon(table)
+    if not horizon * 2.0 <= _MAX_GRID_NODES - 1:  # inf too
+        raise ModelError(
+            f"the mc suite cannot reach horizon {horizon:.17g} = 5 / min D "
+            f"(min D = {table.min_denominator:.17g}) at dt near 0.5 within "
+            f"{_MAX_GRID_NODES} grid nodes; this economy is too close to the D > 0 "
+            "boundary for it: verify it with the fd, clearing and martingale suites"
+        )
     n_steps = max(2, math.ceil(horizon * 2.0))
     wealth_reps, stock_rep = mc_oracles(
         state, params, table, n_paths, horizon=horizon, n_steps=n_steps, seed=seed
@@ -388,25 +392,13 @@ def _suite_mc(params, table, seed: int, n_paths: int) -> dict:
         _mc_check(f"wealth_oracle_agent_{j + 1}", rep) for j, rep in enumerate(wealth_reps)
     ]
     checks.append(_mc_check("stock_oracle", stock_rep))
-    return {
-        "suite": "mc",
-        "n_paths": n_paths,
-        "horizon": horizon,
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
+    return _suite("mc", checks, n_paths=n_paths, horizon=horizon)
 
 
 def _suite_martingale(params, table, seed: int, n_paths: int) -> dict:
     """Discounted gains process: payoff leg plus dividend leg equals S_0 zeta_0."""
     rep = martingale_check(params, table, n_paths, horizon=5.0, seed=seed)
-    check = _mc_check("martingale", rep)
-    return {
-        "suite": "martingale",
-        "n_paths": n_paths,
-        "checks": [check],
-        "pass": check["pass"],
-    }
+    return _suite("martingale", [_mc_check("martingale", rep)], n_paths=n_paths)
 
 
 _SUITE_RUNNERS = {
@@ -422,6 +414,7 @@ def cmd_verify(args) -> int:
         raise ConfigError("--paths must be at least 2")
     if args.paths > MAX_PATHS:
         raise ConfigError(f"--paths must be at most {MAX_PATHS}, got {args.paths}")
+    _check_seed(args.seed)
     params = _load_economy(args.config)
     table = validate(params)
     wanted = tuple(_SUITE_RUNNERS) if args.suite == "all" else (args.suite,)

@@ -98,17 +98,18 @@ class EquilibriumSnapshot:
 
 @dataclass(frozen=True, eq=False)
 class EvaluatedSeries:
-    """Every closed-form quantity along one path; arrays indexed by grid node.
+    """Every closed-form quantity at broadcast states (t, x): the checked
+    record of `evaluate_fields`, built as EvaluatedSeries(**fields).
 
-    Per-agent arrays have shape (n_nodes, J), agent order as in params;
-    `log_levels` has shape (n_nodes, J + 4), the columns log L, log zeta,
-    log Z, log S and log Z^1 .. log Z^J.  A series evaluated at a single
-    state has no grid (None) and 0-d arrays.  Portfolios are undefined
-    where the stock volatility vanishes, so building a series with such a
-    node raises DegenerateStockVolatility carrying the node's `grid_index`.
+    Along a path the arrays are indexed by grid node; per-agent arrays
+    have shape (n_nodes, J), agent order as in params, and `log_levels`
+    has shape (n_nodes, J + 4), the columns log L, log zeta, log Z, log S
+    and log Z^1 .. log Z^J.  At a single state the arrays are 0-d.
+    Portfolios are undefined where the stock volatility vanishes, so
+    building a record with such a state raises DegenerateStockVolatility
+    for the first of them, carrying its flat index as `grid_index`.
     """
 
-    grid: "object"
     t: np.ndarray
     x: np.ndarray
     dividend: np.ndarray
@@ -329,7 +330,7 @@ def _z_side(t, x, params: EconomyParams, table: DenominatorTable):
 
 
 def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dict:
-    """Every `EvaluatedSeries` field but the grid, at broadcast (t, x).
+    """Every `EvaluatedSeries` field at broadcast (t, x).
 
     The L side is O(J): under the L weights beta is multinomial(R, p) with
     p = softmax(u).  The Z side is one pass over the level-R Z terms, taken
@@ -429,5 +430,4 @@ def snapshot(
     state: MarketState, params: EconomyParams, table: DenominatorTable
 ) -> EquilibriumSnapshot:
     """Bundle levels and dynamics at one state into a single record."""
-    fields = evaluate_fields(state.t, state.x, params, table)
-    return EvaluatedSeries(grid=None, **fields).snapshot_at(())
+    return EvaluatedSeries(**evaluate_fields(state.t, state.x, params, table)).snapshot_at(())

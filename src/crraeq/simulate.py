@@ -106,7 +106,6 @@ class PathGrid:
 class SimulatedPath:
     grid: PathGrid
     x_values: np.ndarray
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,13 @@ class RealizedVolReport:
 
 
 def path_generator(seed: int, path_index: int) -> np.random.Generator:
-    """Counter-based substream for one path; independent of n_paths."""
-    return np.random.Generator(np.random.Philox(key=[seed, path_index]))
+    """Counter-based substream for one path; independent of n_paths.
+
+    The key is the exact pair of unsigned 64-bit integers: a plain list
+    would turn a seed of 2**63 or more into a rounded float64.
+    """
+    key = np.array([seed, path_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _fill_path(row: np.ndarray, grid: PathGrid, x0: float, seed: int, path_index: int):
@@ -147,7 +151,7 @@ def simulate_path(grid: PathGrid, x0: float, seed: int, path_index: int) -> Simu
     """Exact Brownian path `path_index` of X from x0, drawn from its own substream."""
     x = np.empty(grid.n_steps + 1)
     _fill_path(x, grid, x0, seed, path_index)
-    return SimulatedPath(grid=grid, x_values=x, seed=seed)
+    return SimulatedPath(grid=grid, x_values=x)
 
 
 def simulate_paths(
@@ -167,7 +171,7 @@ def evaluate_series(
     if x.shape != t.shape:
         raise ValueError("path x_values length does not match its grid")
 
-    return EvaluatedSeries(grid=path.grid, **equilibrium.evaluate_fields(t, x, params, table))
+    return EvaluatedSeries(**equilibrium.evaluate_fields(t, x, params, table))
 
 
 def default_horizon(table: DenominatorTable, t0: float = 0.0) -> float:
@@ -412,31 +416,27 @@ def realized_vol_check(
     )
 
 
-def fd_engine(
-    f,
-    state: MarketState,
-    dx: float = 1e-4,
-    dt: float = 1e-5,
-    richardson: bool = False,
-):
-    """Central differences of a scalar or vector field f(t, x) at a state.
+def fd_engine(f, t, x, dx: float = 1e-4, dt: float = 1e-5, richardson: bool = False):
+    """Central differences of a scalar or vector field f(t, x) at one state
+    or at arrays of states (t, x), broadcast together.
 
-    f must broadcast over array (t, x), with its values along the first
-    axis: every stencil point, 5 of them or 9 with Richardson, is evaluated
-    in one call.  Returns the array [d/dt, d/dx, d2/dx2], of shape (3,)
-    plus the shape of one value of f, so each column of a vector field
-    gets the stencil a scalar field would.  With richardson=True each
-    derivative is extrapolated from steps h and h/2, killing the leading
-    h^2 error term; use it for second-order quantities where the bare-step
-    roundoff floor is above the target tolerance.
+    f must broadcast over array (t, x), with its values after the state
+    axes: every stencil point of every state, 5 of them or 9 with
+    Richardson, is evaluated in one call.  Returns the array [d/dt, d/dx,
+    d2/dx2], of shape (3,) plus the states' shape plus the shape of one
+    value of f, so each state and each column of a vector field gets the
+    stencil a scalar field at that state alone would.  With
+    richardson=True each derivative is extrapolated from steps h and h/2,
+    killing the leading h^2 error term; use it for second-order quantities
+    where the bare-step roundoff floor is above the target tolerance.
     """
-    t0, x0 = state.t, state.x
+    t0, x0 = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     steps = [(dt, dx), (dt / 2, dx / 2)] if richardson else [(dt, dx)]
-    t, x = [t0], [x0]
+    t_pts, x_pts = [t0], [x0]
     for ht, hx in steps:
-        t += [t0, t0, t0 + ht, t0 - ht]
-        x += [x0 + hx, x0 - hx, x0, x0]
-    values = f(np.array(t), np.array(x))
+        t_pts += [t0, t0, t0 + ht, t0 - ht]
+        x_pts += [x0 + hx, x0 - hx, x0, x0]
+    values = f(np.stack(t_pts), np.stack(x_pts))
     center = values[0]
 
     def stencil(k):

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import crraeq.cli
+from conftest import draw_economy, ladder
 from crraeq.calibrate import CalibrationTarget, solve_gamma
 from crraeq.cli import FD_TOL, _CSV_BLOCK_ROWS, _fd_errors, _write_csv_rows, main
-from crraeq.model import MarketState, economy_from_dict, validate
+from crraeq.model import economy_from_dict, validate
 
 BENCH = {
     "R": 2, "sigma": 0.1, "alpha_star": 0.0, "delta0": 1.0,
@@ -273,6 +274,10 @@ def test_simulate_reproducible_across_runs_and_workers(tmp_path):
         ("simulate", "--horizon", "1e12", "--out", "x.csv"),
         ("simulate", "--steps", "1000000000000", "--out", "x.csv"),
         ("verify", "--paths", "1000000000000"),
+        ("simulate", "--seed", "-1", "--out", "x.csv"),
+        ("simulate", "--seed", "18446744073709551616", "--out", "x.csv"),
+        ("verify", "--seed", "-1"),
+        ("verify", "--seed", "18446744073709551616"),
     ],
 )
 def test_bad_flags_exit_2_before_the_economy_is_loaded(tmp_path, monkeypatch, argv):
@@ -455,14 +460,104 @@ def test_fd_errors_differentiate_every_level_in_two_calls(monkeypatch):
     calls = []
     real_fd_engine = crraeq.cli.fd_engine
 
-    def counted(field, state, **steps):
+    def counted(field, t, x, **steps):
         calls.append(steps)
-        return real_fd_engine(field, state, **steps)
+        return real_fd_engine(field, t, x, **steps)
 
     monkeypatch.setattr(crraeq.cli, "fd_engine", counted)
     for obj in (BENCH, PAIR, TRIO):
         params = economy_from_dict(obj)
         calls.clear()
-        errors = _fd_errors(MarketState(1.0, 0.3), params, validate(params))
+        errors = _fd_errors(1.0, 0.3, params, validate(params))
         assert calls == [{}, dict(dx=2e-2, dt=1e-3, richardson=True)]
         assert max(errors.values()) <= FD_TOL
+
+
+def test_each_suite_evaluates_its_states_in_one_kernel_call_per_stencil(monkeypatch):
+    # clearing: the closed forms; fd: the closed forms, the plain stencil
+    # and the Richardson stencil, each over all of the suite's states
+    calls = []
+    real = crraeq.cli.evaluate_fields
+
+    def counted(t, x, params, table):
+        calls.append(np.shape(t))
+        return real(t, x, params, table)
+
+    monkeypatch.setattr(crraeq.cli, "evaluate_fields", counted)
+    for obj in (PAIR, TRIO):
+        params = economy_from_dict(obj)
+        table = validate(params)
+        calls.clear()
+        assert crraeq.cli._suite_clearing(params, table, 3, 2)["pass"]
+        assert calls == [(crraeq.cli.N_SUITE_STATES,)]
+        calls.clear()
+        assert crraeq.cli._suite_fd(params, table, 3, 2)["pass"]
+        n = crraeq.cli.N_SUITE_STATES
+        assert calls == [(n,), (5, n), (9, n)]
+
+
+def test_fd_errors_over_arrays_equal_the_worst_single_state_calls():
+    rng = np.random.default_rng(1501)
+    economies = [economy_from_dict(obj) for obj in (PAIR, TRIO, MC_PAIR)]
+    economies += [ladder(4, 4), ladder(3, 12)]
+    economies += [draw_economy(rng, max_agents=4, max_r=5)[0] for _ in range(2)]
+    for params in economies:
+        table = validate(params)
+        t, x = rng.uniform((0.2, -2.0), (5.0, 2.0), (7, 2)).T
+        batched = _fd_errors(t, x, params, table)
+        worst = {}
+        for t_n, x_n in zip(t.tolist(), x.tolist()):
+            for name, err in _fd_errors(t_n, x_n, params, table).items():
+                worst[name] = max(worst.get(name, 0.0), err)
+        assert list(batched) == list(worst)
+        assert [v.hex() for v in batched.values()] == [v.hex() for v in worst.values()]
+
+
+def test_worst_gap_is_nan_if_any_gap_is_nan():
+    assert math.isnan(crraeq.cli._worst([1e-3, math.nan, 2e-3]))
+    assert math.isnan(crraeq.cli._worst([math.nan, 0.5]))
+    assert crraeq.cli._worst([1e-3, math.inf, 2e-3]) == math.inf
+    assert crraeq.cli._worst([0.0, 3e-12, 1e-12]) == 3e-12
+
+
+def test_an_undefined_clearing_identity_fails_verification(tmp_path):
+    # at delta0 = 1e308 the stock price and every wealth overflow, so the
+    # wealth gap inf - inf is NaN at every state: it must fail, not read 0
+    huge = dict(MC_PAIR, delta0=1e308)
+    cfg = write_config(tmp_path, huge)
+    code, out, _ = run_cli("evaluate", cfg, "--x", "3")
+    assert code == 0
+    assert json.loads(out)["stock_price"] == math.inf
+    code, out, err = run_cli("verify", cfg, "--suite", "clearing")
+    assert code == 1
+    checks = {c["quantity"]: c for c in json.loads(out)["suites"][0]["checks"]}
+    assert math.isnan(checks["wealth_aggregation"]["value"])
+    assert checks["wealth_aggregation"]["pass"] is False
+    assert '"value": NaN' in out
+    assert "wealth_aggregation" in err
+
+
+def test_mc_suite_near_the_boundary_is_a_model_error_before_any_path(tmp_path, monkeypatch):
+    # min D is about 1e-7, so the mc suite's horizon 5 / min D needs a grid
+    # of 1e8 steps at dt near 0.5; the other suites still verify it
+    near = {
+        "R": 2, "sigma": 0.1, "alpha_star": 0.0, "delta0": 1.0,
+        "agents": [{"rho": 0.0100001, "alpha": 0.0, "gamma": 0.0}],
+    }
+    cfg = write_config(tmp_path, near)
+    code, out, _ = run_cli("validate", cfg)
+    assert code == 0
+    assert json.loads(out)["min_denominator"] == 9.9999999997671396e-08
+    for suite in ("clearing", "fd", "martingale"):
+        code, out, err = run_cli("verify", cfg, "--suite", suite, "--paths", "10")
+        assert code == 0, (suite, err)
+    monkeypatch.setattr(
+        crraeq.cli, "mc_oracles", lambda *a, **k: pytest.fail("paths drawn")
+    )
+    code, out, err = run_cli("verify", cfg, "--suite", "mc", "--paths", "10")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "9.9999999997671396e-08" in err and "50000000.001164302" in err
+    for suite in ("fd", "clearing", "martingale"):
+        assert suite in err

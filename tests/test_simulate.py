@@ -60,6 +60,19 @@ def test_paths_deterministic_and_prefix_stable():
     assert not np.array_equal(a[0].x_values, d[0].x_values)
 
 
+def test_every_64_bit_seed_keys_its_own_stream():
+    # seeds of 2**63 and more are keyed exactly, not through a rounded float64
+    grid = PathGrid(0.0, 1.0, 8)
+    top = 2**64 - 1
+    seeds = (0, 41, 2**63 - 1, 2**63, 2**63 + 1, top - 1, top)
+    paths = [simulate_paths(grid, 0.0, 2, seed) for seed in seeds]
+    rows = {p.x_values.tobytes() for pair in paths for p in pair}
+    assert len(rows) == 2 * len(seeds)
+    small = crraeq.simulate.path_generator(41, 1).standard_normal(4)
+    plain = np.random.Generator(np.random.Philox(key=[41, 1])).standard_normal(4)
+    assert small.tobytes() == plain.tobytes()
+
+
 def test_path_increments_brownian_moments():
     grid = PathGrid(1.0, 4.0, 2)
     span = grid.horizon - grid.t0
@@ -160,7 +173,7 @@ def test_series_degenerate_volatility_carries_grid_index():
     )
     grid = PathGrid(0.0, 1.0, 2)
     path = simulate_paths(grid, 0.0, 1, 1)[0]
-    doctored = type(path)(grid=grid, x_values=np.array([0.0, x_star, 1.0]), seed=1)
+    doctored = type(path)(grid=grid, x_values=np.array([0.0, x_star, 1.0]))
     with pytest.raises(DegenerateStockVolatility) as ei:
         evaluate_series(doctored, p, tab)
     assert ei.value.grid_index == 1
@@ -390,9 +403,7 @@ def test_fd_engine_on_known_fields():
     p = BENCH
     from crraeq.model import log_dividend
 
-    f_t, f_x, f_xx = fd_engine(
-        lambda t, x: log_dividend(t, x, p), MarketState(1.0, 0.3)
-    )
+    f_t, f_x, f_xx = fd_engine(lambda t, x: log_dividend(t, x, p), 1.0, 0.3)
     np.testing.assert_allclose(f_x, 0.1, rtol=1e-8)
     np.testing.assert_allclose(f_t, -0.005, rtol=1e-6)
     assert abs(f_xx) <= 1e-8
@@ -400,7 +411,7 @@ def test_fd_engine_on_known_fields():
     g = lambda t, x: np.exp(0.3 * x - 0.2 * t)
     st = MarketState(0.5, -0.2)
     val = g(st.t, st.x)
-    f_t, f_x, f_xx = fd_engine(g, st, dx=1e-3, dt=1e-3, richardson=True)
+    f_t, f_x, f_xx = fd_engine(g, st.t, st.x, dx=1e-3, dt=1e-3, richardson=True)
     np.testing.assert_allclose(f_t, -0.2 * val, rtol=1e-9)
     np.testing.assert_allclose(f_x, 0.3 * val, rtol=1e-9)
     np.testing.assert_allclose(f_xx, 0.09 * val, rtol=1e-7)
@@ -425,21 +436,25 @@ def _pointwise_fd(f, st, dx, dt, richardson):
 
 def test_fd_engine_one_batched_call_matches_pointwise_stencil():
     # the vector field of every log level in one call; each column equals
-    # the stencil of that column alone, point by point, to the bit
+    # the stencil of that column alone, point by point, to the bit; over
+    # arrays of states, each state's columns are that state's own stencil
     rng = np.random.default_rng(535)
+    calls = []
+
+    def counted(t, x):
+        calls.append(np.shape(t))
+        return levels(t, x)
+
     for _ in range(3):
         p, tab = draw_economy(rng, max_agents=3, max_r=4)
         levels = lambda t, x: evaluate_fields(t, x, p, tab)["log_levels"]
+        states = []
         for _ in range(3):
             st = MarketState(float(rng.uniform(0.2, 5.0)), float(rng.uniform(-2, 2)))
+            states.append(st)
             for steps in ({}, dict(dx=2e-2, dt=1e-3, richardson=True)):
-                calls = []
-
-                def counted(t, x):
-                    calls.append(np.shape(t))
-                    return levels(t, x)
-
-                got = fd_engine(counted, st, **steps)
+                calls.clear()
+                got = fd_engine(counted, st.t, st.x, **steps)
                 assert calls == [(9,) if steps else (5,)]
                 assert got.shape == (3, p.n_agents + 4)
                 for k in range(p.n_agents + 4):
@@ -448,6 +463,15 @@ def test_fd_engine_one_batched_call_matches_pointwise_stencil():
                         st, steps.get("dx", 1e-4), steps.get("dt", 1e-5), bool(steps),
                     )
                     assert tuple(got[:, k].tolist()) == want
+        t, x = np.array([st.t for st in states]), np.array([st.x for st in states])
+        for steps in ({}, dict(dx=2e-2, dt=1e-3, richardson=True)):
+            calls.clear()
+            got = fd_engine(counted, t, x, **steps)
+            assert calls == [(9, 3) if steps else (5, 3)]
+            assert got.shape == (3, 3, p.n_agents + 4)
+            for n, st in enumerate(states):
+                own = fd_engine(levels, st.t, st.x, **steps)
+                assert got[:, n].tobytes() == own.tobytes()
 
 
 def test_fd_matches_first_order_coefficients():
@@ -459,7 +483,7 @@ def test_fd_matches_first_order_coefficients():
             snap = snapshot(st, p, tab)
             rb, sd = snap.rates, snap.stock
             lbar_x, zeta_x, _, s_x, *zj_x = fd_engine(
-                lambda t, x: evaluate_fields(t, x, p, tab)["log_levels"], st
+                lambda t, x: evaluate_fields(t, x, p, tab)["log_levels"], st.t, st.x
             )[1]
             np.testing.assert_allclose(lbar_x, rb.alpha_bar, rtol=1e-5, atol=1e-9)
             np.testing.assert_allclose(-zeta_x, rb.kappa, rtol=1e-5)
@@ -483,7 +507,7 @@ def test_fd_matches_second_order_coefficients():
 
             f_t, f_x, f_xx = fd_engine(
                 lambda t, x: evaluate_fields(t, x, p, tab)["log_levels"],
-                st, dx=2e-2, dt=1e-3, richardson=True,
+                st.t, st.x, dx=2e-2, dt=1e-3, richardson=True,
             )
             gen_l, gen_zeta, _, gen_s = (f_t + 0.5 * (f_xx + f_x**2))[:4]
             np.testing.assert_allclose(-gen_zeta, rb.riskless_rate, rtol=1e-5, atol=1e-8)
