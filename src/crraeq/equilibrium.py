@@ -23,6 +23,9 @@ works where some D(beta) <= 0.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +44,10 @@ _FULL_PRECISION_SHARE = np.finfo(float).tiny / np.finfo(float).eps
 # the most float64 terms a block holds at once (512 KiB): the kernel's node
 # blocks and the Monte Carlo path blocks share this budget
 _BLOCK_ELEMENTS = 1 << 16
+# the cores this process may run on: `_block_map` runs one group of blocks on each
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 
 class DegenerateStockVolatility(ModelError):
@@ -167,7 +174,7 @@ class EvaluatedSeries:
         )
 
 
-def lse_agents(u, axis=-1):
+def lse_agents(u, axis=-1, work=None):
     """log sum_j exp(u_j) over a short agent axis, one agent slab at a time.
 
     scipy.special.logsumexp's algorithm: the maximal terms are split out
@@ -179,13 +186,22 @@ def lse_agents(u, axis=-1):
     interleaved partials, and the two differ by rounding, a few 1e-16
     relative.  scipy's generic overhead (about 0.1 ms per call) is gone.
     Where the maximum is +-inf the result is that maximum, NaN propagates.
-    Its sibling `lse_terms` sums the long composition axis, with weights.
+    work, if given, is a float buffer of shape (4,) + the result's shape
+    for the intermediates, so the call allocates no float array of that
+    size; the result is then the view work[2], and work[0], [1] and [3]
+    are free again once it returns.  Its sibling `lse_terms` sums the long
+    composition axis, with weights.
     """
     slabs = np.moveaxis(np.asarray(u, dtype=float), axis, 0)
-    top = np.copy(slabs[0])  # an array even for 0-d slabs, so out= works
+    if work is None:
+        work = np.empty((4,) + slabs.shape[1:])
+    # [k, ...] keeps 0-d slots arrays, so out= works
+    top, ties, s, d = (work[k, ...] for k in range(4))
+    np.copyto(top, slabs[0])
     for slab in slabs[1:]:
         np.maximum(top, slab, out=top)
-    ties, s, d = np.zeros_like(top), np.zeros_like(top), np.empty_like(top)
+    ties.fill(0.0)
+    s.fill(0.0)
     tied = np.empty(top.shape, dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
         for slab in slabs:
@@ -272,48 +288,101 @@ def log_z_terms_arr(t, x, params: EconomyParams, table: DenominatorTable) -> np.
     return _fill_log_z_terms(t, x, shift, table, out, np.empty_like(out))
 
 
+def _block_map(run_group, n_blocks: int) -> list:
+    """[run_group(blocks) for each contiguous group of range(n_blocks)], in group order.
+
+    The blocks are split into at most _WORKERS groups of near-equal size.
+    The calling thread runs the first group; each other group runs on its
+    own thread in a copy of the caller's context, which carries the
+    caller's np.errstate (numpy keeps it in a context variable; a plain
+    thread would start at numpy's defaults).  Every thread is joined before
+    the first exception, in group order, is raised.  With one block or one
+    core this is the plain call and starts no thread.  A group must write
+    only its own blocks' rows of any shared output, and the numpy calls
+    that do the work release the interpreter lock, so the groups overlap.
+    """
+    n_groups = min(_WORKERS, n_blocks)
+    if n_groups <= 1:
+        return [run_group(range(n_blocks))]
+    cuts = [n_blocks * g // n_groups for g in range(n_groups + 1)]
+    groups = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    results, errors = [None] * n_groups, [None] * n_groups
+
+    def run(g):
+        try:
+            results[g] = run_group(groups[g])
+        except BaseException as exc:  # handed to the caller after the join
+            errors[g] = exc
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(run, g))
+        for g in range(1, n_groups)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        results[0] = run_group(groups[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 def _z_side(t, x, params: EconomyParams, table: DenominatorTable):
     """The level-R Z reductions at flat nodes (t, x), of shape (nodes, 1).
 
     Returns top = the largest log term, the total Z/e^top, alpha_tilde,
     rho_tilde, and per agent (nodes, J): log Z^j, log Z^j - top, the
     wealth share and alpha_tilde^j.  The terms are streamed in node blocks
-    of at most _BLOCK_ELEMENTS (at least one node) through two buffers
-    refilled for every block, so memory is O(block + nodes J).  Each
-    node's terms, their largest and their einsum against the rows do not
-    depend on the other nodes of its block, so neither do the bits.
+    of at most _BLOCK_ELEMENTS (at least one node); `_block_map` runs the
+    blocks in contiguous groups, one per usable core, and each group
+    refills its own two buffers for every block, so memory is
+    O(groups x block + nodes J).  A group lists its log-space redos of
+    underflowed sums, applied in group order once every group is done.
+    Each node's terms, their largest and their einsum against the rows do
+    not depend on the other nodes of its block, nor on its group, so
+    neither do the bits.
     """
     r_curv, n_agents = params.R, params.n_agents
     a0, b0, rows = table.a0, table.b0, table.rows
     shift = table.log_offsets - table.parts @ params.gamma_vec / r_curv
     n_nodes, per_block = len(t), max(1, _BLOCK_ELEMENTS // shift.size)
-    terms = np.empty((min(n_nodes, per_block), shift.size))
-    scratch = np.empty_like(terms)
     top, sums = np.empty(n_nodes), np.empty((n_nodes, len(rows)))
     share = np.empty((n_nodes, n_agents))
-    redone = []
-    for lo in range(0, n_nodes, per_block):
-        blk = slice(lo, min(lo + per_block, n_nodes))
-        k = blk.stop - lo
-        z = _fill_log_z_terms(t[blk], x[blk], shift, table, terms[:k], scratch[:k])
-        top[blk] = z.max(axis=-1)
-        z -= top[blk, None]
-        np.einsum("nm,km->nk", np.exp(z, out=z), rows, out=sums[blk])
-        # a share below tiny/eps has lost bits to underflowed terms: redo that
-        # agent's sums in log space, masked to beta_j > 0, at those nodes only
-        np.divide(sums[blk, 3 : 3 + n_agents], r_curv * sums[blk, :1], out=share[blk])
-        low = share[blk] < _FULL_PRECISION_SHARE
-        for j in np.flatnonzero(low.any(axis=0)):
-            nodes = lo + np.flatnonzero(low[:, j])
-            sub = _fill_log_z_terms(
-                t[nodes], x[nodes], shift, table, terms[: len(nodes)], scratch[: len(nodes)]
-            )
-            with np.errstate(divide="ignore"):
-                sub += np.log(table.parts[:, j])
-            lse_j = lse_terms(sub)
-            sub -= lse_j[:, None]
-            weighted_a = np.einsum("nm,m->n", np.exp(sub, out=sub), rows[1])
-            redone.append((nodes, j, lse_j, weighted_a))
+
+    def run(blocks):
+        terms = np.empty((min(n_nodes, per_block), shift.size))
+        scratch = np.empty_like(terms)
+        redone = []
+        for lo in range(blocks.start * per_block, blocks.stop * per_block, per_block):
+            blk = slice(lo, min(lo + per_block, n_nodes))
+            k = blk.stop - lo
+            z = _fill_log_z_terms(t[blk], x[blk], shift, table, terms[:k], scratch[:k])
+            top[blk] = z.max(axis=-1)
+            z -= top[blk, None]
+            np.einsum("nm,km->nk", np.exp(z, out=z), rows, out=sums[blk])
+            # a share below tiny/eps has lost bits to underflowed terms: redo
+            # that agent's sums in log space, masked to beta_j > 0, at those
+            # nodes only
+            np.divide(sums[blk, 3 : 3 + n_agents], r_curv * sums[blk, :1], out=share[blk])
+            low = share[blk] < _FULL_PRECISION_SHARE
+            for j in np.flatnonzero(low.any(axis=0)):
+                nodes = lo + np.flatnonzero(low[:, j])
+                sub = _fill_log_z_terms(
+                    t[nodes], x[nodes], shift, table, terms[: len(nodes)], scratch[: len(nodes)]
+                )
+                with np.errstate(divide="ignore"):
+                    sub += np.log(table.parts[:, j])
+                lse_j = lse_terms(sub)
+                sub -= lse_j[:, None]
+                weighted_a = np.einsum("nm,m->n", np.exp(sub, out=sub), rows[1])
+                redone.append((nodes, j, lse_j, weighted_a))
+        return redone
+
+    redone = _block_map(run, -(-n_nodes // per_block))
 
     total, z_beta = sums[:, 0], sums[:, 3 : 3 + n_agents]
     alpha_tilde, rho_tilde = a0 + sums[:, 1] / total, b0 + sums[:, 2] / total
@@ -321,7 +390,7 @@ def _z_side(t, x, params: EconomyParams, table: DenominatorTable):
         log_zj_rel = np.log(z_beta / r_curv)  # log Z^j - top
         log_zj = top[:, None] + log_zj_rel
         at_agents = a0 + sums[:, 3 + n_agents :] / z_beta
-    for nodes, j, lse_j, weighted_a in redone:
+    for nodes, j, lse_j, weighted_a in (r for group in redone for r in group):
         log_zj[nodes, j] = lse_j - np.log(r_curv)
         log_zj_rel[nodes, j] = log_zj[nodes, j] - top[nodes]
         share[nodes, j] = np.exp(log_zj_rel[nodes, j] - np.log(total[nodes]))
@@ -337,10 +406,12 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
     against the largest one and reduced against the table's rows [1, a,
     b - a^2/2, beta, beta a]; by Pascal's rule the beta rows give the
     wealth shares E_Z[beta_j]/R and alpha_tilde^j.  The pass streams node
-    blocks of at most _BLOCK_ELEMENTS (65,536) terms, so memory is
-    O(block + nodes J) at any M.  einsum reduces each node in the same
-    order at one state, along a path and in any block, so they agree to
-    the bit.  The entry `log_levels` stacks the logs [log L, log zeta,
+    blocks of at most _BLOCK_ELEMENTS (65,536) terms, run in contiguous
+    groups on every usable core by `_block_map` (a single block runs
+    inline), so memory is O(cores x block + nodes J) at any M.  einsum
+    reduces each node in the same order at one state, along a path, in
+    any block and on any thread, so they agree to the bit on any number
+    of cores.  The entry `log_levels` stacks the logs [log L, log zeta,
     log Z, log S, log Z^1 .. log Z^J] that the levels are exponentiated
     from; the finite-difference oracle differentiates every column in one
     stencil.

@@ -18,11 +18,16 @@ reduces every one of them from it; `martingale_check` reads the same
 blocks.  A block holds the agent log terms agent-major, one contiguous
 (paths, nodes) slab per agent, which `equilibrium.lse_agents` sums slab
 by slab.  Blocks have a fixed, cache-sized budget of nodes, the one the
-field kernel's node blocks use, and reuse their buffers, so memory does
-not grow with the path count.  Each path's time integral is an einsum
-over its nodes, which adds them in one order at any block size and BLAS
-thread count, so the reports have the same bits however the paths are
-blocked.  Truncating the integral at a finite horizon leaves an
+field kernel's node blocks use.  `equilibrium._block_map` runs them in
+contiguous groups, one per usable core (the calling thread runs the
+first; a single block runs inline and starts no thread), and each group
+reuses its own buffers, so memory grows with the core count but not
+with the path count.  Each path's time integral is an einsum over its
+nodes, not a BLAS product; up to numpy's buffer of 8192 nodes it adds
+them in one order at any block size.  The blocks do not depend on the
+core count and each group writes only its own paths' values, so the
+reports have the same bits on any number of cores and under any BLAS
+thread count.  Truncating the integral at a finite horizon leaves an
 analytically known tail (each composition term decays like
 e^{-D(beta) (T-t)}), which is reported as `truncation_bound` and must
 stay small relative to the closed form.
@@ -36,8 +41,9 @@ at any affordable path count).  Such economies need importance sampling,
 which is out of scope; verify them with the FD and clearing suites.
 
 Randomness: one counter-based Philox stream per path, keyed by
-(seed, path index), so path i is the same regardless of n_paths or
-chunking.
+(seed, path index), so path i is the same regardless of n_paths,
+chunking or the thread that draws it.  A group makes one generator and
+rekeys it for each of its paths.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ import numpy as np
 
 from . import equilibrium
 from .equilibrium import _BLOCK_ELEMENTS, EvaluatedSeries
-from .model import DenominatorTable, EconomyParams, MarketState, log_dividend
+from .model import DenominatorTable, EconomyParams, MarketState
 from .multiindex import DEFAULT_COMPOSITION_CAP
 
 DEFAULT_STEPS_PER_UNIT_TIME = 1024
@@ -139,19 +145,51 @@ def path_generator(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _fill_path(row: np.ndarray, grid: PathGrid, x0: float, seed: int, path_index: int):
-    """Write path `path_index` of X from x0 into row, one value per grid node."""
-    gen = path_generator(seed, path_index)
-    row[0] = x0
-    np.cumsum(gen.standard_normal(grid.n_steps) * math.sqrt(grid.dt), out=row[1:])
-    row[1:] += x0
+def _rekey(gen: np.random.Generator, seed: int, path_index: int):
+    """Reset gen, made by `path_generator`, to path_generator(seed, path_index)'s fresh state.
+
+    The same stream, bit for bit, without building a generator: setting the
+    state takes about a third of the time of building a Philox and its
+    Generator (5 against 14 us on a 2-core x86 box), time that holds the
+    interpreter lock and so would serialize the block groups' threads.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([seed, path_index], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _fill_paths(
+    x: np.ndarray, grid: PathGrid, x0: float, seed: int, lo: int, gen: np.random.Generator
+):
+    """Write paths lo, lo + 1, ... of X from x0 into the rows of x, one value per grid node.
+
+    gen is a generator from `path_generator`, rekeyed for every path.  Each
+    row is the running sum of its own scaled draws, so a path has the same
+    bits in a block of any size.
+    """
+    steps = x[:, 1:]
+    for i, row in enumerate(steps, lo):
+        _rekey(gen, seed, i)
+        gen.standard_normal(out=row)
+    steps *= math.sqrt(grid.dt)
+    np.cumsum(steps, axis=1, out=steps)
+    steps += x0
+    x[:, 0] = x0
 
 
 def simulate_path(grid: PathGrid, x0: float, seed: int, path_index: int) -> SimulatedPath:
     """Exact Brownian path `path_index` of X from x0, drawn from its own substream."""
-    x = np.empty(grid.n_steps + 1)
-    _fill_path(x, grid, x0, seed, path_index)
-    return SimulatedPath(grid=grid, x_values=x)
+    x = np.empty((1, grid.n_steps + 1))
+    _fill_paths(x, grid, x0, seed, path_index, path_generator(seed, path_index))
+    return SimulatedPath(grid=grid, x_values=x[0])
 
 
 def simulate_paths(
@@ -219,39 +257,57 @@ def _resolve_grid(state_t: float, horizon, n_steps, table: DenominatorTable) -> 
     return PathGrid(t0=state_t, horizon=float(horizon), n_steps=int(n_steps))
 
 
-def _path_blocks(grid: PathGrid, x0: float, n_paths: int, seed: int, params: EconomyParams):
-    """Draw the paths block by block; yield each block's (rows, x, u, lse_u, log delta).
+def _map_path_blocks(
+    grid: PathGrid, x0: float, n_paths: int, seed: int, params: EconomyParams, consume
+):
+    """Draw the paths block by block and call consume(rows, x, u, lse_u, log delta) on each.
 
     rows is the block's slice of path indices and x its paths, shape
     (paths, nodes).  u holds the agent log terms agent-major,
     (J, paths, nodes), so each agent's slab is contiguous; u[j] is
     ((alpha_j x - decay_j t) - gamma_j) / R, the order of
-    `equilibrium.agent_log_terms_arr`, and lse_u = lse_agents(u, axis=0).
-    A block holds at most _BLOCK_ELEMENTS nodes per slab (at least one
-    path), so it stays in cache and memory does not grow with n_paths.
-    The x and u buffers are refilled for every block: a consumer keeps
-    what it needs before it asks for the next one.  Each path's values
-    do not depend on the blocking, so a reduction along the nodes of each
-    path (the einsum quadrature, not a BLAS product) gives the same bits
-    at any blocking.
+    `equilibrium.agent_log_terms_arr`, lse_u = lse_agents(u, axis=0), and
+    log delta is summed in `model.log_dividend`'s order.  A block holds at
+    most _BLOCK_ELEMENTS nodes per slab (at least one path), so it stays in
+    cache.  `equilibrium._block_map` runs the blocks in contiguous groups,
+    one per usable core; each group allocates its buffers once and refills
+    them for every block, so memory does not grow with n_paths.  consume
+    may run on any of the groups' threads: it keeps what it needs before it
+    returns, may overwrite the buffers (x is spent once u and log delta are
+    formed) and writes only its block's rows of a shared output.  The
+    blocks do not depend on the number of groups, and each path's values
+    not on its block, so a reduction along the nodes of each path (the
+    einsum quadrature) gives the same bits on any number of cores.
     """
     t = grid.times()
-    alpha = params.alpha_vec
+    sigma, alpha = params.sigma, params.alpha_vec
     decay_t = [d * t for d in params.rho_vec + 0.5 * alpha**2]
+    log_delta0 = np.log(params.delta0)
+    drift_t = (params.alpha_star * sigma - 0.5 * sigma**2) * t
     n_rows = max(1, min(n_paths, _BLOCK_ELEMENTS // len(t)))
-    x_buf = np.empty((n_rows, len(t)))
-    u_buf = np.empty((params.n_agents,) + x_buf.shape)
-    for lo in range(0, n_paths, n_rows):
-        rows = slice(lo, min(lo + n_rows, n_paths))
-        x, u = x_buf[: rows.stop - lo], u_buf[:, : rows.stop - lo]
-        for i, row in enumerate(x, lo):
-            _fill_path(row, grid, x0, seed, i)
-        for j, slab in enumerate(u):
-            np.multiply(alpha[j], x, out=slab)
-            slab -= decay_t[j]
-            slab -= params.gamma_vec[j]
-            slab /= params.R
-        yield rows, x, u, equilibrium.lse_agents(u, axis=0), log_dividend(t[None, :], x, params)
+
+    def run(blocks):
+        x_buf = np.empty((n_rows, len(t)))
+        u_buf = np.empty((params.n_agents,) + x_buf.shape)
+        work = np.empty((4,) + x_buf.shape)
+        gen = path_generator(seed, blocks.start * n_rows)
+        for lo in range(blocks.start * n_rows, blocks.stop * n_rows, n_rows):
+            rows = slice(lo, min(lo + n_rows, n_paths))
+            k = rows.stop - lo
+            x, u = x_buf[:k], u_buf[:, :k]
+            _fill_paths(x, grid, x0, seed, lo, gen)
+            for j, slab in enumerate(u):
+                np.multiply(alpha[j], x, out=slab)
+                slab -= decay_t[j]
+                slab -= params.gamma_vec[j]
+                slab /= params.R
+            lse_u = equilibrium.lse_agents(u, axis=0, work=work[:, :k])
+            ld = np.multiply(sigma, x, out=work[0, :k])  # a slot lse_agents is done with
+            ld += log_delta0
+            ld += drift_t
+            consume(rows, x, u, lse_u, ld)
+
+    equilibrium._block_map(run, -(-n_paths // n_rows))
 
 
 def _check_path_count(n_paths: int) -> None:
@@ -325,9 +381,10 @@ def mc_oracles(
     r_curv = params.R
     weights = _trapezoid_weights(grid)
     values = np.empty((params.n_agents + 1, n_paths))
-    for rows, _, u, lse_u, ld in _path_blocks(grid, state.x, n_paths, seed, params):
-        # one scratch buffer per block: the stock's exponent, then each agent's
-        scratch = np.multiply(r_curv, lse_u)
+
+    def consume(rows, x, u, lse_u, ld):
+        # the spent paths are the scratch buffer: the stock's exponent, then each agent's
+        scratch = np.multiply(r_curv, lse_u, out=x)
         ld *= 1 - r_curv
         scratch += ld  # (1-R) log delta + R lse_u
         _quadrature(scratch, weights, values[-1, rows])
@@ -336,6 +393,8 @@ def mc_oracles(
         for u_j, out in zip(u, values[:-1, rows]):
             np.add(lse_u, u_j, out=scratch)
             _quadrature(scratch, weights, out)
+
+    _map_path_blocks(grid, state.x, n_paths, seed, params, consume)
     values /= fields["zeta"]
     reports = [_report(v, c, b) for v, c, b in zip(values, closed, bounds)]
     return reports[:-1], reports[-1]
@@ -363,12 +422,15 @@ def martingale_check(
     weights = _trapezoid_weights(grid)
     t_end = grid.times()[-1]
     values, x_end, ld_end = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
-    for rows, x, _, lse_u, ld in _path_blocks(grid, x0, n_paths, seed, params):
+
+    def consume(rows, x, u, lse_u, ld):
         ld *= 1 - r_curv
         x_end[rows], ld_end[rows] = x[:, -1], ld[:, -1]
         lse_u *= r_curv
         ld += lse_u  # (1-R) log delta + R lse_u
         _quadrature(ld, weights, values[rows])
+
+    _map_path_blocks(grid, x0, n_paths, seed, params, consume)
     # payoff leg zeta_T S_T = delta_T^{1-R} Z_T; the kernel bounds its own memory
     log_z_end = equilibrium.evaluate_fields(t_end, x_end, params, table)["log_levels"][:, 2]
     values += np.exp(ld_end + log_z_end)

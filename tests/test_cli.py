@@ -305,6 +305,20 @@ def test_import_and_evaluate_without_scipy():
     assert res.stdout.strip() == "[]"
 
 
+def test_import_loads_no_pool_machinery():
+    # concurrent.futures alone adds 7-10 ms to every command's start-up; the
+    # kernel and the oracles run their block groups on plain threads
+    code = (
+        "import sys\n"
+        "import crraeq, crraeq.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def _per_value_csv(path_id, matrix):
     lines = [f"{path_id}," + ",".join(format(v, ".17g") for v in row) for row in matrix]
     return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import crraeq.equilibrium
 from conftest import draw_economy, draw_state, ladder
 from crraeq.calibrate import wealth_shares
 from crraeq.equilibrium import (
+    _block_map,
     agent_log_terms_arr,
     consumptions,
     evaluate_fields,
@@ -397,6 +399,86 @@ def test_node_blocking_never_changes_a_bit(monkeypatch):
                     assert _same_bits(got[k], want[k]), (p, k, np.shape(x), nodes)
                 if x is far[1]:
                     assert fallback, "no agent sum underflowed at the far states"
+
+
+def test_kernel_bits_do_not_depend_on_the_worker_count(monkeypatch):
+    threads = set()  # the threads that redid an underflowed agent sum
+    real = crraeq.equilibrium.lse_terms
+
+    def spy(a):
+        threads.add(threading.current_thread())
+        return real(a)
+
+    monkeypatch.setattr(crraeq.equilibrium, "lse_terms", spy)
+    rng = np.random.default_rng(77)
+    n_far = 300
+    cases = [
+        # an R7 J7 path over many node blocks
+        (ladder(7, 7), np.linspace(0.0, 1.0, 1717), 0.03 * np.cumsum(rng.normal(size=1717))),
+        # far states, where the log-space redo fires in every group
+        (ladder(4, 4), np.linspace(0.0, 2.0, n_far), np.resize([-20000.0, 0.5, 20000.0], n_far)),
+    ]
+    for p, t, x in cases:
+        tab = validate(p)
+        monkeypatch.setattr(crraeq.equilibrium, "_WORKERS", 1)
+        want = evaluate_fields(t, x, p, tab)
+        for nodes in (7, 64):
+            monkeypatch.setattr(crraeq.equilibrium, "_BLOCK_ELEMENTS", nodes * len(tab.parts))
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(crraeq.equilibrium, "_WORKERS", workers)
+                threads.clear()
+                got = evaluate_fields(t, x, p, tab)
+                assert got.keys() == want.keys()
+                for k in want:
+                    assert _same_bits(got[k], want[k]), (p.R, k, nodes, workers)
+                if x[0] == -20000.0:
+                    assert len(threads) == workers
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_block_map_runs_contiguous_groups_at_once_in_the_callers_context(monkeypatch, workers):
+    monkeypatch.setattr(crraeq.equilibrium, "_WORKERS", workers)
+    before, caller = threading.active_count(), threading.get_ident()
+    meet = threading.Barrier(workers, timeout=10)  # every group runs at the same time
+
+    def group(blocks):
+        meet.wait()
+        return list(blocks), threading.get_ident()
+
+    got = _block_map(group, 7)
+    assert [b for blocks, _ in got for b in blocks] == list(range(7))
+    assert len(got) == workers and got[0][1] == caller
+    assert len({ident for _, ident in got}) == workers
+    starts = [blocks[0] for blocks, _ in got]
+    # one block is the plain call
+    assert _block_map(lambda blocks: (list(blocks), threading.get_ident()), 1) == [([0], caller)]
+    assert threading.active_count() == before
+
+    def overflow_late(blocks):
+        if blocks.start > 0:
+            np.exp(np.full(3, 1000.0))
+
+    # a thread at numpy's default errstate would warn, and tier-1 makes that a RuntimeWarning
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        _block_map(overflow_late, 7)
+    assert threading.active_count() == before
+
+    for bad in starts:
+
+        def fail_one(blocks, bad=bad):
+            if blocks.start == bad:
+                raise ValueError(blocks.start)
+
+        with pytest.raises(ValueError, match=f"^{bad}$"):
+            _block_map(fail_one, 7)
+        assert threading.active_count() == before
+
+    def fail_all(blocks):
+        raise ValueError(blocks.start)
+
+    with pytest.raises(ValueError, match="^0$"):  # the first group's, in group order
+        _block_map(fail_all, 7)
+    assert threading.active_count() == before
 
 
 def _traced_peak(fn):

@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import crraeq.equilibrium
 import crraeq.simulate
 from conftest import draw_economy
 from crraeq.dynamics import DegenerateStockVolatility
@@ -71,6 +73,17 @@ def test_every_64_bit_seed_keys_its_own_stream():
     small = crraeq.simulate.path_generator(41, 1).standard_normal(4)
     plain = np.random.Generator(np.random.Philox(key=[41, 1])).standard_normal(4)
     assert small.tobytes() == plain.tobytes()
+    # a generator rekeyed mid-stream draws what a fresh one draws, and a path
+    # is the running sum of its scaled draws
+    gen = crraeq.simulate.path_generator(3, 3)
+    gen.standard_normal(3)
+    for seed in seeds:
+        crraeq.simulate._rekey(gen, seed, 5)
+        fresh = crraeq.simulate.path_generator(seed, 5)
+        assert gen.standard_normal(9).tobytes() == fresh.standard_normal(9).tobytes()
+        steps = crraeq.simulate.path_generator(seed, 1).standard_normal(grid.n_steps)
+        want = np.concatenate([[0.0], np.cumsum(steps * math.sqrt(grid.dt)) + 0.0])
+        assert paths[seeds.index(seed)][1].x_values.tobytes() == want.tobytes()
 
 
 def test_path_increments_brownian_moments():
@@ -280,9 +293,32 @@ def test_oracle_bits_do_not_depend_on_blocking(monkeypatch, p):
     mart = dict(n_paths=n_paths, horizon=2.0, n_steps=n_steps, seed=4)
     want = mc_oracles(S0, p, tab, **mc), martingale_check(p, tab, **mart)
     assert crraeq.simulate._BLOCK_ELEMENTS >= n_paths * (n_steps + 1)  # one block
-    for per_block in (1, 7):
-        monkeypatch.setattr(crraeq.simulate, "_BLOCK_ELEMENTS", per_block * (n_steps + 1))
-        assert (mc_oracles(S0, p, tab, **mc), martingale_check(p, tab, **mart)) == want
+    # the block groups run on up to `workers` threads, which switch often here
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(crraeq.equilibrium, "_WORKERS", workers)
+            for per_block in (1, 7):
+                monkeypatch.setattr(crraeq.simulate, "_BLOCK_ELEMENTS", per_block * (n_steps + 1))
+                assert (mc_oracles(S0, p, tab, **mc), martingale_check(p, tab, **mart)) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_long_path_oracle_bits_do_not_depend_on_the_worker_count(monkeypatch):
+    # einsum sums a lone path of more than 8192 nodes in pieces and one in
+    # company whole, so here the blocks, never the core count, decide the bits
+    tab = validate(PAIR)
+    n_paths, n_steps = 8, 9000
+    assert crraeq.simulate._BLOCK_ELEMENTS // (n_steps + 1) == n_paths - 1  # blocks of 7 and 1
+    mc = dict(n_paths=n_paths, horizon=default_horizon(tab), n_steps=n_steps, seed=4)
+    mart = dict(n_paths=n_paths, horizon=2.0, n_steps=n_steps, seed=4)
+    monkeypatch.setattr(crraeq.equilibrium, "_WORKERS", 1)
+    want = mc_oracles(S0, PAIR, tab, **mc), martingale_check(PAIR, tab, **mart)
+    for workers in (2, 3):
+        monkeypatch.setattr(crraeq.equilibrium, "_WORKERS", workers)
+        assert (mc_oracles(S0, PAIR, tab, **mc), martingale_check(PAIR, tab, **mart)) == want
 
 
 def test_stock_oracle_scales_with_delta0():
