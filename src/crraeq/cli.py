@@ -11,9 +11,10 @@ identity across reruns is a meaningful regression check.  JSON writes a
 non-finite float as `json.dumps` does (Infinity, -Infinity, NaN); CSV
 keeps the `%.17g` spellings inf, -inf and nan.
 
-`simulate` draws, evaluates and writes one path at a time, and formats
-each block of CSV rows with a single C-level `%` on a row template, so
-neither the paths nor the formatted text are held in memory at once.
+`simulate` draws, evaluates and writes one path at a time, and spells
+each block of CSV rows in numpy with the bytes CPython's `%.17g` gives
+(`_csvfmt`), so neither the paths nor the formatted text are held in
+memory at once.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from . import _csvfmt
 from .calibrate import (
     TOL_FLOOR,
     CalibrationTarget,
@@ -188,24 +190,19 @@ def _series_matrix(series) -> np.ndarray:
     )
 
 
-# rows per `%` in `_write_csv_rows`: large enough that the per-call cost
-# vanishes, small enough that the formatted text stays a few hundred kB
-_CSV_BLOCK_ROWS = 1024
+# rows per block in `_write_csv_rows`: large enough that numpy's per-call
+# cost vanishes, small enough that a block's arrays stay in cache
+_CSV_BLOCK_ROWS = 512
 
 
 def _write_csv_rows(fh, path_id: int, matrix: np.ndarray) -> None:
     """Write `path_id,v_1,...,v_n` for each row of the matrix, every v as %.17g.
 
-    `"%.17g" % v` and `format(v, ".17g")` both spell a float through
-    CPython's `PyOS_double_to_string`, so the bytes are those of the
-    per-value formatting; one `%` per block keeps the loop in C.
+    The bytes are those of `"%.17g" % v` for each value (CPython's
+    `PyOS_double_to_string`, as `format(v, ".17g")` spells it); numpy
+    computes them a block of rows at a time, see `_csvfmt`.
     """
-    row = f"{path_id}," + ",".join(["%.17g"] * matrix.shape[1]) + "\n"
-    full = row * _CSV_BLOCK_ROWS
-    for lo in range(0, len(matrix), _CSV_BLOCK_ROWS):
-        block = matrix[lo : lo + _CSV_BLOCK_ROWS]
-        template = full if len(block) == _CSV_BLOCK_ROWS else row * len(block)
-        fh.write(template % tuple(block.ravel().tolist()))
+    _csvfmt.write_rows(fh, path_id, matrix, _CSV_BLOCK_ROWS)
 
 
 def _check_seed(seed: int) -> None:
@@ -217,6 +214,8 @@ def _check_seed(seed: int) -> None:
 def cmd_simulate(args) -> int:
     if args.paths < 1:
         raise ConfigError("--paths must be positive")
+    if args.paths > MAX_PATHS:
+        raise ConfigError(f"--paths must be at most {MAX_PATHS}, got {args.paths}")
     if args.workers < 1:
         raise ConfigError("--workers must be positive")
     _check_seed(args.seed)
@@ -237,7 +236,7 @@ def cmd_simulate(args) -> int:
             path = simulate_path(grid, args.x0, args.seed, path_id)
             matrix = _series_matrix(evaluate_series(path, params, table))
             _write_csv_rows(fh, path_id, matrix)
-            terminal.append(matrix[-1])
+            terminal.append(matrix[-1].copy())  # a view would keep every path's matrix
 
     means = np.mean(terminal, axis=0)
     _print_json(

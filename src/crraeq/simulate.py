@@ -23,10 +23,12 @@ contiguous groups, one per usable core (the calling thread runs the
 first; a single block runs inline and starts no thread), and each group
 reuses its own buffers, so memory grows with the core count but not
 with the path count.  Each path's time integral is an einsum over its
-nodes, not a BLAS product; up to numpy's buffer of 8192 nodes it adds
-them in one order at any block size.  The blocks do not depend on the
-core count and each group writes only its own paths' values, so the
-reports have the same bits on any number of cores and under any BLAS
+nodes, not a BLAS product, that adds them in one order at any block
+size (a path longer than numpy's buffer of 8192 nodes is reduced on its
+own, see `_quadrature`).  So a path's values do not depend on the path
+count or the blocking, the blocks do not depend on the core count, and
+each group writes only its own paths' values: the reports have the
+same bits for any blocking, on any number of cores and under any BLAS
 thread count.  Truncating the integral at a finite horizon leaves an
 analytically known tail (each composition term decays like
 e^{-D(beta) (T-t)}), which is reported as `truncation_bound` and must
@@ -324,14 +326,25 @@ def _trapezoid_weights(grid: PathGrid) -> np.ndarray:
     return weights
 
 
+# numpy's fixed ufunc buffer, in elements: einsum sums a lone row longer than
+# this in buffer-sized pieces, but rows in company whole
+_EINSUM_BUFFER = 8192
+
+
 def _quadrature(exponent: np.ndarray, weights: np.ndarray, out: np.ndarray):
     """out[p] = sum_n exp(exponent[p, n]) weights[n], overwriting exponent.
 
-    einsum sums each path's nodes in one fixed order, so the bits do not
-    depend on the number of paths in a block or on BLAS threads.
+    einsum sums each path's nodes in one fixed order whatever the number
+    of paths in the block: paths of up to _EINSUM_BUFFER nodes together,
+    longer ones one at a time, as a block of one path sums them.  So the
+    bits depend neither on the blocking nor on BLAS threads.
     """
     np.exp(exponent, out=exponent)
-    np.einsum("pn,n->p", exponent, weights, out=out)
+    if exponent.shape[1] <= _EINSUM_BUFFER:
+        np.einsum("pn,n->p", exponent, weights, out=out)
+        return
+    for p in range(len(exponent)):
+        np.einsum("pn,n->p", exponent[p : p + 1], weights, out=out[p : p + 1])
 
 
 def _report(values: np.ndarray, closed_form: float, bound: float) -> OracleReport:

@@ -5,12 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import crraeq.cli
 from conftest import draw_economy, ladder
+from crraeq._csvfmt import _X_MAX, _X_MIN, _decide, _tables
 from crraeq.calibrate import CalibrationTarget, solve_gamma
 from crraeq.cli import FD_TOL, _CSV_BLOCK_ROWS, _fd_errors, _write_csv_rows, main
 from crraeq.model import economy_from_dict, validate
@@ -229,6 +232,24 @@ def test_simulate_header_and_row_clearing(tmp_path):
     assert abs(rep["terminal_means"]["t"] - 2.0) < 1e-12
 
 
+def test_simulate_holds_one_path_at_a_time(tmp_path, monkeypatch):
+    # the summary keeps each path's terminal row, not a view into its matrix
+    held = []
+    real_write = crraeq.cli._write_csv_rows
+
+    def write(fh, path_id, matrix):
+        assert [ref for ref in held if ref() is not None] == []
+        held.append(weakref.ref(matrix))
+        real_write(fh, path_id, matrix)
+
+    monkeypatch.setattr(crraeq.cli, "_write_csv_rows", write)
+    cfg = write_config(tmp_path, PAIR)
+    code, _, err = run_cli("simulate", cfg, "--paths", "4", "--horizon", "1", "--steps", "16",
+                           "--out", str(tmp_path / "p.csv"))
+    assert code == 0, err
+    assert len(held) == 4
+
+
 def test_simulate_reproducible_across_runs_and_workers(tmp_path):
     cfg = write_config(tmp_path, PAIR)
     blobs = []
@@ -278,6 +299,7 @@ def test_simulate_reproducible_across_runs_and_workers(tmp_path):
         ("simulate", "--seed", "18446744073709551616", "--out", "x.csv"),
         ("verify", "--seed", "-1"),
         ("verify", "--seed", "18446744073709551616"),
+        ("simulate", "--paths", "100000000000", "--out", "x.csv"),
     ],
 )
 def test_bad_flags_exit_2_before_the_economy_is_loaded(tmp_path, monkeypatch, argv):
@@ -319,6 +341,21 @@ def test_import_loads_no_pool_machinery():
     assert res.stdout.strip() == "[]"
 
 
+def test_import_builds_no_formatting_tables():
+    # the CSV formatter builds its tables on first use, so a command that
+    # writes no CSV never pays for them, and its start-up imports neither
+    # fractions nor decimal
+    code = (
+        "import sys\n"
+        "import crraeq, crraeq.cli\n"
+        "print(crraeq._csvfmt._tables.cache_info().currsize,\n"
+        "      sorted(m for m in sys.modules if m in ('fractions', 'decimal')))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "0 []"
+
+
 def _per_value_csv(path_id, matrix):
     lines = [f"{path_id}," + ",".join(format(v, ".17g") for v in row) for row in matrix]
     return "\n".join(lines) + "\n"
@@ -337,19 +374,126 @@ def _random_matrix(n_rows):
     return matrix
 
 
+def _rows(values, width=16):
+    """values as rows of width, the last row padded with its first values."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.resize(values, (-(-len(values) // width), width))
+
+
+def _random_bit_patterns():
+    # every finite, subnormal, infinite and NaN pattern is equally likely
+    bits = np.random.default_rng(1701).integers(0, 2**64, 2**20, dtype=np.uint64)
+    return _rows(bits.view(np.float64))
+
+
+def _dyadic_ties():
+    # odd j / 2^k has k decimals after the point, its last one a 5: where
+    # j 5^k has 18 digits the value is a rounding tie at 17 digits
+    rng = np.random.default_rng(1702)
+    values = []
+    for k in range(1, 61):
+        lo = max(1, -(-10**17 // 5**k))
+        hi = min(2**53, 10**18 // 5**k)
+        if lo < hi:
+            ties = rng.integers(lo, hi, 64) | 1
+            values.extend(int(j) / 2**k for j in ties if j < hi)
+        values.extend(int(j) / 2**k for j in rng.integers(0, 2**53, 64) | 1)
+    values = np.array(values)
+    return _rows(np.concatenate([values, -values]))
+
+
+def _powers_of_ten():
+    powers = np.array([float(f"1e{e}") for e in range(-300, 301)])
+    values = np.concatenate(
+        [powers, np.nextafter(powers, 0.0), np.nextafter(powers, math.inf)]
+    )
+    return _rows(np.concatenate([values, -values]))
+
+
+def _notation_switches():
+    # the last fixed and the first scientific spellings at X = -5, -4, 16 and 17
+    values = []
+    for x in (-5, -4, 16, 17):
+        for mantissa in (1.0, 1.5, 2.5, 5.0, 9.5, 9.999999999999998, 9.9999999999999999):
+            v = mantissa * 10.0**x
+            values.extend([v, np.nextafter(v, 0.0), np.nextafter(v, math.inf)])
+    values.extend([99999999999999990.0, 99999999999999999.0, 9999999999999998.0,
+                   0.000099999999999999991, 0.00001, 0.0001, 1e16 - 2, 1e16 + 2, 1e17 + 16])
+    values = np.array(values)
+    return _rows(np.concatenate([values, -values]))
+
+
+def _specials():
+    subnormals = np.random.default_rng(1703).integers(1, 2**52, 200, dtype=np.uint64)
+    values = np.concatenate([
+        subnormals.view(np.float64),
+        [5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1e-280, 1e280,
+         9.9999999999999996e-281, 1.0000000000000001e280, 1.7976931348623157e308,
+         0.0, math.inf, math.nan, 1.0, 0.1, 0.5, 123456789012345678.0],
+    ])
+    return _rows(np.concatenate([values, -values]))
+
+
+def _negative_blocks():
+    # at least 16 rows of negative values per block, in every column
+    rng = np.random.default_rng(1704)
+    matrix = -rng.random((300, 16)) * 10.0 ** rng.integers(-8, 20, (300, 16))
+    matrix[::3] *= -1.0
+    return matrix
+
+
+_CORPUS = {
+    "random-bits": _random_bit_patterns,
+    "dyadic-ties": _dyadic_ties,
+    "powers-of-ten": _powers_of_ten,
+    "notation-switches": _notation_switches,
+    "specials": _specials,
+    "negative-blocks": _negative_blocks,
+}
+
+
 @pytest.mark.parametrize(
     "path_id, matrix",
     [(0, _random_matrix(n)) for n in (1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
                                       _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 5)]
-    + [(12, _SPECIAL_VALUES)],
-    ids=["1", "block-1", "block", "block+1", "2block+5", "special"],
+    + [(12, _SPECIAL_VALUES)]
+    + [(9999999, corpus()) for corpus in _CORPUS.values()],
+    ids=["1", "block-1", "block", "block+1", "2block+5", "special", *_CORPUS],
 )
-def test_csv_rows_match_per_value_format(path_id, matrix):
-    fh = io.StringIO()
-    _write_csv_rows(fh, path_id, matrix)
-    # line lists, so a failure reports the first differing row, not a text diff
-    got = fh.getvalue().splitlines(keepends=True)
-    assert got == _per_value_csv(path_id, matrix).splitlines(keepends=True)
+def test_csv_rows_match_per_value_format(monkeypatch, path_id, matrix):
+    # the numpy formatter decides most values itself and hands the rest to
+    # CPython; every one must come out as the per-value %.17g spells it, in
+    # blocks of any size
+    cases = [(path_id, matrix, _CSV_BLOCK_ROWS)]
+    for other_id, block_rows in ((0, 1), (12, 7), (345, 16), (6, 300)):
+        cases.append((other_id, matrix[:500], block_rows))
+    for pid, rows, block_rows in cases:
+        monkeypatch.setattr(crraeq.cli, "_CSV_BLOCK_ROWS", block_rows)
+        fh = io.StringIO()
+        _write_csv_rows(fh, pid, rows)
+        got, want = fh.getvalue(), _per_value_csv(pid, rows)
+        if got != want:  # line lists, so a failure reports the first differing row
+            assert got.splitlines(keepends=True) == want.splitlines(keepends=True)
+
+
+def test_power_table_is_correctly_rounded():
+    # hi + lo is 10^(16-x) to double-double precision, from exact integers
+    (hi, hh, hl, lo), groups = _tables()
+    for k, x in enumerate(range(_X_MIN, _X_MAX + 1)):
+        exact = Fraction(10) ** (16 - x)
+        assert hi[k] == float(exact) and lo[k] == float(exact - Fraction(hi[k])), x
+        assert hh[k] + hl[k] == hi[k] and (math.frexp(hh[k])[0] * 2**26).is_integer(), x
+    spelled = groups[[0, 1200, 10000, 11200, 19999]].tobytes()
+    assert spelled == b"0000" b"1200" b"\0\0\0\0" b"12\0\0" b"9999"
+
+
+def test_ordinary_values_are_spelled_without_python():
+    # only zeros, non-finite values, near-ties and extreme magnitudes go to
+    # `%`; below 1e9 a random double is a tie at 17 digits almost never
+    rng = np.random.default_rng(1705)
+    values = rng.standard_normal(1 << 16) * 10.0 ** rng.integers(-250, 9, 1 << 16)
+    _, key = _decide(values, _tables()[0])
+    assert np.count_nonzero(key < 0) <= len(values) // 1000
 
 
 def test_verify_all_passes_on_benchmark(tmp_path):

@@ -307,8 +307,7 @@ def test_oracle_bits_do_not_depend_on_blocking(monkeypatch, p):
 
 
 def test_long_path_oracle_bits_do_not_depend_on_the_worker_count(monkeypatch):
-    # einsum sums a lone path of more than 8192 nodes in pieces and one in
-    # company whole, so here the blocks, never the core count, decide the bits
+    # paths of more than numpy's 8192-element einsum buffer, in blocks of 7 and 1
     tab = validate(PAIR)
     n_paths, n_steps = 8, 9000
     assert crraeq.simulate._BLOCK_ELEMENTS // (n_steps + 1) == n_paths - 1  # blocks of 7 and 1
@@ -319,6 +318,32 @@ def test_long_path_oracle_bits_do_not_depend_on_the_worker_count(monkeypatch):
     for workers in (2, 3):
         monkeypatch.setattr(crraeq.equilibrium, "_WORKERS", workers)
         assert (mc_oracles(S0, PAIR, tab, **mc), martingale_check(PAIR, tab, **mart)) == want
+
+
+def test_long_path_bits_do_not_depend_on_the_path_count_or_blocking(monkeypatch):
+    # einsum sums a lone row longer than its 8192-element buffer in pieces and
+    # rows in company whole; each path of 10001 nodes must get one sum anyway
+    tab = validate(PAIR)
+    grid = dict(horizon=20.0, n_steps=10000, seed=1)
+    reported = []
+    real_report = crraeq.simulate._report
+
+    def report(values, *args):
+        reported.append(values.copy())
+        return real_report(values, *args)
+
+    monkeypatch.setattr(crraeq.simulate, "_report", report)
+    # path 6 alone in the last block of 7 paths, and in company in a block of 12
+    assert crraeq.simulate._BLOCK_ELEMENTS // (grid["n_steps"] + 1) == 6
+    stock = []
+    for n_paths in (7, 12):
+        mc_oracles(S0, PAIR, tab, n_paths, **grid)
+        stock.append(reported[-1][6])
+    assert stock[0].hex() == stock[1].hex()
+    # up to six paths to a block, then every path alone in its block
+    want = mc_oracles(S0, PAIR, tab, 4, **grid), martingale_check(PAIR, tab, 8, **grid)
+    monkeypatch.setattr(crraeq.simulate, "_BLOCK_ELEMENTS", grid["n_steps"] + 1)
+    assert (mc_oracles(S0, PAIR, tab, 4, **grid), martingale_check(PAIR, tab, 8, **grid)) == want
 
 
 def test_stock_oracle_scales_with_delta0():
