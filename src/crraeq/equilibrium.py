@@ -174,48 +174,34 @@ class EvaluatedSeries:
         )
 
 
-def lse_agents(u, axis=-1, work=None):
-    """log sum_j exp(u_j) over a short agent axis, one agent slab at a time.
+def lse_agents(u):
+    """log sum_j exp(u_j) over the short last (agent) axis, one agent at a time.
 
     scipy.special.logsumexp's algorithm: the maximal terms are split out
     (counted as ties), the rest is summed against the maximum and added
-    through log1p.  Slabs are summed in agent order, which is the order
-    numpy's reduction takes along an outer axis (the agent-major Monte
-    Carlo layout) and along the last axis below 8 terms, so there the bits
-    are scipy's.  Along a last axis of 8 or more agents numpy sums in
-    interleaved partials, and the two differ by rounding, a few 1e-16
-    relative.  scipy's generic overhead (about 0.1 ms per call) is gone.
-    Where the maximum is +-inf the result is that maximum, NaN propagates.
-    work, if given, is a float buffer of shape (4,) + the result's shape
-    for the intermediates, so the call allocates no float array of that
-    size; the result is then the view work[2], and work[0], [1] and [3]
-    are free again once it returns.  Its sibling `lse_terms` sums the long
-    composition axis, with weights.
+    through log1p.  Agents are summed in order, which is the order numpy's
+    reduction takes along a last axis below 8 terms, so there the bits are
+    scipy's.  From 8 agents on numpy sums in interleaved partials, and the
+    two differ by rounding, a few 1e-16 relative.  scipy's generic
+    overhead (about 0.1 ms per call) is gone.  Where the maximum is +-inf
+    the result is that maximum, NaN propagates.  Its sibling `lse_terms`
+    sums the long composition axis, with weights; the Monte Carlo path
+    blocks use the plain max-shifted sum `simulate._lse_slabs`.
     """
-    slabs = np.moveaxis(np.asarray(u, dtype=float), axis, 0)
-    if work is None:
-        work = np.empty((4,) + slabs.shape[1:])
-    # [k, ...] keeps 0-d slots arrays, so out= works
-    top, ties, s, d = (work[k, ...] for k in range(4))
-    np.copyto(top, slabs[0])
+    slabs = np.moveaxis(np.asarray(u, dtype=float), -1, 0)
+    top = slabs[0]
     for slab in slabs[1:]:
-        np.maximum(top, slab, out=top)
-    ties.fill(0.0)
-    s.fill(0.0)
-    tied = np.empty(top.shape, dtype=bool)
+        top = np.maximum(top, slab)
+    ties = s = 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
         for slab in slabs:
-            np.subtract(slab, top, out=d)
-            ties += np.equal(d, 0, out=tied)
-            np.exp(d, out=d)
-            d *= np.logical_not(tied, out=tied)  # d != 0, NaN included
-            s += d
-        np.divide(s, ties, out=s, where=s != 0)
-        np.log1p(s, out=s)
-        s += np.log(ties, out=ties)
-        s += top
-    np.copyto(s, top, where=np.isinf(top))
-    return s[()]
+            d = slab - top
+            tied = d == 0
+            ties = ties + tied
+            s = s + np.exp(d) * ~tied  # d != 0, NaN included
+        s = np.where(s != 0, s / ties, s)
+        s = np.log1p(s) + np.log(ties) + top
+    return np.where(np.isinf(top), top, s)[()]
 
 
 def lse_terms(a):

@@ -16,23 +16,27 @@ multinomial expansion.  The J+1 integrands share the agent log terms and
 their logsumexp, so `mc_oracles` draws each block of paths once and
 reduces every one of them from it; `martingale_check` reads the same
 blocks.  A block holds the agent log terms agent-major, one contiguous
-(paths, nodes) slab per agent, which `equilibrium.lse_agents` sums slab
-by slab.  Blocks have a fixed, cache-sized budget of nodes, the one the
-field kernel's node blocks use.  `equilibrium._block_map` runs them in
-contiguous groups, one per usable core (the calling thread runs the
-first; a single block runs inline and starts no thread), and each group
-reuses its own buffers, so memory grows with the core count but not
-with the path count.  Each path's time integral is an einsum over its
-nodes, not a BLAS product, that adds them in one order at any block
-size (a path longer than numpy's buffer of 8192 nodes is reduced on its
-own, see `_quadrature`).  So a path's values do not depend on the path
-count or the blocking, the blocks do not depend on the core count, and
-each group writes only its own paths' values: the reports have the
-same bits for any blocking, on any number of cores and under any BLAS
-thread count.  Truncating the integral at a finite horizon leaves an
-analytically known tail (each composition term decays like
-e^{-D(beta) (T-t)}), which is reported as `truncation_bound` and must
-stay small relative to the closed form.
+(paths, nodes) slab per agent.  Each term, and log delta, is affine in
+the path, a slope times X plus a function of time formed once per grid,
+and `_lse_slabs` sums the slabs with a plain max-shifted logsumexp: the
+oracle needs values good to rounding, not scipy's bits, so the terms and
+their sum differ from the closed-form side's `agent_log_terms_arr` and
+`lse_agents` by an ulp or so.  Blocks have a fixed, cache-sized budget
+of nodes, the one the field kernel's node blocks use.
+`equilibrium._block_map` runs them in contiguous groups, one per usable
+core (the calling thread runs the first; a single block runs inline and
+starts no thread), and each group reuses its own buffers, so memory
+grows with the core count but not with the path count.  Each path's
+time integral is an einsum over its nodes, not a BLAS product, that adds
+them in one order at any block size (a path longer than numpy's buffer
+of 8192 nodes is reduced on its own, see `_quadrature`).  So a path's
+values do not depend on the path count or the blocking, the blocks do
+not depend on the core count, and each group writes only its own paths'
+values: the reports have the same bits for any blocking, on any number
+of cores and under any BLAS thread count.  Truncating the integral at a
+finite horizon leaves an analytically known tail (each composition term
+decays like e^{-D(beta) (T-t)}), which is reported as
+`truncation_bound` and must stay small relative to the closed form.
 
 The z-scores assume square-integrable integrands.  A composition term
 e^{c X_u - m u} has finite second moment of its time integral only when
@@ -259,6 +263,32 @@ def _resolve_grid(state_t: float, horizon, n_steps, table: DenominatorTable) -> 
     return PathGrid(t0=state_t, horizon=float(horizon), n_steps=int(n_steps))
 
 
+def _lse_slabs(u: np.ndarray, top: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+    """out = log sum_j exp(u[j]) over the leading (agent) axis of u, slab by slab.
+
+    The plain max-shifted sum: top = max_j u[j] (NaN propagates), then
+    out = top + log sum_j exp(u[j] - top), summed in agent order, and
+    out = top where top is +-inf.  top, out and scratch are buffers of a
+    slab's shape; top keeps the maximum.  Against scipy.special.logsumexp,
+    which splits the tied maxima out and adds the rest through log1p, the
+    result differs by rounding only, about an ulp of the sum's log.
+    """
+    np.maximum(u[0], u[-1], out=top)
+    for slab in u[1:-1]:
+        np.maximum(top, slab, out=top)
+    with np.errstate(invalid="ignore"):  # inf - inf where top is +-inf
+        np.subtract(u[0], top, out=out)
+        np.exp(out, out=out)
+        for slab in u[1:]:
+            np.subtract(slab, top, out=scratch)
+            out += np.exp(scratch, out=scratch)
+        np.log(out, out=out)
+        out += top
+    if not np.isfinite(top).all():
+        np.copyto(out, top, where=np.isinf(top))
+    return out
+
+
 def _map_path_blocks(
     grid: PathGrid, x0: float, n_paths: int, seed: int, params: EconomyParams, consume
 ):
@@ -266,47 +296,51 @@ def _map_path_blocks(
 
     rows is the block's slice of path indices and x its paths, shape
     (paths, nodes).  u holds the agent log terms agent-major,
-    (J, paths, nodes), so each agent's slab is contiguous; u[j] is
-    ((alpha_j x - decay_j t) - gamma_j) / R, the order of
-    `equilibrium.agent_log_terms_arr`, lse_u = lse_agents(u, axis=0), and
-    log delta is summed in `model.log_dividend`'s order.  A block holds at
+    (J, paths, nodes), so each agent's slab is contiguous.  Each is affine
+    in x, u[j] = (alpha_j / R) x + c_j(t) with c_j(t) = -(decay_j t +
+    gamma_j) / R, and so is log delta = sigma x + l(t); c_j and l are
+    formed once per grid, so a block spends two passes on each.  lse_u is
+    `_lse_slabs`' plain max-shifted sum of u over the agents.  These
+    values agree with `equilibrium.agent_log_terms_arr`, `lse_agents` and
+    `model.log_dividend` to rounding, not to the bit.  A block holds at
     most _BLOCK_ELEMENTS nodes per slab (at least one path), so it stays in
     cache.  `equilibrium._block_map` runs the blocks in contiguous groups,
-    one per usable core; each group allocates its buffers once and refills
-    them for every block, so memory does not grow with n_paths.  consume
-    may run on any of the groups' threads: it keeps what it needs before it
-    returns, may overwrite the buffers (x is spent once u and log delta are
-    formed) and writes only its block's rows of a shared output.  The
-    blocks do not depend on the number of groups, and each path's values
-    not on its block, so a reduction along the nodes of each path (the
-    einsum quadrature) gives the same bits on any number of cores.
+    one per usable core; each group allocates its buffers once (x, the J
+    agent slabs, lse_u, a scratch slab and the maximum's slab, which then
+    holds log delta) and refills them for every block, so memory does not
+    grow with n_paths.  consume may run on any of the groups' threads: it
+    keeps what it needs before it returns, may overwrite the buffers (x is
+    spent once u and log delta are formed) and writes only its block's
+    rows of a shared output.  The blocks do not depend on the number of
+    groups, and each path's values not on its block, so a reduction along
+    the nodes of each path (the einsum quadrature) gives the same bits on
+    any number of cores.
     """
     t = grid.times()
-    sigma, alpha = params.sigma, params.alpha_vec
-    decay_t = [d * t for d in params.rho_vec + 0.5 * alpha**2]
-    log_delta0 = np.log(params.delta0)
-    drift_t = (params.alpha_star * sigma - 0.5 * sigma**2) * t
+    sigma, alpha, r_curv = params.sigma, params.alpha_vec, params.R
+    slopes = alpha / r_curv
+    decay = params.rho_vec + 0.5 * alpha**2
+    offsets = [-(d * t + g) / r_curv for d, g in zip(decay, params.gamma_vec)]
+    log_delta_t = np.log(params.delta0) + (params.alpha_star * sigma - 0.5 * sigma**2) * t
     n_rows = max(1, min(n_paths, _BLOCK_ELEMENTS // len(t)))
 
     def run(blocks):
         x_buf = np.empty((n_rows, len(t)))
         u_buf = np.empty((params.n_agents,) + x_buf.shape)
-        work = np.empty((4,) + x_buf.shape)
+        work = np.empty((3,) + x_buf.shape)
         gen = path_generator(seed, blocks.start * n_rows)
         for lo in range(blocks.start * n_rows, blocks.stop * n_rows, n_rows):
             rows = slice(lo, min(lo + n_rows, n_paths))
             k = rows.stop - lo
             x, u = x_buf[:k], u_buf[:, :k]
+            top, lse_u, scratch = work[:, :k]
             _fill_paths(x, grid, x0, seed, lo, gen)
-            for j, slab in enumerate(u):
-                np.multiply(alpha[j], x, out=slab)
-                slab -= decay_t[j]
-                slab -= params.gamma_vec[j]
-                slab /= params.R
-            lse_u = equilibrium.lse_agents(u, axis=0, work=work[:, :k])
-            ld = np.multiply(sigma, x, out=work[0, :k])  # a slot lse_agents is done with
-            ld += log_delta0
-            ld += drift_t
+            for slab, slope, offset in zip(u, slopes, offsets):
+                np.multiply(slope, x, out=slab)
+                slab += offset
+            _lse_slabs(u, top, lse_u, scratch)
+            ld = np.multiply(sigma, x, out=top)  # the maximum is spent
+            ld += log_delta_t
             consume(rows, x, u, lse_u, ld)
 
     equilibrium._block_map(run, -(-n_paths // n_rows))
@@ -396,7 +430,9 @@ def mc_oracles(
     values = np.empty((params.n_agents + 1, n_paths))
 
     def consume(rows, x, u, lse_u, ld):
-        # the spent paths are the scratch buffer: the stock's exponent, then each agent's
+        # the block's buffers are spent once its exponents are formed: the
+        # paths hold the stock's exponent, then each agent's in turn, and
+        # lse_u and ld are scaled in place
         scratch = np.multiply(r_curv, lse_u, out=x)
         ld *= 1 - r_curv
         scratch += ld  # (1-R) log delta + R lse_u

@@ -1,9 +1,11 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import logsumexp
 
 import crraeq.equilibrium
 import crraeq.simulate
@@ -214,20 +216,15 @@ def test_wealth_oracles_sum_to_stock_oracle():
     assert abs(srep.z_score) <= 3
 
 
-def test_mc_oracles_match_a_plain_recomputation():
-    p = two_agent()
+def _assert_mc_matches_a_plain_recomputation(p, s, grid, n, seed):
+    """mc_oracles' reports against integrands in plain exponentials, summed by np.trapezoid."""
     tab = validate(p)
-    s = MarketState(0.5, 0.2)
-    grid = PathGrid(s.t, 20.5, 2000)
-    n = 1500
-    # the paths span many blocks of the single pass
-    assert n * (grid.n_steps + 1) > 10 * crraeq.simulate._BLOCK_ELEMENTS
     wreps, srep = mc_oracles(
-        s, p, tab, n_paths=n, horizon=grid.horizon, n_steps=grid.n_steps, seed=9
+        s, p, tab, n_paths=n, horizon=grid.horizon, n_steps=grid.n_steps, seed=seed
     )
 
     t = grid.times()
-    x = np.array([path.x_values for path in simulate_paths(grid, s.x, n, seed=9)])
+    x = np.array([path.x_values for path in simulate_paths(grid, s.x, n, seed=seed)])
     delta = p.delta0 * np.exp(p.sigma * x + (p.alpha_star * p.sigma - p.sigma**2 / 2) * t)
     e_u = np.stack(
         [np.exp((a.alpha * x - (a.rho + a.alpha**2 / 2) * t - a.gamma) / p.R) for a in p.agents],
@@ -236,19 +233,75 @@ def test_mc_oracles_match_a_plain_recomputation():
     total = e_u.sum(axis=-1)
     # zeta = delta^{-R} (sum_i e^{u_i})^R and c^j = delta e^{u_j} / sum_i e^{u_i}
     zeta0 = delta[0, 0] ** -p.R * total[0, 0] ** p.R
-    flows = [delta ** (1 - p.R) * total ** (p.R - 1) * e_u[..., j] for j in range(2)]
+    flows = [delta ** (1 - p.R) * total ** (p.R - 1) * e_u[..., j] for j in range(p.n_agents)]
     flows.append(delta ** (1 - p.R) * total**p.R)
     snap = snapshot(s, p, tab)
     closed = [*snap.wealths, snap.stock_price]
     tails = truncation_tails(s, p, tab, grid.horizon)
 
-    for rep, flow, cf, tail in zip([*wreps, srep], flows, closed, tails):
+    for rep, flow, cf, tail in zip([*wreps, srep], flows, closed, tails, strict=True):
         values = np.trapezoid(flow, t, axis=1) / zeta0
         np.testing.assert_allclose(rep.estimate, values.mean(), rtol=1e-13)
         np.testing.assert_allclose(rep.std_error, values.std(ddof=1) / math.sqrt(n), rtol=1e-13)
         assert rep.closed_form == cf
         assert rep.truncation_bound == tail
         assert rep.n_paths == n
+    return wreps
+
+
+def test_mc_oracles_match_a_plain_recomputation():
+    grid = PathGrid(0.5, 20.5, 2000)
+    n = 1500
+    # the paths span many blocks of the single pass
+    assert n * (grid.n_steps + 1) > 10 * crraeq.simulate._BLOCK_ELEMENTS
+    _assert_mc_matches_a_plain_recomputation(two_agent(), MarketState(0.5, 0.2), grid, n, seed=9)
+
+
+def test_tied_agents_get_bit_equal_wealth_reports():
+    # two identical agents: their log terms tie at every node of every path
+    twin = Agent(0.3, 0.4, 0.2)
+    p = EconomyParams(R=2, sigma=0.15, alpha_star=0.0, delta0=1.0, agents=(twin, twin))
+    grid = PathGrid(0.5, 20.5, 2000)
+    n = 300
+    assert n * (grid.n_steps + 1) > 4 * crraeq.simulate._BLOCK_ELEMENTS
+    first, second = _assert_mc_matches_a_plain_recomputation(
+        p, MarketState(0.5, 0.2), grid, n, seed=9
+    )
+    assert first.estimate.hex() == second.estimate.hex()
+    assert first.std_error.hex() == second.std_error.hex()
+    assert first == second
+
+
+def _block_lse(u):
+    top, out, scratch = (np.empty(u.shape[1:]) for _ in range(3))
+    got = crraeq.simulate._lse_slabs(u, top, out, scratch)
+    assert got is out
+    np.testing.assert_array_equal(top, u.max(axis=0))
+    return got
+
+
+@pytest.mark.parametrize("n_agents", [1, 2, 3, 5])
+def test_lse_slabs_match_scipy(n_agents):
+    # the path blocks' plain max-shifted sum agrees with scipy to rounding,
+    # on tied slabs and where a slab is -inf or +inf
+    rng = np.random.default_rng(300 + n_agents)
+    for scale in (1e-3, 1.0, 50.0):
+        u = rng.normal(size=(n_agents, 6, 40)) * scale
+        tied = u.copy()
+        tied[-1] = tied[0]
+        lows, highs = u.copy(), u.copy()
+        lows[0] = -np.inf
+        highs[-1] = np.inf
+        cases = [u, tied, np.repeat(u[:1], n_agents, axis=0), lows, highs]
+        for v in cases:
+            want = logsumexp(v, axis=0)
+            np.testing.assert_allclose(_block_lse(v), want, rtol=1e-15, atol=1e-15)
+    np.testing.assert_array_equal(_block_lse(np.full((n_agents, 2, 3), -np.inf)), -np.inf)
+    u = np.zeros((n_agents, 2, 3))
+    u[0, 1, 2] = np.nan
+    want = np.full((2, 3), np.log(n_agents))
+    want[1, 2] = np.nan
+    np.testing.assert_array_equal(_block_lse(u), want)
 
 
 def test_martingale_check_matches_a_plain_recomputation():
@@ -344,6 +397,29 @@ def test_long_path_bits_do_not_depend_on_the_path_count_or_blocking(monkeypatch)
     want = mc_oracles(S0, PAIR, tab, 4, **grid), martingale_check(PAIR, tab, 8, **grid)
     monkeypatch.setattr(crraeq.simulate, "_BLOCK_ELEMENTS", grid["n_steps"] + 1)
     assert (mc_oracles(S0, PAIR, tab, 4, **grid), martingale_check(PAIR, tab, 8, **grid)) == want
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda n: martingale_check(PAIR, validate(PAIR), n, horizon=5.0, n_steps=5120, seed=2),
+    lambda n: mc_oracles(S0, PAIR, validate(PAIR), n, horizon=25.0, n_steps=5120, seed=2),
+], ids=["martingale_check", "mc_oracles"])
+def test_oracle_memory_does_not_grow_with_the_path_count(monkeypatch, oracle):
+    # the path blocks reuse one group's buffers, so ten times the paths of
+    # 5121 nodes may add only the per-path results (a few floats a path);
+    # one group, so that no second group's buffers come and go with the timing
+    monkeypatch.setattr(crraeq.equilibrium, "_WORKERS", 1)
+    oracle(2)  # first-call allocations, of numpy and of the validated tables
+    peaks = {}
+    for n_paths in (300, 3000):
+        tracemalloc.start()
+        try:
+            oracle(n_paths)
+            peaks[n_paths] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # one block's buffers alone are more than 1 MiB
+    assert peaks[300] > 2**20
+    assert peaks[3000] < 1.1 * peaks[300]
 
 
 def test_stock_oracle_scales_with_delta0():
