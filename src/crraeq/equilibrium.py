@@ -18,7 +18,9 @@ overflow at |x| or t in the hundreds, ordinary states for long paths.
 and `simulate.evaluate_series` its view along a path.  Only the O(J)
 market-clearing side, `state_price_density` and `consumptions`, is
 evaluated without it; that side needs no validated table, so it also
-works where some D(beta) <= 0.
+works where some D(beta) <= 0.  The clearing side (`_clearing_logs`) is
+also what the Monte Carlo oracles' path blocks form, by the same
+elementwise steps, so the two agree to the bit.
 """
 
 from __future__ import annotations
@@ -174,79 +176,72 @@ class EvaluatedSeries:
         )
 
 
-def lse_agents(u):
-    """log sum_j exp(u_j) over the short last (agent) axis, one agent at a time.
+def _lse_slabs(u, top: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+    """out = log sum_j exp(u[j]) over the leading (agent) axis of u, slab by slab.
 
-    scipy.special.logsumexp's algorithm: the maximal terms are split out
-    (counted as ties), the rest is summed against the maximum and added
-    through log1p.  Agents are summed in order, which is the order numpy's
-    reduction takes along a last axis below 8 terms, so there the bits are
-    scipy's.  From 8 agents on numpy sums in interleaved partials, and the
-    two differ by rounding, a few 1e-16 relative.  scipy's generic
-    overhead (about 0.1 ms per call) is gone.  Where the maximum is +-inf
-    the result is that maximum, NaN propagates.  Its sibling `lse_terms`
-    sums the long composition axis, with weights; the Monte Carlo path
-    blocks use the plain max-shifted sum `simulate._lse_slabs`.
+    The one agent-axis log-sum-exp, plain and max-shifted: top = max_j u[j]
+    (NaN propagates), then out = top + log sum_j exp(u[j] - top), summed
+    in agent order, and out = top where top is +-inf.  top, out and
+    scratch are buffers of a slab's shape; top keeps the maximum.  Every
+    step is elementwise, so a slab's layout never changes a bit: the path
+    blocks pass contiguous agent slabs, the kernel the transpose of its
+    (..., J) terms.
     """
-    slabs = np.moveaxis(np.asarray(u, dtype=float), -1, 0)
-    top = slabs[0]
-    for slab in slabs[1:]:
-        top = np.maximum(top, slab)
-    ties = s = 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for slab in slabs:
-            d = slab - top
-            tied = d == 0
-            ties = ties + tied
-            s = s + np.exp(d) * ~tied  # d != 0, NaN included
-        s = np.where(s != 0, s / ties, s)
-        s = np.log1p(s) + np.log(ties) + top
-    return np.where(np.isinf(top), top, s)[()]
+    np.maximum(u[0], u[-1], out=top)
+    for slab in u[1:-1]:
+        np.maximum(top, slab, out=top)
+    with np.errstate(invalid="ignore"):  # inf - inf where top is +-inf
+        np.subtract(u[0], top, out=out)
+        np.exp(out, out=out)
+        for slab in u[1:]:
+            np.subtract(slab, top, out=scratch)
+            out += np.exp(scratch, out=scratch)
+        np.log(out, out=out)
+        out += top
+    np.copyto(out, top, where=np.isinf(top))
+    return out
 
 
 def lse_terms(a):
-    """log sum_m exp(a_m) over the last (composition) axis.
+    """log sum_m exp(a_m) over the last (composition) axis, against the maximum.
 
-    scipy.special.logsumexp(a, axis=-1)'s algorithm for real floats, step
-    by step: the maximal terms are split out and counted, the rest is
-    summed against the maximum and added through log1p.  Where that is
-    not finite the result is log(sum exp(a)).  Every sum is the keepdims
-    reduction scipy makes, so numpy's pairwise summation rounds alike at
-    any M and the bits are scipy's.  1-D input gives a scalar.
+    top + log sum_m exp(a_m - top), with numpy's pairwise sum, and top
+    where the maximum top is +-inf; NaN propagates.  1-D input gives a
+    scalar.
     """
     a = np.asarray(a, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = np.max(a, axis=-1, keepdims=True)
-        ties = a == top
-        m = np.sum(ties, axis=-1, keepdims=True, dtype=float)
-        s = np.sum(np.exp(np.where(ties, -np.inf, a) - top), axis=-1, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + top
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=-1, keepdims=True)))
-    return out[..., 0][()]
+    top = np.max(a, axis=-1)
+    with np.errstate(invalid="ignore"):  # inf - inf where top is +-inf
+        out = np.log(np.sum(np.exp(a - top[..., None]), axis=-1)) + top
+    return np.where(np.isinf(top), top, out)[()]
 
 
-def agent_log_terms_arr(t, x, params: EconomyParams) -> np.ndarray:
-    """Per-agent exponent u_i = (-rho_i t - gamma_i + alpha_i x - alpha_i^2 t/2)/R.
+def _agent_affine(t, params: EconomyParams):
+    """The agent log terms' slopes in x and their parts in t.
 
-    Shapes: t, x broadcastable; returns broadcast(t, x).shape + (J,).
+    u_j = (alpha_j/R) x + c_j(t), with c_j(t) = -(decay_j t + gamma_j)/R
+    and decay_j = rho_j + alpha_j^2/2.  Returns alpha/R and c, of shape
+    t.shape + (J,).  The kernel and the Monte Carlo path blocks both form
+    u as slope times x plus c, so they agree to the bit.
     """
-    t = np.asarray(t, dtype=float)[..., None]
-    x = np.asarray(x, dtype=float)[..., None]
+    t = np.asarray(t, dtype=float)
     alpha = params.alpha_vec
     decay = params.rho_vec + 0.5 * alpha**2
-    return (alpha * x - decay * t - params.gamma_vec) / params.R
+    return alpha / params.R, -(decay * t[..., None] + params.gamma_vec) / params.R
 
 
 def _clearing_logs(t, x, params: EconomyParams):
-    """(u, lse u, log delta) at (t, x): the O(J) market-clearing side.
+    """(u, lse u, log delta) at broadcast (t, x): the O(J) market-clearing side.
 
-    log zeta = R (lse u - log delta), and log c^j = log delta + u_j - lse u.
+    u has shape broadcast(t, x).shape + (J,).  log zeta = R (lse u - log
+    delta), and log c^j = log delta + u_j - lse u.
     """
-    u = agent_log_terms_arr(t, x, params)
-    return u, lse_agents(u), log_dividend(t, x, params)
+    x = np.asarray(x, dtype=float)
+    slopes, c = _agent_affine(t, params)
+    u = slopes * x[..., None] + c
+    top, lse_u, scratch = (np.empty(u.shape[:-1]) for _ in range(3))
+    _lse_slabs(u.T, top.T, lse_u.T, scratch.T)
+    return u, lse_u, log_dividend(t, x, params)
 
 
 def _fill_log_z_terms(t, x, shift, table: DenominatorTable, out, scratch):

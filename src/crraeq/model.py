@@ -227,11 +227,15 @@ def validate(params: EconomyParams) -> DenominatorTable:
     )
 
 
-def log_dividend(t, x, params: EconomyParams):
-    """log delta at (t, x); broadcasts over array-valued t and x."""
+def log_dividend_trend(t, params: EconomyParams):
+    """l(t) = log delta0 + (alpha_star sigma - sigma^2/2) t, the part of log delta in t."""
     sigma = params.sigma
-    drift = params.alpha_star * sigma - 0.5 * sigma**2
-    return np.log(params.delta0) + sigma * np.asarray(x) + drift * np.asarray(t)
+    return np.log(params.delta0) + (params.alpha_star * sigma - 0.5 * sigma**2) * np.asarray(t)
+
+
+def log_dividend(t, x, params: EconomyParams):
+    """log delta = sigma x + l(t) at (t, x); broadcasts over array-valued t and x."""
+    return params.sigma * np.asarray(x) + log_dividend_trend(t, params)
 
 
 def dividend(state: MarketState, params: EconomyParams) -> float:

@@ -18,11 +18,12 @@ reduces every one of them from it; `martingale_check` reads the same
 blocks.  A block holds the agent log terms agent-major, one contiguous
 (paths, nodes) slab per agent.  Each term, and log delta, is affine in
 the path, a slope times X plus a function of time formed once per grid,
-and `_lse_slabs` sums the slabs with a plain max-shifted logsumexp: the
-oracle needs values good to rounding, not scipy's bits, so the terms and
-their sum differ from the closed-form side's `agent_log_terms_arr` and
-`lse_agents` by an ulp or so.  Blocks have a fixed, cache-sized budget
-of nodes, the one the field kernel's node blocks use.
+and `equilibrium._lse_slabs` sums the slabs with a plain max-shifted
+logsumexp.  These are the closed-form side's own clearing logs, formed
+by the same elementwise steps, so they equal the kernel's to the bit;
+the oracle stays independent because it never touches a composition.
+Blocks have a fixed, cache-sized budget of nodes, the one the field
+kernel's node blocks use.
 `equilibrium._block_map` runs them in contiguous groups, one per usable
 core (the calling thread runs the first; a single block runs inline and
 starts no thread), and each group reuses its own buffers, so memory
@@ -61,7 +62,7 @@ import numpy as np
 
 from . import equilibrium
 from .equilibrium import _BLOCK_ELEMENTS, EvaluatedSeries
-from .model import DenominatorTable, EconomyParams, MarketState
+from .model import DenominatorTable, EconomyParams, MarketState, log_dividend_trend
 from .multiindex import DEFAULT_COMPOSITION_CAP
 
 DEFAULT_STEPS_PER_UNIT_TIME = 1024
@@ -263,32 +264,6 @@ def _resolve_grid(state_t: float, horizon, n_steps, table: DenominatorTable) -> 
     return PathGrid(t0=state_t, horizon=float(horizon), n_steps=int(n_steps))
 
 
-def _lse_slabs(u: np.ndarray, top: np.ndarray, out: np.ndarray, scratch: np.ndarray):
-    """out = log sum_j exp(u[j]) over the leading (agent) axis of u, slab by slab.
-
-    The plain max-shifted sum: top = max_j u[j] (NaN propagates), then
-    out = top + log sum_j exp(u[j] - top), summed in agent order, and
-    out = top where top is +-inf.  top, out and scratch are buffers of a
-    slab's shape; top keeps the maximum.  Against scipy.special.logsumexp,
-    which splits the tied maxima out and adds the rest through log1p, the
-    result differs by rounding only, about an ulp of the sum's log.
-    """
-    np.maximum(u[0], u[-1], out=top)
-    for slab in u[1:-1]:
-        np.maximum(top, slab, out=top)
-    with np.errstate(invalid="ignore"):  # inf - inf where top is +-inf
-        np.subtract(u[0], top, out=out)
-        np.exp(out, out=out)
-        for slab in u[1:]:
-            np.subtract(slab, top, out=scratch)
-            out += np.exp(scratch, out=scratch)
-        np.log(out, out=out)
-        out += top
-    if not np.isfinite(top).all():
-        np.copyto(out, top, where=np.isinf(top))
-    return out
-
-
 def _map_path_blocks(
     grid: PathGrid, x0: float, n_paths: int, seed: int, params: EconomyParams, consume
 ):
@@ -296,19 +271,19 @@ def _map_path_blocks(
 
     rows is the block's slice of path indices and x its paths, shape
     (paths, nodes).  u holds the agent log terms agent-major,
-    (J, paths, nodes), so each agent's slab is contiguous.  Each is affine
-    in x, u[j] = (alpha_j / R) x + c_j(t) with c_j(t) = -(decay_j t +
-    gamma_j) / R, and so is log delta = sigma x + l(t); c_j and l are
-    formed once per grid, so a block spends two passes on each.  lse_u is
-    `_lse_slabs`' plain max-shifted sum of u over the agents.  These
-    values agree with `equilibrium.agent_log_terms_arr`, `lse_agents` and
-    `model.log_dividend` to rounding, not to the bit.  A block holds at
-    most _BLOCK_ELEMENTS nodes per slab (at least one path), so it stays in
-    cache.  `equilibrium._block_map` runs the blocks in contiguous groups,
-    one per usable core; each group allocates its buffers once (x, the J
-    agent slabs, lse_u, a scratch slab and the maximum's slab, which then
-    holds log delta) and refills them for every block, so memory does not
-    grow with n_paths.  consume may run on any of the groups' threads: it
+    (J, paths, nodes), so each agent's slab is contiguous.  They are the
+    kernel's clearing logs, formed the same way: u[j] = (alpha_j / R) x +
+    c_j(t) from `equilibrium._agent_affine`, lse_u from
+    `equilibrium._lse_slabs` and log delta = sigma x + l(t) as in
+    `model.log_dividend`, with c_j and l formed once per grid.  Every step
+    is elementwise, so these values equal `equilibrium._clearing_logs` at
+    the same (t, x) to the bit.  A block holds at most _BLOCK_ELEMENTS
+    nodes per slab (at least one path), so it stays in cache.
+    `equilibrium._block_map` runs the blocks in contiguous groups, one per
+    usable core; each group allocates its buffers once (x, the J agent
+    slabs, lse_u, a scratch slab and the maximum's slab, which then holds
+    log delta) and refills them for every block, so memory does not grow
+    with n_paths.  consume may run on any of the groups' threads: it
     keeps what it needs before it returns, may overwrite the buffers (x is
     spent once u and log delta are formed) and writes only its block's
     rows of a shared output.  The blocks do not depend on the number of
@@ -317,11 +292,9 @@ def _map_path_blocks(
     any number of cores.
     """
     t = grid.times()
-    sigma, alpha, r_curv = params.sigma, params.alpha_vec, params.R
-    slopes = alpha / r_curv
-    decay = params.rho_vec + 0.5 * alpha**2
-    offsets = [-(d * t + g) / r_curv for d, g in zip(decay, params.gamma_vec)]
-    log_delta_t = np.log(params.delta0) + (params.alpha_star * sigma - 0.5 * sigma**2) * t
+    slopes, offsets = equilibrium._agent_affine(t, params)
+    slopes, offsets = slopes[:, None, None], np.ascontiguousarray(offsets.T)[:, None, :]
+    log_delta_t = log_dividend_trend(t, params)
     n_rows = max(1, min(n_paths, _BLOCK_ELEMENTS // len(t)))
 
     def run(blocks):
@@ -335,11 +308,10 @@ def _map_path_blocks(
             x, u = x_buf[:k], u_buf[:, :k]
             top, lse_u, scratch = work[:, :k]
             _fill_paths(x, grid, x0, seed, lo, gen)
-            for slab, slope, offset in zip(u, slopes, offsets):
-                np.multiply(slope, x, out=slab)
-                slab += offset
-            _lse_slabs(u, top, lse_u, scratch)
-            ld = np.multiply(sigma, x, out=top)  # the maximum is spent
+            np.multiply(slopes, x, out=u)
+            u += offsets
+            equilibrium._lse_slabs(u, top, lse_u, scratch)
+            ld = np.multiply(params.sigma, x, out=top)  # the maximum is spent
             ld += log_delta_t
             consume(rows, x, u, lse_u, ld)
 

@@ -29,6 +29,12 @@ def draw_economy(rng, max_agents=4, max_r=6, min_denominator=0.0):
             return p, tab
 
 
+def same_bits(a, b):
+    """True when a and b have the same shape and the same float64 bits."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def ladder(r, j):
     """The R, J economy with rho_k = 0.8 + 0.05 k and alpha spread over [-0.2, 0.2]."""
     agents = tuple(Agent(0.8 + 0.05 * (k + 1), -0.2 + 0.4 * k / (j - 1), 0.0) for k in range(j))
@@ -41,3 +47,21 @@ def draw_state(rng, max_t=10.0, max_abs_x=5.0):
     return MarketState(
         float(rng.uniform(0.0, max_t)), float(rng.uniform(-max_abs_x, max_abs_x))
     )
+
+
+def clearing_reference(t, x, params):
+    """The paper's clearing-side logs at broadcast (t, x), formed here from the data.
+
+    Returns u, shape broadcast(t, x).shape + (J,), with agent i's exponent
+    u_i = (alpha_i x - (rho_i + alpha_i^2/2) t - gamma_i)/R, and
+    log delta = log delta0 + sigma x + (alpha_star sigma - sigma^2/2) t.
+    """
+    t = np.asarray(t, dtype=float)[..., None]
+    x = np.asarray(x, dtype=float)[..., None]
+    rho = np.array([a.rho for a in params.agents])
+    alpha = np.array([a.alpha for a in params.agents])
+    gamma = np.array([a.gamma for a in params.agents])
+    u = (alpha * x - (rho + alpha**2 / 2) * t - gamma) / params.R
+    sigma = params.sigma
+    log_delta = np.log(params.delta0) + sigma * x + (params.alpha_star * sigma - sigma**2 / 2) * t
+    return u, log_delta[..., 0]

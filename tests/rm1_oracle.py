@@ -21,8 +21,7 @@ import math
 import numpy as np
 from scipy.special import logsumexp, softmax
 
-from crraeq.equilibrium import agent_log_terms_arr
-from crraeq.model import log_dividend
+from conftest import clearing_reference
 from crraeq.multiindex import enumerate_compositions
 
 
@@ -65,8 +64,8 @@ def agent_fields(params, t, x):
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     r, alpha = params.R, params.alpha_vec
     # zeta = delta^{-R} (sum_i e^{u_i})^R, from market clearing
-    ld = log_dividend(t, x, params)
-    log_zeta = r * (logsumexp(agent_log_terms_arr(t, x, params), axis=-1) - ld)
+    u, ld = clearing_reference(t, x, params)
+    log_zeta = r * (logsumexp(u, axis=-1) - ld)
     prefactor = (1 - r) * ld - log_zeta
     shape = t.shape + (params.n_agents,)
     log_w = np.empty(shape)

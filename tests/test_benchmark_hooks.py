@@ -1,14 +1,20 @@
-"""The package names that the benchmark's tracer (perfbench/tracing.py) reaches into.
+"""The package names that the benchmark's tracer (perfbench/tracing.py) reaches into,
+and the benchmark's reference gate.
 
 The tracer wraps package functions by module attribute and binds their
 arguments by name, so a rename silently zeroes its counters; these tests
-make such a rename fail here instead.
+make such a rename fail here instead.  Every benchmark run compares one
+reference job per workload with perfbench/reference.json to 1e-13; the
+same jobs run here, so an output change past that gate fails here first.
 """
 
 import inspect
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import crraeq.calibrate
 import crraeq.cli
@@ -68,3 +74,16 @@ def test_table_fields_the_tracer_reads_exist():
 def test_package_import_loads_the_dynamics_module():
     code = "import sys, crraeq; assert 'crraeq.dynamics' in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+@pytest.mark.parametrize("workload", ["csv-export", "wide-economy", "verify-suites"])
+def test_reference_job_matches_the_recorded_values(monkeypatch, tmp_path, workload):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import specs
+    import workloads
+
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    files = specs.write_economies(workload, tmp_path, specs.FULL)
+    bench = workloads.WORKLOADS[workload](files, str(tmp_path), specs.FULL, reference[workload])
+    job = bench.reference_job()
+    assert job.ops and job.failed == 0, job.ops

@@ -7,20 +7,20 @@ import pytest
 from scipy.special import logsumexp, softmax
 
 import crraeq.equilibrium
-from conftest import draw_economy, draw_state, ladder
+from conftest import clearing_reference, draw_economy, draw_state, ladder, same_bits
 from crraeq.calibrate import wealth_shares
 from crraeq.equilibrium import (
     _block_map,
-    agent_log_terms_arr,
+    _clearing_logs,
+    _lse_slabs,
     consumptions,
     evaluate_fields,
     log_z_terms_arr,
-    lse_agents,
     lse_terms,
     snapshot,
     state_price_density,
 )
-from crraeq.model import Agent, EconomyParams, MarketState, dividend, log_dividend, validate
+from crraeq.model import Agent, EconomyParams, MarketState, dividend, validate
 from crraeq.simulate import PathGrid, evaluate_series, simulate_path
 
 S0 = MarketState(0.0, 0.0)
@@ -221,15 +221,17 @@ def test_snapshot_single_agent():
     np.testing.assert_allclose(snap.portfolios[0], 1.0, rtol=1e-13)
 
 
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+def _lse_agents(u):
+    """The kernel's log-sum-exp over the last (agent) axis of u, as `_clearing_logs` takes it."""
+    top, out, scratch = (np.empty(np.shape(u)[:-1]) for _ in range(3))
+    _lse_slabs(np.asarray(u).T, top.T, out.T, scratch.T)
+    return out
 
 
 @pytest.mark.parametrize("n_agents", [*range(1, 8), 8, 12, 16])
 def test_lse_agents_matches_scipy_bits(n_agents):
-    # numpy sums a last axis of 8 or more terms in interleaved partials, so
-    # there agent order matches scipy only to rounding
+    # the plain max-shifted sum over the agents, on the kernel's (..., J)
+    # layout, agrees with scipy's tie-counting algorithm to rounding
     rng = np.random.default_rng(100 + n_agents)
     for scale in (1e-3, 1.0, 50.0):
         for shape in ((n_agents,), (40, n_agents), (3, 5, n_agents)):
@@ -239,11 +241,8 @@ def test_lse_agents_matches_scipy_bits(n_agents):
                 ties[..., 1] = ties[..., 0]
             for v in (u, ties, np.repeat(u[..., :1], n_agents, axis=-1)):
                 want = logsumexp(v, axis=-1)
-                if n_agents < 8:
-                    assert _same_bits(lse_agents(v), want)
-                else:
-                    np.testing.assert_allclose(lse_agents(v), want, rtol=1e-15, atol=1e-15)
-    assert np.ndim(lse_agents(np.zeros(n_agents))) == 0
+                np.testing.assert_allclose(_lse_agents(v), want, rtol=1e-15, atol=1e-15)
+    assert np.ndim(_lse_agents(np.zeros(n_agents))) == 0
 
 
 def test_lse_agents_non_finite_inputs():
@@ -251,7 +250,7 @@ def test_lse_agents_non_finite_inputs():
     u = np.array(
         [[np.inf, 0.0], [0.0, -np.inf], [-np.inf, -np.inf], [np.nan, 1.0], [np.inf, np.inf]]
     )
-    got = lse_agents(u)
+    got = _lse_agents(u)
     np.testing.assert_array_equal(got, logsumexp(u, axis=-1))
     np.testing.assert_array_equal(got, [np.inf, 0.0, -np.inf, np.nan, np.inf])
 
@@ -274,14 +273,18 @@ def _lse_terms_cases(m, rng):
 
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 17, 1716])
 def test_lse_terms_matches_scipy_bits(m):
+    # the plain max-shifted sum over the compositions agrees with scipy's
+    # tie-counting algorithm to rounding, row by row as in a batch
     rng = np.random.default_rng(200 + m)
     for batch in _lse_terms_cases(m, rng):
         want = logsumexp(batch, axis=-1)
-        np.testing.assert_array_equal(lse_terms(batch), want, strict=True)
-        for row, want_row in zip(batch, want):
-            got = lse_terms(row)
-            assert np.ndim(got) == 0
-            np.testing.assert_array_equal(got, want_row, strict=True)
+        got = lse_terms(batch)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+        for row, got_row in zip(batch, got):
+            one = lse_terms(row)
+            assert np.ndim(one) == 0
+            np.testing.assert_array_equal(one, got_row, strict=True)
 
 
 def test_wealth_shares_match_scipy_softmax_bits():
@@ -299,17 +302,19 @@ def test_wealth_shares_match_scipy_softmax_bits():
 
 
 def _log_level_references(t, x, p, tab, log_z):
-    """Each log level as its own expression, one function call apiece.
+    """Each log level as its own expression.
 
-    The composition sums log Z and log Z^j are scipy's logsumexp; log S is
-    its expression over the given log Z.
+    log L, log zeta and log S are their expressions over the clearing logs
+    that the kernel and the Monte Carlo blocks share; log S over the given
+    log Z.  The composition sums log Z and log Z^j are scipy's logsumexp.
     """
-    log_zeta = lambda: p.R * (lse_agents(agent_log_terms_arr(t, x, p)) - log_dividend(t, x, p))
+    _, lse_u, log_delta = _clearing_logs(t, x, p)
+    log_zeta = p.R * (lse_u - log_delta)
     refs = [
-        p.R * lse_agents(agent_log_terms_arr(t, x, p)),
-        log_zeta(),
+        p.R * lse_u,
+        log_zeta,
         logsumexp(log_z_terms_arr(t, x, p, tab), axis=-1),
-        (1 - p.R) * log_dividend(t, x, p) - log_zeta() + log_z,
+        (1 - p.R) * log_delta - log_zeta + log_z,
     ]
     for j in range(p.n_agents):
         terms = log_z_terms_arr(t, x, p, tab)
@@ -319,12 +324,13 @@ def _log_level_references(t, x, p, tab, log_z):
 
 def test_log_levels_columns_match_their_own_expressions_bitwise():
     # log L, log zeta and log S (over the kernel's log Z) are their own
-    # expressions, to the bit.  log Z and log Z^j come from the kernel's
-    # one reduction of the Z terms against their largest, so they match
-    # scipy's logsumexp to rounding: 1e-14 of max(1, |log Z|), as a log
-    # near 0 is off by an ulp of 1.  log S is not compared with scipy's:
-    # at x = -3000 it is a difference of two logs in the hundreds, and an
-    # ulp of log Z is 2e-14 of it
+    # expressions, to the bit.  log L and log zeta also match scipy's
+    # logsumexp over the paper's u, formed in the tests, to 1e-14.  log Z
+    # and log Z^j come from the kernel's one reduction of the Z terms
+    # against their largest, so they match scipy's logsumexp to rounding:
+    # 1e-14 of max(1, |log Z|), as a log near 0 is off by an ulp of 1.
+    # log S is not compared with scipy's: at x = -3000 it is a difference
+    # of two logs in the hundreds, and an ulp of log Z is 2e-14 of it
     rng = np.random.default_rng(75)
     economies = [(p, validate(p)) for p in (symmetric_pair(), TRIO)]
     economies += [draw_economy(rng, max_agents=4, max_r=5) for _ in range(3)]
@@ -336,7 +342,11 @@ def test_log_levels_columns_match_their_own_expressions_bitwise():
             refs = _log_level_references(tt, xx, p, tab, got[..., 2])
             assert got.shape == np.broadcast(tt, xx).shape + (p.n_agents + 4,)
             for k in (0, 1, 3):
-                assert _same_bits(got[..., k], refs[k]), (k, tt, xx)
+                assert same_bits(got[..., k], refs[k]), (k, tt, xx)
+            u, log_delta = clearing_reference(tt, xx, p)
+            lse_u = logsumexp(u, axis=-1)
+            for k, want in ((0, p.R * lse_u), (1, p.R * (lse_u - log_delta))):
+                np.testing.assert_allclose(got[..., k], want, rtol=1e-14, atol=1e-14, err_msg=k)
             for k in (2, *range(4, p.n_agents + 4)):
                 np.testing.assert_allclose(got[..., k], refs[k], rtol=1e-14, atol=1e-14, err_msg=k)
 
@@ -391,7 +401,7 @@ def test_node_blocking_never_changes_a_bit(monkeypatch):
                 got = evaluate_fields(t, x, p, tab)
                 assert got.keys() == want.keys()
                 for k in want:
-                    assert _same_bits(got[k], want[k]), (p, k, np.shape(x), nodes)
+                    assert same_bits(got[k], want[k]), (p, k, np.shape(x), nodes)
                 if x is far[1]:
                     assert fallback, "no agent sum underflowed at the far states"
 
@@ -425,7 +435,7 @@ def test_kernel_bits_do_not_depend_on_the_worker_count(monkeypatch):
                 got = evaluate_fields(t, x, p, tab)
                 assert got.keys() == want.keys()
                 for k in want:
-                    assert _same_bits(got[k], want[k]), (p.R, k, nodes, workers)
+                    assert same_bits(got[k], want[k]), (p.R, k, nodes, workers)
                 if x[0] == -20000.0:
                     assert len(threads) == workers
 

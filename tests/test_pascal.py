@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from conftest import draw_economy
-from crraeq.equilibrium import agent_log_terms_arr, evaluate_fields
+from conftest import clearing_reference, draw_economy
+from crraeq.equilibrium import evaluate_fields
 from crraeq.model import Agent, EconomyParams, validate
 from crraeq.multiindex import enumerate_compositions
 from rm1_oracle import agent_fields, exact_multinomial
@@ -61,7 +61,7 @@ def test_clearing_sum_is_the_multinomial_theorem():
         parts = enumerate_compositions(p.n_agents, p.R)
         log_c = np.log([float(exact_multinomial(c)) for c in parts.tolist()])
         t, x = rng.uniform(0.0, 10.0, 50), rng.uniform(-5.0, 5.0, 50)
-        u = agent_log_terms_arr(t, x, p)
+        u, _ = clearing_reference(t, x, p)
         by_compositions = logsumexp(log_c + u @ parts.T, axis=-1)
         log_l = evaluate_fields(t, x, p, tab)["log_levels"][:, 0]
         np.testing.assert_allclose(log_l, by_compositions, rtol=1e-13, atol=1e-13)

@@ -9,7 +9,7 @@ from scipy.special import logsumexp
 
 import crraeq.equilibrium
 import crraeq.simulate
-from conftest import draw_economy
+from conftest import draw_economy, same_bits
 from crraeq.dynamics import DegenerateStockVolatility
 from crraeq.equilibrium import evaluate_fields, log_z_terms_arr, snapshot, state_price_density
 from crraeq.model import Agent, EconomyParams, MarketState, dividend, validate
@@ -274,7 +274,7 @@ def test_tied_agents_get_bit_equal_wealth_reports():
 
 def _block_lse(u):
     top, out, scratch = (np.empty(u.shape[1:]) for _ in range(3))
-    got = crraeq.simulate._lse_slabs(u, top, out, scratch)
+    got = crraeq.equilibrium._lse_slabs(u, top, out, scratch)
     assert got is out
     np.testing.assert_array_equal(top, u.max(axis=0))
     return got
@@ -302,6 +302,29 @@ def test_lse_slabs_match_scipy(n_agents):
     want = np.full((2, 3), np.log(n_agents))
     want[1, 2] = np.nan
     np.testing.assert_array_equal(_block_lse(u), want)
+
+
+@pytest.mark.parametrize("p", [PAIR, TRIO], ids=["pair", "trio"])
+def test_path_blocks_form_the_kernels_clearing_logs_to_the_bit(monkeypatch, p):
+    # u, lse u and log delta of every block equal the kernel's at the same
+    # (t, x): the oracles and the closed forms share one clearing side
+    grid = PathGrid(0.5, 6.5, 300)
+    n_paths = 11
+    monkeypatch.setattr(crraeq.simulate, "_BLOCK_ELEMENTS", 4 * (grid.n_steps + 1))
+    seen = {}
+
+    def consume(rows, x, u, lse_u, ld):
+        seen[rows.start] = rows, x.copy(), u.copy(), lse_u.copy(), ld.copy()
+
+    crraeq.simulate._map_path_blocks(grid, 0.3, n_paths, 5, p, consume)
+    assert sorted(seen) == [0, 4, 8]  # blocks of 4, 4 and 3 paths
+    t = grid.times()
+    for rows, x, u, lse_u, ld in seen.values():
+        assert x.shape == (rows.stop - rows.start, len(t))
+        want_u, want_lse, want_ld = crraeq.equilibrium._clearing_logs(t, x, p)
+        assert same_bits(u, np.moveaxis(want_u, -1, 0))
+        assert same_bits(lse_u, want_lse)
+        assert same_bits(ld, want_ld)
 
 
 def test_martingale_check_matches_a_plain_recomputation():
