@@ -7,23 +7,27 @@ rounds.  The product is Dekker's exact two-product of |v| against a
 double-double table of 10^s, so its error before rounding is below
 2^-46.  A value whose rounding that cannot decide is spelled by
 CPython's `%` itself, as Grisu3 (Loitsch, PLDI 2010) falls back to an
-exact algorithm: values outside [1e-280, 1e280], where the split could
+exact algorithm: values outside [2^-930, 2^930), where the split could
 overflow or underflow; zeros, infinities and NaN; values within 1e-6 of
 a rounding tie; and values whose N is within 1 of 10^16, where X itself
 is in doubt.  Every other value is decided exactly, so the bytes are
 those of `"%.17g" % v`.
 
-A block of values becomes bytes in three steps.  Digits: X from log10,
-moved once if N falls outside [10^16, 10^17).  Cells: N's digits after
-the first come from a table of the 10^4 four-digit groups, whose second
-half spells each group with its trailing zeros NUL, for the groups that
-end the number.  Each cell is laid out left-justified and NUL-padded in
-a fixed-width slot: sign, the `0.` to `0.000` lead for -4 <= X < 0, the
-digits with the dot after digit X (after the first in scientific form)
-and the fraction's trailing zeros NUL, then the `e+XX` suffix for
-X < -4 or X >= 17.  The cells are sorted by X, so each layout is
-written with constant column slices, then put back in place.  Emit: the
-block's bytes without their NULs.
+A block of values becomes bytes in three steps.  Digits: X is the
+smallest decimal exponent of v's binade, plus one where v reaches the
+next power of ten, moved once if N falls outside [10^16, 10^17); one
+gather from a table of rows (hi, hi's two halves, lo) gives the power.
+Cells: N is split once in int64 and then in int32 into its first digit
+and four four-digit groups, which a table of the 10^4 groups spells,
+its second half with the trailing zeros NUL for the groups that end the
+number.  Each cell is laid out left-justified and NUL-padded in 24
+bytes: sign, the `0.` to `0.000` lead for -4 <= X < 0, the digits with
+the dot after digit X (after the first in scientific form) and the
+fraction's trailing zeros NUL, then the `e+XX` suffix for X < -4 or
+X >= 17.  The cells are sorted by X, so each layout is written with
+constant column slices.  Emit: the sorted cells are scattered straight
+into their slots of the block's rows, and the rows' bytes are written
+without their NULs.
 
 The tables are built on first use, so importing this module costs
 nothing.
@@ -35,25 +39,33 @@ import functools
 
 import numpy as np
 
-_LOW, _HIGH = 1e-280, 1e280
-_X_MIN, _X_MAX = -281, 281  # decimal exponents of [_LOW, _HIGH], after one move
+_X_MIN, _X_MAX = -281, 281  # decimal exponents of [2^-930, 2^930), after one move
+_BINADES = range(-930, 930)  # binary exponents whose values numpy decides
+_CLAMP = 2.0**990  # larger values, inf and NaN become this, in an undecided binade
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
 _TIE = 1e-6
 _E16, _E17 = 10**16, 10**17
 _BODY = 24  # the longest spelling: "-2.2250738585072014e-308"
+_SLOT = _BODY + 1  # a cell and its separator; a row's `path_id,` takes one slot too
 _DOT = ord(".")
 _ZEROS = np.uint64(0x3030303030303030)  # "0" in every byte
+_ZERO_ROW = _X_MAX - _X_MIN + 1  # the power row of undecided binades: all zeros
 
 
 @functools.cache
 def _tables():
-    """((hi, hi's two halves, lo) of 10^(16-x) by x - _X_MIN, the four-digit groups).
+    """(powers, binade rows, binade tops, groups).
 
-    hi + lo is 10^s to about 2^-106 relative: hi is 10^s correctly
-    rounded (int to float and 1 / 10^-s both round correctly) and lo is
-    the residual, correctly rounded from exact integers.  The groups are
-    uint32 words of four ASCII digits, indexed by their value, then again
-    with trailing zeros NUL at index value + 10^4.
+    powers[x - _X_MIN] is (hi, hi's two halves, lo) of 10^(16-x), then a
+    zero row.  hi + lo is 10^s to about 2^-106 relative: hi is 10^s
+    correctly rounded (int to float and 1 / 10^-s both round correctly)
+    and lo is the residual, correctly rounded from exact integers.  A
+    biased binary exponent indexes the power row of its binade's smallest
+    X, and the correctly rounded 10^(X+1) from which X is one more; an
+    undecided binade gets the zero row and an infinite top.  The groups
+    are words of four ASCII digits, indexed by their value, then again
+    with trailing zeros NUL at index value + 10^4: as uint64 with the
+    digits in the low half, and with them in the high half.
     """
     rows = []
     for x in range(_X_MIN, _X_MAX + 1):
@@ -66,49 +78,71 @@ def _tables():
             m, d = hi.as_integer_ratio()
             lo = (d - m * 10**-s) / (d * 10**-s)
         rows.append((hi, lo))
-    hi, lo = np.array(rows).T.copy()
+    hi, lo = np.array(rows).T
     c = hi * _SPLIT
     hh = c - (c - hi)
+    powers = np.vstack([np.stack([hi, hh, hi - hh, lo], axis=1), np.zeros(4)])
+
+    binade_rows = np.full(2048, _ZERO_ROW, np.intp)
+    binade_tops = np.full(2048, np.inf)
+    for e in _BINADES:
+        # 2^e is no power of ten for e != 0, so X is its digit count less one
+        x = len(str(2**e)) - 1 if e >= 0 else -len(str(2**-e))
+        binade_rows[e + 1023] = x - _X_MIN
+        binade_tops[e + 1023] = 10 ** (x + 1) if x >= -1 else 1 / 10 ** -(x + 1)
+
     digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
     chars = (digits + ord("0")).astype(np.uint8)
     # a digit is kept if it or a later one is nonzero
     kept = np.maximum.accumulate(digits[:, ::-1] != 0, axis=1)[:, ::-1]
-    groups = np.concatenate([chars, chars * kept]).view(np.uint32).ravel()
-    return (hi, hh, hi - hh, lo), groups
+    groups = np.concatenate([chars, chars * kept]).view(np.uint32).ravel().astype(np.uint64)
+    return powers, binade_rows, binade_tops, (groups, groups << 32)
 
 
-def _digits(a: np.ndarray, index: np.ndarray, powers):
-    """(round(a 10^(16-x)) as int64, whether that rounding is certain); index is x - _X_MIN."""
-    hi, hh, hl, lo = (np.take(p, index) for p in powers)
-    c = a * _SPLIT
-    ah = c - (c - a)
+def _digits(a: np.ndarray, row: np.ndarray, powers: np.ndarray):
+    """(round(a 10^(16-x)) as int64, whether that rounding is certain); row is x - _X_MIN.
+
+    N = ph + round(pl + a lo), as ph = fl(a hi) is an integer from 2^53
+    (below 10^16) up; where ph is below 2^53, so is that N, and X moves.
+    """
+    hi, hh, hl, lo = np.take(powers, row, axis=0).T
+    ah = a * _SPLIT
+    t = ah - a
+    ah -= t
     al = a - ah
     ph = a * hi
-    pl = ((ah * hh - ph) + ah * hl + al * hh) + al * hl  # a hi = ph + pl exactly
-    whole = np.floor(ph)
-    r = (ph - whole) + pl + a * lo
-    near = np.rint(r)
-    sure = np.abs(r - near) < 0.5 - _TIE
-    return whole.astype(np.int64) + near.astype(np.int64), sure
+    # pl = ((ah hh - ph) + ah hl + al hh) + al hl, so that a hi = ph + pl exactly;
+    # then r = pl + a lo
+    r = np.multiply(ah, hh, out=t)
+    r -= ph
+    u = ah * hl
+    r += u
+    r += np.multiply(al, hh, out=u)
+    r += np.multiply(al, hl, out=u)
+    r += np.multiply(a, lo, out=u)
+    near = np.rint(r, out=u)
+    r -= near
+    sure = np.abs(r, out=r) < 0.5 - _TIE
+    return np.add(ph, near, dtype=np.int64, casting="unsafe"), sure
 
 
-def _decide(values: np.ndarray, powers):
-    """(N, class) of each value: its digit integer and X - _X_MIN, or class -1 for `%`."""
-    a = np.abs(values)
-    fast = (a >= _LOW) & (a <= _HIGH)  # also false for NaN
-    a[~fast] = 1.0
-    index = np.log10(a)
-    np.floor(index, out=index)
-    index -= _X_MIN
-    index = index.astype(np.intp)
-    n, sure = _digits(a, index, powers)
-    moved = np.flatnonzero((n < _E16) | (n >= _E17))
+def _decide(values: np.ndarray):
+    """(N, X - _X_MIN as int16) of each value, or -1 for those `%` spells."""
+    powers, binade_rows, binade_tops, _ = _tables()
+    a = np.fmin(np.abs(values), _CLAMP)  # fmin drops NaN
+    binade = a.view(np.int64) >> 52
+    row = np.take(binade_rows, binade)
+    row += a >= np.take(binade_tops, binade)
+    n, sure = _digits(a, row, powers)
+    # N outside [10^16 + 2, 10^17): X moves once, or `%` spells the value
+    odd = np.flatnonzero((n - (_E16 + 2)).view(np.uint64) >= _E17 - _E16 - 2)
+    moved = odd[(row[odd] != _ZERO_ROW) & ((n[odd] < _E16) | (n[odd] >= _E17))]
     if moved.size:
-        index[moved] += np.where(n[moved] < _E16, -1, 1)
-        n[moved], sure[moved] = _digits(a[moved], index[moved], powers)
-    fast &= sure & (n > _E16 + 1) & (n < _E17)
-    key = index.astype(np.int16)
-    key[~fast] = -1
+        row[moved] += np.where(n[moved] < _E16, -1, 1)
+        n[moved], sure[moved] = _digits(a[moved], row[moved], powers)
+    key = row.astype(np.int16)
+    key[~sure] = -1
+    key[odd[(n[odd] <= _E16 + 1) | (n[odd] >= _E17)]] = -1
     return n, key
 
 
@@ -118,27 +152,49 @@ def _put(dst: np.ndarray, src) -> None:
     dst.view(row)[...] = np.frombuffer(src, row) if isinstance(src, bytes) else src.view(row)
 
 
-class _Cells:
-    """Spells blocks of up to `size` values, in buffers reused from block to block.
+class RowWriter:
+    """Writes `path_id,v_1,...,v_n` rows to a binary file, each v as `"%.17g" % v` spells it.
 
-    Arrays of this size allocated afresh for every block would cost a
-    page fault per 4 kB each time.
+    Spells block_rows rows at a time into one buffer of 25-byte slots, a
+    row being its `path_id,` slot and a slot per value, and writes the
+    buffer without its NULs.  The buffers are made once per writer and
+    reused for every block and every call.
     """
 
-    def __init__(self, size: int):
-        self.groups = np.empty((size, 4), np.int64)
-        self.words = np.empty((size, 4), np.uint32)
+    def __init__(self, fh, n_cols: int, block_rows: int):
+        self.fh = fh
+        self.n_cols = n_cols
+        self.rows = rows = max(1, block_rows)
+        size = rows * n_cols
+        self.text = np.zeros(rows * (n_cols + 1) * _SLOT, np.uint8)
+        self.slots = self.text.reshape(rows, n_cols + 1, _SLOT)
+        self.slots[:, 1:, -1] = ord(",")
+        self.slots[:, -1, -1] = ord("\n")
+        # value i's slot: row i // n_cols, after the path_id slot
+        self.cells = self.text.reshape(-1, _SLOT)[:, :_BODY].view(f"V{_BODY}")[:, 0]
+        self.dest = np.arange(size) + np.arange(size) // n_cols + 1
+        self.groups = np.empty((4, size), np.int32)
+        self.words = np.empty((size, 2), np.uint64)
         self.full = np.empty((size, 16), np.uint8)
         self.sorted = np.empty((size, _BODY), np.uint8)
-        self.placed = np.empty((size, _BODY), np.uint8)
 
-    def spell(self, values: np.ndarray) -> np.ndarray:
-        """Each value's `%.17g` bytes, left-justified and NUL-padded: (len(values), _BODY)."""
+    def write(self, path_id: int, matrix: np.ndarray) -> None:
+        matrix = np.asarray(matrix, dtype=np.float64)
+        prefix = b"%d," % path_id
+        _put(self.slots[:, 0], prefix.ljust(_SLOT, b"\0"))
+        row_bytes = (self.n_cols + 1) * _SLOT
+        for lo in range(0, len(matrix), self.rows):
+            block = matrix[lo : lo + self.rows]
+            self._spell(block.ravel())
+            self.fh.write(self.text[: len(block) * row_bytes].tobytes().translate(None, b"\0"))
+
+    def _spell(self, values: np.ndarray) -> None:
+        """Put each value's `%.17g` bytes, left-justified and NUL-padded, in its slot."""
         size = len(values)
-        powers, table = _tables()
-        n, key = _decide(values, powers)
+        low, high = _tables()[3]
+        n, key = _decide(values)
 
-        # the cells in order of their layout class, so each class is a run of rows
+        # the cells in order of X, so each layout is a run of rows
         order = np.argsort(key, kind="stable")
         key, n = key[order], n[order]
         cells = self.sorted[:size]
@@ -146,28 +202,27 @@ class _Cells:
         np.multiply(np.signbit(values).view(np.uint8)[order], ord("-"), out=cells[:, 0])
 
         # N = d0 10^16 + g0 10^12 + g1 10^8 + g2 10^4 + g3; a group is looked up
-        # stripped of trailing zeros (+ 10^4) when every later group is zero
-        top = n // 10**8
-        bottom = n - top * 10**8
+        # stripped of its trailing zeros (+ 10^4) when every later group is zero
+        g = self.groups[:, :size]
+        top = np.floor_divide(n, 10**8, out=g[1], casting="unsafe")
+        np.subtract(n, np.multiply(top, 10**8, dtype=np.int64), out=g[3], casting="unsafe")
+        tail = g[3] == 0  # d9..d16 all zero
         lead = top // 10**8
         top -= lead * 10**8
-        g = self.groups[:size]
-        np.floor_divide(top, 10**4, out=g[:, 0])
-        np.floor_divide(bottom, 10**4, out=g[:, 2])
-        np.subtract(top, g[:, 0] * 10**4, out=g[:, 1])
-        np.subtract(bottom, g[:, 2] * 10**4, out=g[:, 3])
-        later = np.multiply(g[:, 3] == 0, 10000)
-        g[:, 3] += 10000
-        for k in (2, 1, 0):
-            g[:, k] += later
-            later *= g[:, k] == 10000
-        first = lead.astype(np.uint8)
-        first += ord("0")
-        words = self.words[:size]
-        np.take(table, g, out=words)
-        rest = words.view(np.uint8)  # d1..d16, the number's trailing zeros NUL
+        np.floor_divide(top, 10**4, out=g[0])
+        g[1] -= g[0] * 10**4
+        np.floor_divide(g[3], 10**4, out=g[2])
+        g[3] -= g[2] * 10**4
+        np.add(g[2], 10000, out=g[2], where=g[3] == 0)
+        np.add(g[1], 10000, out=g[1], where=tail)
+        np.add(g[0], 10000, out=g[0], where=g[1] == 10000)
+        first = np.add(lead, ord("0"), dtype=np.uint8, casting="unsafe")
+        words = self.words[:size]  # d1..d8 and d9..d16, the number's trailing zeros NUL
+        np.bitwise_or(np.take(low, g[0]), np.take(high, g[1]), out=words[:, 0])
+        np.bitwise_or(np.take(low, g[2]), np.take(high[10000:], g[3]), out=words[:, 1])
+        rest = words.view(np.uint8)
         full = self.full[:size]  # d1..d16 with every zero
-        np.bitwise_or(words.view(np.uint64), _ZEROS, out=full.view(np.uint64))
+        np.bitwise_or(words, _ZEROS, out=full.view(np.uint64))
 
         starts = np.flatnonzero(key[1:] != key[:-1]) + 1
         for lo, hi in zip([0, *starts.tolist()], [*starts.tolist(), size]):
@@ -196,29 +251,4 @@ class _Cells:
                 suffix = b"e%+03d" % x
                 _put(out[:, 19 : 19 + len(suffix)], suffix)
 
-        placed = self.placed[:size]
-        placed.view(f"V{_BODY}")[order] = cells.view(f"V{_BODY}")
-        return placed
-
-
-def write_rows(fh, path_id: int, matrix: np.ndarray, block_rows: int) -> None:
-    """Write `path_id,v_1,...,v_n` for each row of matrix, each v as `"%.17g" % v` spells it.
-
-    Formats block_rows rows at a time into one string, and writes it.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    n_rows, n_cols = matrix.shape
-    prefix = f"{path_id},".encode("ascii")
-    rows = max(1, min(block_rows, n_rows))
-    # each row: the prefix, then per value a slot of its spelling and its separator
-    text = np.empty((rows, len(prefix) + n_cols * (_BODY + 1)), np.uint8)
-    text[:, : len(prefix)] = np.frombuffer(prefix, np.uint8)
-    slots = text[:, len(prefix) :].reshape(rows, n_cols, _BODY + 1)
-    slots[:, :, -1] = ord(",")
-    slots[:, -1, -1] = ord("\n")
-    cells = _Cells(rows * n_cols)
-    for lo in range(0, n_rows, rows):
-        block = matrix[lo : lo + rows]
-        k = len(block)
-        _put(slots[:k, :, :-1], cells.spell(block.ravel()).reshape(k, n_cols, _BODY))
-        fh.write(text[:k].tobytes().translate(None, b"\0").decode("ascii"))
+        self.cells[np.take(self.dest, order)] = cells.view(f"V{_BODY}")[:, 0]

@@ -106,6 +106,18 @@ class PathGrid:
                 f"n_steps must be below {_MAX_GRID_NODES} (a grid of at most "
                 f"{_MAX_GRID_NODES} nodes), got {self.n_steps}"
             )
+        # a step above 4 ulps of the horizon separates every pair of nodes;
+        # a smaller one is checked node by node, a block at a time
+        dt = self.dt
+        if not dt > 4 * math.ulp(self.horizon) and not all(
+            np.all(np.diff(self.t0 + dt * np.arange(lo, min(lo + 65536, self.n_steps) + 1)) > 0)
+            for lo in range(0, self.n_steps, 65536)
+        ):
+            raise ValueError(
+                f"grid nodes must be strictly increasing doubles, but t0 + k dt repeats "
+                f"values for t0 = {self.t0!r}, dt = {dt!r}: dt is below the spacing of "
+                f"doubles near the horizon {self.horizon!r}"
+            )
 
     @property
     def dt(self) -> float:

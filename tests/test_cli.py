@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -13,10 +14,11 @@ import pytest
 
 import crraeq.cli
 from conftest import draw_economy, ladder
-from crraeq._csvfmt import _X_MAX, _X_MIN, _decide, _tables
+from crraeq._csvfmt import _BINADES, _X_MAX, _X_MIN, RowWriter, _decide, _tables
 from crraeq.calibrate import CalibrationTarget, solve_gamma
-from crraeq.cli import FD_TOL, _CSV_BLOCK_ROWS, _fd_errors, _write_csv_rows, main
+from crraeq.cli import FD_TOL, _CSV_BLOCK_ROWS, _fd_errors, main
 from crraeq.model import economy_from_dict, validate
+from crraeq.simulate import PathGrid, evaluate_series, simulate_path
 
 BENCH = {
     "R": 2, "sigma": 0.1, "alpha_star": 0.0, "delta0": 1.0,
@@ -235,19 +237,37 @@ def test_simulate_header_and_row_clearing(tmp_path):
 def test_simulate_holds_one_path_at_a_time(tmp_path, monkeypatch):
     # the summary keeps each path's terminal row, not a view into its matrix
     held = []
-    real_write = crraeq.cli._write_csv_rows
+    real_write = RowWriter.write
 
-    def write(fh, path_id, matrix):
+    def write(self, path_id, matrix):
         assert [ref for ref in held if ref() is not None] == []
         held.append(weakref.ref(matrix))
-        real_write(fh, path_id, matrix)
+        real_write(self, path_id, matrix)
 
-    monkeypatch.setattr(crraeq.cli, "_write_csv_rows", write)
+    monkeypatch.setattr(RowWriter, "write", write)
     cfg = write_config(tmp_path, PAIR)
     code, _, err = run_cli("simulate", cfg, "--paths", "4", "--horizon", "1", "--steps", "16",
                            "--out", str(tmp_path / "p.csv"))
     assert code == 0, err
     assert len(held) == 4
+
+
+def test_simulate_memory_does_not_grow_with_paths(tmp_path):
+    # one path's arrays at a time, one set of CSV buffers per command and a
+    # copy of each terminal row: 8 paths peak within 10% of 2 paths
+    cfg = write_config(tmp_path, PAIR)
+    argv = ("simulate", cfg, "--horizon", "2", "--steps", "2048", "--out", str(tmp_path / "p.csv"))
+    assert run_cli(*argv, "--paths", "1")[0] == 0  # the formatter's tables, built once
+    peaks = []
+    for n_paths in ("2", "8"):
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(*argv, "--paths", n_paths)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_simulate_reproducible_across_runs_and_workers(tmp_path):
@@ -271,6 +291,54 @@ def test_simulate_reproducible_across_runs_and_workers(tmp_path):
     )
     assert res.returncode == 0
     assert other.read_bytes() != blobs[0]
+
+
+@pytest.mark.parametrize("econ", [PAIR, TRIO], ids=["pair", "trio"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--x0", "7000"), ("--x0", "-3000"), ("--t0", "1e6")],
+    ids=["x0=7000", "x0=-3000", "t0=1e6"],
+)
+def test_simulate_file_matches_per_value_format(tmp_path, econ, flag, value):
+    # every byte of the CSV, header and path ids included, is what a
+    # per-value format of evaluate_series gives for the same paths, and
+    # the summary holds the mean of the terminal rows; x0 = 7000 takes
+    # TRIO's levels to inf
+    cfg = write_config(tmp_path, econ)
+    out = tmp_path / "p.csv"
+    code, summary, err = run_cli("simulate", cfg, "--paths", "3", "--steps", "300",
+                                 "--seed", "11", flag, value, "--out", str(out))
+    assert (code, err) == (0, "")
+
+    params = economy_from_dict(econ)
+    table = validate(params)
+    t0 = float(value) if flag == "--t0" else 0.0
+    x0 = float(value) if flag == "--x0" else 0.0
+    grid = PathGrid(t0, t0 + 10.0, 300)
+    agents = range(1, len(econ["agents"]) + 1)
+    header = ["path_id", "t", "x", "delta", "zeta", "S", "pd", "r", "kappa", "sigma_S", "mu_S"]
+    header += [f"{tag}_{j}" for tag in ("c", "w", "pi") for j in agents]
+    want, terminal = [",".join(header) + "\n"], []
+    for path_id in range(3):
+        s = evaluate_series(simulate_path(grid, x0, 11, path_id), params, table)
+        rows = np.column_stack([s.t, s.x, s.dividend, s.zeta, s.stock_price, s.pd_ratio,
+                                s.riskless_rate, s.kappa, s.vol, s.drift, s.consumptions,
+                                s.wealths, s.portfolios])
+        want.append(_per_value_csv(path_id, rows))
+        terminal.append(rows[-1])
+    got = out.read_bytes().decode("ascii")
+    if got != "".join(want):  # line lists, so a failure reports the first differing row
+        assert got.splitlines(keepends=True) == "".join(want).splitlines(keepends=True)
+
+    rep = json.loads(summary)
+    assert {k: v for k, v in rep.items() if k != "terminal_means"} == {
+        "paths": 3, "seed": 11, "t0": t0, "horizon": t0 + 10.0, "n_steps": 300, "out": str(out),
+    }
+    assert list(rep["terminal_means"]) == header[1:]
+    np.testing.assert_array_equal(list(rep["terminal_means"].values()),
+                                  np.mean(terminal, axis=0))
+    if econ is TRIO and value == "7000":
+        assert np.isinf(rep["terminal_means"]["S"])
 
 
 @pytest.mark.parametrize(
@@ -300,6 +368,7 @@ def test_simulate_reproducible_across_runs_and_workers(tmp_path):
         ("verify", "--seed", "-1"),
         ("verify", "--seed", "18446744073709551616"),
         ("simulate", "--paths", "100000000000", "--out", "x.csv"),
+        ("simulate", "--t0", "1e16", "--out", "x.csv"),
     ],
 )
 def test_bad_flags_exit_2_before_the_economy_is_loaded(tmp_path, monkeypatch, argv):
@@ -460,31 +529,42 @@ _CORPUS = {
     + [(9999999, corpus()) for corpus in _CORPUS.values()],
     ids=["1", "block-1", "block", "block+1", "2block+5", "special", *_CORPUS],
 )
-def test_csv_rows_match_per_value_format(monkeypatch, path_id, matrix):
+def test_csv_rows_match_per_value_format(path_id, matrix):
     # the numpy formatter decides most values itself and hands the rest to
     # CPython; every one must come out as the per-value %.17g spells it, in
-    # blocks of any size
+    # blocks of any size, and again from the same writer under a shorter id
     cases = [(path_id, matrix, _CSV_BLOCK_ROWS)]
     for other_id, block_rows in ((0, 1), (12, 7), (345, 16), (6, 300)):
         cases.append((other_id, matrix[:500], block_rows))
     for pid, rows, block_rows in cases:
-        monkeypatch.setattr(crraeq.cli, "_CSV_BLOCK_ROWS", block_rows)
-        fh = io.StringIO()
-        _write_csv_rows(fh, pid, rows)
-        got, want = fh.getvalue(), _per_value_csv(pid, rows)
+        fh = io.BytesIO()
+        writer = RowWriter(fh, rows.shape[1], block_rows)
+        writer.write(pid, rows)
+        writer.write(pid // 10, rows)
+        got = fh.getvalue().decode("ascii")
+        want = _per_value_csv(pid, rows) + _per_value_csv(pid // 10, rows)
         if got != want:  # line lists, so a failure reports the first differing row
             assert got.splitlines(keepends=True) == want.splitlines(keepends=True)
 
 
 def test_power_table_is_correctly_rounded():
     # hi + lo is 10^(16-x) to double-double precision, from exact integers
-    (hi, hh, hl, lo), groups = _tables()
+    powers, binade_rows, binade_tops, (low, high) = _tables()
+    hi, hh, hl, lo = powers[:-1].T
     for k, x in enumerate(range(_X_MIN, _X_MAX + 1)):
         exact = Fraction(10) ** (16 - x)
         assert hi[k] == float(exact) and lo[k] == float(exact - Fraction(hi[k])), x
         assert hh[k] + hl[k] == hi[k] and (math.frexp(hh[k])[0] * 2**26).is_integer(), x
-    spelled = groups[[0, 1200, 10000, 11200, 19999]].tobytes()
+    assert not powers[-1].any()
+    # a decided binade [2^e, 2^(e+1)) starts at decimal exponent X, and
+    # reaches X + 1 at the correctly rounded 10^(X+1)
+    for e in _BINADES:
+        x = int(binade_rows[e + 1023]) + _X_MIN
+        assert Fraction(10) ** x <= Fraction(2) ** e < Fraction(10) ** (x + 1), e
+        assert binade_tops[e + 1023] == float(Fraction(10) ** (x + 1)), e
+    spelled = low[[0, 1200, 10000, 11200, 19999]].astype(np.uint32).tobytes()
     assert spelled == b"0000" b"1200" b"\0\0\0\0" b"12\0\0" b"9999"
+    assert np.array_equal(high >> 32, low)
 
 
 def test_ordinary_values_are_spelled_without_python():
@@ -492,7 +572,7 @@ def test_ordinary_values_are_spelled_without_python():
     # `%`; below 1e9 a random double is a tie at 17 digits almost never
     rng = np.random.default_rng(1705)
     values = rng.standard_normal(1 << 16) * 10.0 ** rng.integers(-250, 9, 1 << 16)
-    _, key = _decide(values, _tables()[0])
+    _, key = _decide(values)
     assert np.count_nonzero(key < 0) <= len(values) // 1000
 
 

@@ -115,6 +115,19 @@ def test_grid_validation():
     np.testing.assert_allclose(g.times(), [1.0, 1.25, 1.5, 1.75, 2.0])
 
 
+def test_grid_nodes_must_be_distinct_doubles():
+    # dt = 1/1024 is the spacing of doubles at 2^42 and half of it at 2^43,
+    # where t0 + k dt lands on one double for two k
+    grid = PathGrid(2.0**42, 2.0**42 + 10.0, 10240)
+    assert grid.dt == 2.0**-10
+    assert np.unique(grid.times()).size == 10241
+    t0 = 2.0**43
+    assert np.unique(t0 + 2.0**-10 * np.arange(10241)).size == 5121
+    with pytest.raises(ValueError, match="must be") as err:
+        PathGrid(t0, t0 + 10.0, 10240)
+    assert f"t0 = {t0!r}" in str(err.value) and f"dt = {2.0**-10!r}" in str(err.value)
+
+
 def test_huge_horizon_without_n_steps_is_a_value_error():
     tab = validate(BENCH)
     # at the default 1024 steps per unit time, 1e306 overflows the step
