@@ -30,13 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import equilibrium
-from .model import DenominatorTable, EconomyParams, MarketState, validate
+from .model import DenominatorTable, EconomyParams, MarketState, ModelError, validate
 
 # four ulps of 1, the largest a share can be: a finer tolerance cannot be met
 TOL_FLOOR = 2.0**-50
 
 
-class NoConvergence(Exception):
+class NoConvergence(ModelError):
     """Target shares were not matched within tolerance by max_iter."""
 
     def __init__(self, max_iter: int, residual: float):

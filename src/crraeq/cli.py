@@ -34,7 +34,6 @@ from . import _csvfmt
 from .calibrate import (
     TOL_FLOOR,
     CalibrationTarget,
-    NoConvergence,
     solve_gamma_on_table,
     wealth_shares,
 )
@@ -52,7 +51,6 @@ from .model import (
 from .multiindex import CompositionCapExceeded
 from .simulate import (
     MAX_PATHS,
-    TruncationTooLoose,
     _MAX_GRID_NODES,
     _resolve_grid,
     default_horizon,
@@ -165,32 +163,25 @@ def cmd_evaluate(args) -> int:
 # simulate
 
 
+# the CSV's columns after path_id, in order, each a (header, EvaluatedSeries
+# field) pair; a header with a {} is an agent field, one column per agent
+_CSV_FIELDS = (
+    ("t", "t"), ("x", "x"), ("delta", "dividend"), ("zeta", "zeta"), ("S", "stock_price"),
+    ("pd", "pd_ratio"), ("r", "riskless_rate"), ("kappa", "kappa"), ("sigma_S", "vol"),
+    ("mu_S", "drift"), ("c_{}", "consumptions"), ("w_{}", "wealths"), ("pi_{}", "portfolios"),
+)
+
+
 def _csv_columns(n_agents: int) -> list:
-    cols = ["path_id", "t", "x", "delta", "zeta", "S", "pd", "r", "kappa", "sigma_S", "mu_S"]
-    for tag in ("c", "w", "pi"):
-        cols.extend(f"{tag}_{j + 1}" for j in range(n_agents))
+    cols = ["path_id"]
+    for head, _ in _CSV_FIELDS:
+        cols += [head.format(j + 1) for j in range(n_agents)] if "{}" in head else [head]
     return cols
 
 
 def _series_matrix(series) -> np.ndarray:
     """Columns in CSV order (everything after path_id), one row per node."""
-    return np.column_stack(
-        [
-            series.t,
-            series.x,
-            series.dividend,
-            series.zeta,
-            series.stock_price,
-            series.pd_ratio,
-            series.riskless_rate,
-            series.kappa,
-            series.vol,
-            series.drift,
-            series.consumptions,
-            series.wealths,
-            series.portfolios,
-        ]
-    )
+    return np.column_stack([getattr(series, field) for _, field in _CSV_FIELDS])
 
 
 # rows per block of CSV: large enough that numpy's per-call cost vanishes,
@@ -568,7 +559,7 @@ def main(argv=None) -> int:
         )
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MODEL
-    except (ModelError, TruncationTooLoose, CompositionCapExceeded, NoConvergence) as err:
+    except (ModelError, CompositionCapExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MODEL
     except ValueError as err:

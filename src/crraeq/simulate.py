@@ -12,10 +12,12 @@ the Monte Carlo integrands are built from the J agent log terms only,
     zeta_u c_u^j     = exp{(1-R) log delta_u + (R-1) logsumexp_i u_i + u_j}
 
 so agreement with the closed-form wealth/stock price genuinely tests the
-multinomial expansion.  The J+1 integrands share the agent log terms and
-their logsumexp, so `mc_oracles` draws each block of paths once and
-reduces every one of them from it; `martingale_check` reads the same
-blocks.  A block holds the agent log terms agent-major, one contiguous
+multinomial expansion.  Both oracles read one function, `_path_integrals`,
+the one place these exponents are formed.  The J+1 integrands share the
+agent log terms and their logsumexp, so it draws each block of paths
+once and reduces every integrand from it, or only the stock's for
+`martingale_check`, which adds its payoff leg at the paths' end values.
+A block holds the agent log terms agent-major, one contiguous
 (paths, nodes) slab per agent.  Each term, and log delta, is affine in
 the path, a slope times X plus a function of time formed once per grid,
 and `equilibrium._lse_slabs` sums the slabs with a plain max-shifted
@@ -60,9 +62,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import equilibrium
+from . import equilibrium, model
 from .equilibrium import _BLOCK_ELEMENTS, EvaluatedSeries
-from .model import DenominatorTable, EconomyParams, MarketState, log_dividend_trend
+from .model import DenominatorTable, EconomyParams, MarketState, ModelError
 from .multiindex import DEFAULT_COMPOSITION_CAP
 
 DEFAULT_STEPS_PER_UNIT_TIME = 1024
@@ -73,7 +75,7 @@ _MAX_GRID_NODES = DEFAULT_COMPOSITION_CAP
 MAX_PATHS = DEFAULT_COMPOSITION_CAP
 
 
-class TruncationTooLoose(Exception):
+class TruncationTooLoose(ModelError):
     """The analytic tail beyond the horizon is too large a share of the target."""
 
     def __init__(self, bound: float, closed_form: float, horizon: float):
@@ -276,72 +278,12 @@ def _resolve_grid(state_t: float, horizon, n_steps, table: DenominatorTable) -> 
     return PathGrid(t0=state_t, horizon=float(horizon), n_steps=int(n_steps))
 
 
-def _map_path_blocks(
-    grid: PathGrid, x0: float, n_paths: int, seed: int, params: EconomyParams, consume
-):
-    """Draw the paths block by block and call consume(rows, x, u, lse_u, log delta) on each.
-
-    rows is the block's slice of path indices and x its paths, shape
-    (paths, nodes).  u holds the agent log terms agent-major,
-    (J, paths, nodes), so each agent's slab is contiguous.  They are the
-    kernel's clearing logs, formed the same way: u[j] = (alpha_j / R) x +
-    c_j(t) from `equilibrium._agent_affine`, lse_u from
-    `equilibrium._lse_slabs` and log delta = sigma x + l(t) as in
-    `model.log_dividend`, with c_j and l formed once per grid.  Every step
-    is elementwise, so these values equal `equilibrium._clearing_logs` at
-    the same (t, x) to the bit.  A block holds at most _BLOCK_ELEMENTS
-    nodes per slab (at least one path), so it stays in cache.
-    `equilibrium._block_map` runs the blocks in contiguous groups, one per
-    usable core; each group allocates its buffers once (x, the J agent
-    slabs, lse_u, a scratch slab and the maximum's slab, which then holds
-    log delta) and refills them for every block, so memory does not grow
-    with n_paths.  consume may run on any of the groups' threads: it
-    keeps what it needs before it returns, may overwrite the buffers (x is
-    spent once u and log delta are formed) and writes only its block's
-    rows of a shared output.  The blocks do not depend on the number of
-    groups, and each path's values not on its block, so a reduction along
-    the nodes of each path (the einsum quadrature) gives the same bits on
-    any number of cores.
-    """
-    t = grid.times()
-    slopes, offsets = equilibrium._agent_affine(t, params)
-    slopes, offsets = slopes[:, None, None], np.ascontiguousarray(offsets.T)[:, None, :]
-    log_delta_t = log_dividend_trend(t, params)
-    n_rows = max(1, min(n_paths, _BLOCK_ELEMENTS // len(t)))
-
-    def run(blocks):
-        x_buf = np.empty((n_rows, len(t)))
-        u_buf = np.empty((params.n_agents,) + x_buf.shape)
-        work = np.empty((3,) + x_buf.shape)
-        gen = path_generator(seed, blocks.start * n_rows)
-        for lo in range(blocks.start * n_rows, blocks.stop * n_rows, n_rows):
-            rows = slice(lo, min(lo + n_rows, n_paths))
-            k = rows.stop - lo
-            x, u = x_buf[:k], u_buf[:, :k]
-            top, lse_u, scratch = work[:, :k]
-            _fill_paths(x, grid, x0, seed, lo, gen)
-            np.multiply(slopes, x, out=u)
-            u += offsets
-            equilibrium._lse_slabs(u, top, lse_u, scratch)
-            ld = np.multiply(params.sigma, x, out=top)  # the maximum is spent
-            ld += log_delta_t
-            consume(rows, x, u, lse_u, ld)
-
-    equilibrium._block_map(run, -(-n_paths // n_rows))
-
-
 def _check_path_count(n_paths: int) -> None:
     """Reject a path count before any per-path array is allocated."""
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     if n_paths > MAX_PATHS:
         raise ValueError(f"n_paths must be at most {MAX_PATHS}, got {n_paths}")
-
-
-def _trapezoid_weights(grid: PathGrid) -> np.ndarray:
-    weights = np.full(grid.n_steps + 1, grid.dt)
-    weights[0] = weights[-1] = grid.dt / 2
-    return weights
 
 
 # numpy's fixed ufunc buffer, in elements: einsum sums a lone row longer than
@@ -363,6 +305,70 @@ def _quadrature(exponent: np.ndarray, weights: np.ndarray, out: np.ndarray):
         return
     for p in range(len(exponent)):
         np.einsum("pn,n->p", exponent[p : p + 1], weights, out=out[p : p + 1])
+
+
+def _path_integrals(
+    grid: PathGrid, x0: float, n_paths: int, seed: int, params: EconomyParams, agents: bool
+):
+    """Time integrals of zeta delta, and with agents of each zeta c^j, along paths 0..n_paths-1.
+
+    Returns (integrals, x_end): one row per integrand, the J agents' in
+    agent order when agents is true and the stock's last, one column per
+    path; and each path's X at the last node.  Each row is `_quadrature`
+    of exp of its exponent,
+
+        stock:    (1-R) log delta + R lse u
+        agent j:  (1-R) log delta + (R-1) lse u + u_j
+
+    with u, lse u and log delta equal to `equilibrium._clearing_logs` at
+    the path's nodes, to the bit; the stock's row does not depend on
+    agents.  Each group of `equilibrium._block_map` allocates its buffers
+    once (x, the J agent slabs, the maximum's slab, which then holds log
+    delta, lse u and a scratch slab) and writes only its blocks' columns.
+    """
+    t = grid.times()
+    slopes, offsets = equilibrium._agent_affine(t, params)
+    slopes, offsets = slopes[:, None, None], np.ascontiguousarray(offsets.T)[:, None, :]
+    log_delta_t = model.log_dividend_trend(t, params)
+    weights = np.full(len(t), grid.dt)  # the trapezoid rule
+    weights[0] = weights[-1] = grid.dt / 2
+    r_curv = params.R
+    integrals = np.empty((params.n_agents + 1 if agents else 1, n_paths))
+    x_end = np.empty(n_paths)
+    n_rows = max(1, min(n_paths, _BLOCK_ELEMENTS // len(t)))
+
+    def run(blocks):
+        x_buf = np.empty((n_rows, len(t)))
+        u_buf = np.empty((params.n_agents,) + x_buf.shape)
+        work = np.empty((3,) + x_buf.shape)
+        gen = path_generator(seed, blocks.start * n_rows)
+        for lo in range(blocks.start * n_rows, blocks.stop * n_rows, n_rows):
+            rows = slice(lo, min(lo + n_rows, n_paths))
+            k = rows.stop - lo
+            x, u = x_buf[:k], u_buf[:, :k]
+            top, lse_u, scratch = work[:, :k]
+            _fill_paths(x, grid, x0, seed, lo, gen)
+            x_end[rows] = x[:, -1]
+            np.multiply(slopes, x, out=u)
+            u += offsets
+            equilibrium._lse_slabs(u, top, lse_u, scratch)
+            ld = np.multiply(params.sigma, x, out=top)  # the maximum is spent
+            ld += log_delta_t
+            # x is spent too: it holds the stock's exponent, then each
+            # agent's in turn, and lse u and log delta are scaled in place
+            exponent = np.multiply(r_curv, lse_u, out=x)
+            ld *= 1 - r_curv
+            exponent += ld  # (1-R) log delta + R lse u
+            _quadrature(exponent, weights, integrals[-1, rows])
+            if agents:
+                lse_u *= r_curv - 1
+                lse_u += ld  # (1-R) log delta + (R-1) lse u
+                for u_j, out in zip(u, integrals[:-1, rows]):
+                    np.add(lse_u, u_j, out=exponent)
+                    _quadrature(exponent, weights, out)
+
+    equilibrium._block_map(run, -(-n_paths // n_rows))
+    return integrals, x_end
 
 
 def _report(values: np.ndarray, closed_form: float, bound: float) -> OracleReport:
@@ -409,25 +415,7 @@ def mc_oracles(
         if bound > TRUNCATION_FRACTION * target:
             raise TruncationTooLoose(bound, target, grid.horizon)
 
-    r_curv = params.R
-    weights = _trapezoid_weights(grid)
-    values = np.empty((params.n_agents + 1, n_paths))
-
-    def consume(rows, x, u, lse_u, ld):
-        # the block's buffers are spent once its exponents are formed: the
-        # paths hold the stock's exponent, then each agent's in turn, and
-        # lse_u and ld are scaled in place
-        scratch = np.multiply(r_curv, lse_u, out=x)
-        ld *= 1 - r_curv
-        scratch += ld  # (1-R) log delta + R lse_u
-        _quadrature(scratch, weights, values[-1, rows])
-        lse_u *= r_curv - 1
-        lse_u += ld  # base = (1-R) log delta + (R-1) lse_u
-        for u_j, out in zip(u, values[:-1, rows]):
-            np.add(lse_u, u_j, out=scratch)
-            _quadrature(scratch, weights, out)
-
-    _map_path_blocks(grid, state.x, n_paths, seed, params, consume)
+    values, _ = _path_integrals(grid, state.x, n_paths, seed, params, agents=True)
     values /= fields["zeta"]
     reports = [_report(v, c, b) for v, c, b in zip(values, closed, bounds)]
     return reports[:-1], reports[-1]
@@ -451,22 +439,12 @@ def martingale_check(
     s0 = MarketState(0.0, x0)
     fields = equilibrium.evaluate_fields(s0.t, s0.x, params, table)
     closed = float(fields["stock_price"]) * float(fields["zeta"])
-    r_curv = params.R
-    weights = _trapezoid_weights(grid)
-    t_end = grid.times()[-1]
-    values, x_end, ld_end = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
-
-    def consume(rows, x, u, lse_u, ld):
-        ld *= 1 - r_curv
-        x_end[rows], ld_end[rows] = x[:, -1], ld[:, -1]
-        lse_u *= r_curv
-        ld += lse_u  # (1-R) log delta + R lse_u
-        _quadrature(ld, weights, values[rows])
-
-    _map_path_blocks(grid, x0, n_paths, seed, params, consume)
+    integrals, x_end = _path_integrals(grid, x0, n_paths, seed, params, agents=False)
+    values = integrals[-1]
     # payoff leg zeta_T S_T = delta_T^{1-R} Z_T; the kernel bounds its own memory
+    t_end = grid.times()[-1]
     log_z_end = equilibrium.evaluate_fields(t_end, x_end, params, table)["log_levels"][:, 2]
-    values += np.exp(ld_end + log_z_end)
+    values += np.exp((1 - params.R) * model.log_dividend(t_end, x_end, params) + log_z_end)
     return _report(values, closed, 0.0)
 
 

@@ -15,7 +15,7 @@ import pytest
 import crraeq.cli
 from conftest import draw_economy, ladder
 from crraeq._csvfmt import _BINADES, _X_MAX, _X_MIN, RowWriter, _decide, _tables
-from crraeq.calibrate import CalibrationTarget, solve_gamma
+from crraeq.calibrate import CalibrationTarget, NoConvergence, solve_gamma
 from crraeq.cli import FD_TOL, _CSV_BLOCK_ROWS, _fd_errors, main
 from crraeq.model import economy_from_dict, validate
 from crraeq.simulate import PathGrid, evaluate_series, simulate_path
@@ -200,6 +200,20 @@ def test_evaluate_rejects_negative_time(tmp_path):
     cfg = write_config(tmp_path, BENCH)
     code, _, err = run_cli("evaluate", cfg, "--t", "-1")
     assert code == 2
+
+
+def test_negative_flag_values_in_exponent_form_take_the_equals_spelling(tmp_path):
+    # argparse reads "-1e3" after a space as an option, "--x=-1e3" as a value
+    cfg = write_config(tmp_path, PAIR)
+    code, out, err = run_cli("evaluate", cfg, "--x=-1e3")
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli("evaluate", cfg, "--x", "-1000")
+    csv = tmp_path / "below.csv"
+    code, _, err = run_cli(
+        "simulate", cfg, "--x0=-2.5e2", "--horizon", "1", "--steps", "4", "--out", str(csv)
+    )
+    assert (code, err) == (0, "")
+    assert csv.read_text().splitlines()[1].startswith("0,0,-250,")
 
 
 def test_simulate_header_and_row_clearing(tmp_path):
@@ -669,6 +683,17 @@ def test_calibrate_validates_once(tmp_path, monkeypatch):
     target = CalibrationTarget((0.2, 0.5, 0.3))
     assert json.loads(out)["gamma"] == solve_gamma(params, target).tolist()
     assert len(calls) == 2
+
+
+def test_calibrate_that_does_not_converge_exits_1(tmp_path, monkeypatch):
+    def stalled(*args, **kwargs):
+        raise NoConvergence(200, 3.5e-4)
+
+    monkeypatch.setattr(crraeq.cli, "solve_gamma_on_table", stalled)
+    cfg = write_config(tmp_path, PAIR)
+    code, out, err = run_cli("calibrate", cfg, "--shares", "0.3,0.7")
+    assert (code, out) == (1, "")
+    assert err == f"error: {NoConvergence(200, 3.5e-4)}\n"
 
 
 def test_calibrate_bad_shares_exit_2(tmp_path, monkeypatch):

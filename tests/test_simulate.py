@@ -319,25 +319,43 @@ def test_lse_slabs_match_scipy(n_agents):
 
 @pytest.mark.parametrize("p", [PAIR, TRIO], ids=["pair", "trio"])
 def test_path_blocks_form_the_kernels_clearing_logs_to_the_bit(monkeypatch, p):
-    # u, lse u and log delta of every block equal the kernel's at the same
-    # (t, x): the oracles and the closed forms share one clearing side
+    # every path's integrals and end value equal the quadrature of exponents
+    # formed from the kernel's u, lse u and log delta at the same (t, x):
+    # the oracles and the closed forms share one clearing side
     grid = PathGrid(0.5, 6.5, 300)
     n_paths = 11
+    # blocks of 4, 4 and 3 paths
     monkeypatch.setattr(crraeq.simulate, "_BLOCK_ELEMENTS", 4 * (grid.n_steps + 1))
-    seen = {}
+    integrals, x_end = crraeq.simulate._path_integrals(grid, 0.3, n_paths, 5, p, agents=True)
 
-    def consume(rows, x, u, lse_u, ld):
-        seen[rows.start] = rows, x.copy(), u.copy(), lse_u.copy(), ld.copy()
-
-    crraeq.simulate._map_path_blocks(grid, 0.3, n_paths, 5, p, consume)
-    assert sorted(seen) == [0, 4, 8]  # blocks of 4, 4 and 3 paths
     t = grid.times()
-    for rows, x, u, lse_u, ld in seen.values():
-        assert x.shape == (rows.stop - rows.start, len(t))
-        want_u, want_lse, want_ld = crraeq.equilibrium._clearing_logs(t, x, p)
-        assert same_bits(u, np.moveaxis(want_u, -1, 0))
-        assert same_bits(lse_u, want_lse)
-        assert same_bits(ld, want_ld)
+    x = np.array([path.x_values for path in simulate_paths(grid, 0.3, n_paths, 5)])
+    assert same_bits(x_end, x[:, -1])
+    u, lse_u, ld = crraeq.equilibrium._clearing_logs(t, x, p)
+    r = p.R
+    base = (r - 1) * lse_u + (1 - r) * ld
+    exponents = [base + u[..., j] for j in range(p.n_agents)] + [r * lse_u + (1 - r) * ld]
+    weights = np.full(len(t), grid.dt)
+    weights[0] = weights[-1] = grid.dt / 2
+    assert integrals.shape == (p.n_agents + 1, n_paths)
+    for row, exponent in zip(integrals, exponents):
+        want = np.empty(n_paths)
+        crraeq.simulate._quadrature(exponent, weights, want)
+        assert same_bits(row, want)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_the_stock_integral_does_not_depend_on_the_agent_integrals(monkeypatch, workers):
+    # the martingale check's stock row is mc_oracles' stock row, to the bit
+    monkeypatch.setattr(crraeq.equilibrium, "_WORKERS", workers)
+    grid = PathGrid(0.0, 3.0, 600)
+    n_paths = 300
+    assert n_paths * (grid.n_steps + 1) > 2 * crraeq.simulate._BLOCK_ELEMENTS  # three blocks
+    stock, x_end = crraeq.simulate._path_integrals(grid, -0.4, n_paths, 9, TRIO, agents=False)
+    every, every_x_end = crraeq.simulate._path_integrals(grid, -0.4, n_paths, 9, TRIO, agents=True)
+    assert stock.shape == (1, n_paths) and every.shape == (TRIO.n_agents + 1, n_paths)
+    assert same_bits(stock[0], every[-1])
+    assert same_bits(x_end, every_x_end)
 
 
 def test_martingale_check_matches_a_plain_recomputation():
