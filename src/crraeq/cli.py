@@ -18,6 +18,8 @@ memory at once.  The spelled bytes go straight to the file, opened in
 binary mode, through one set of block buffers per command; spelling and
 writing take about 110 ns of CPU per value (8 paths of 10,241 rows of
 16 values on a 2-core Xeon VM).
+
+`verify` only checks its flags and prints: the suites live in `crraeq.verify`.
 """
 
 from __future__ import annotations
@@ -37,10 +39,9 @@ from .calibrate import (
     solve_gamma_on_table,
     wealth_shares,
 )
-from .equilibrium import EvaluatedSeries, evaluate_fields, snapshot
+from .equilibrium import snapshot
 from .model import (
     ConfigError,
-    DenominatorTable,
     EconomyParams,
     MarketState,
     ModelError,
@@ -49,35 +50,13 @@ from .model import (
     validate,
 )
 from .multiindex import CompositionCapExceeded
-from .simulate import (
-    MAX_PATHS,
-    _MAX_GRID_NODES,
-    _resolve_grid,
-    default_horizon,
-    evaluate_series,
-    fd_engine,
-    martingale_check,
-    mc_oracles,
-    simulate_path,
-)
+from .simulate import MAX_PATHS, _resolve_grid, evaluate_series, simulate_path
+from .verify import SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_MODEL = 1
 EXIT_INPUT = 2
 EXIT_IO = 3
-
-FD_TOL = 1e-5
-MC_Z_MAX = 3.0
-IDENTITY_TOL = 1e-10
-CONSUMPTION_TOL = 1e-12
-RISK_PREMIUM_TOL = 1e-8
-# relative errors are |a-b| / max(|a|, |b|, floor); the FD floor is the
-# typical scale of the rate coefficients so near-zero quantities are
-# judged on an absolute basis instead of a 0/0 ratio
-FD_REL_FLOOR = 1e-2
-IDENTITY_REL_FLOOR = 1e-6
-
-N_SUITE_STATES = 20
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +107,6 @@ def _load_economy(path: str) -> EconomyParams:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     return economy_from_dict(raw)
-
-
-def _rel(a: float, b: float, floor: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), floor)
 
 
 # ---------------------------------------------------------------------------
@@ -242,157 +217,6 @@ def cmd_simulate(args) -> int:
 # verify
 
 
-def _check(name: str, value: float, threshold: float) -> dict:
-    return {
-        "quantity": name,
-        "value": value,
-        "threshold": threshold,
-        "pass": bool(value <= threshold),
-    }
-
-
-def _worst(gaps) -> float:
-    """The largest gap (from 0.0, bit for bit), or NaN if any gap is NaN:
-    an identity that is undefined at some state fails its check."""
-    gaps = list(gaps)
-    return math.nan if any(map(math.isnan, gaps)) else max(0.0, *gaps)
-
-
-def _suite(name: str, checks: list, **header) -> dict:
-    return {"suite": name, **header, "checks": checks, "pass": all(c["pass"] for c in checks)}
-
-
-def _suite_clearing(params, table, seed: int, n_paths: int) -> dict:
-    """Market clearing and pricing identities at randomized states, in one kernel call."""
-    t, x = np.random.default_rng(seed).uniform((0.0, -5.0), (10.0, 5.0), (N_SUITE_STATES, 2)).T
-    series = EvaluatedSeries(**evaluate_fields(t, x, params, table))
-    snaps = [series.snapshot_at(k) for k in range(N_SUITE_STATES)]
-    identities = (  # (quantity, tolerance, its error at one snapshot)
-        ("consumption_clearing", CONSUMPTION_TOL,
-         lambda snap: abs(math.fsum(snap.consumptions) - snap.dividend) / snap.dividend),
-        ("wealth_aggregation", IDENTITY_TOL,
-         lambda snap: abs(math.fsum(snap.wealths) - snap.stock_price) / snap.stock_price),
-        ("portfolio_sum", IDENTITY_TOL, lambda snap: abs(math.fsum(snap.portfolios) - 1.0)),
-        ("bond_clearing", IDENTITY_TOL, lambda snap: abs(math.fsum(
-            w - pi * snap.stock_price for w, pi in zip(snap.wealths, snap.portfolios)
-        )) / snap.stock_price),
-        ("pd_identity", IDENTITY_TOL,
-         lambda snap: abs(snap.pd_ratio - snap.stock_price / snap.dividend) / snap.pd_ratio),
-        ("risk_premium", RISK_PREMIUM_TOL, lambda snap: _rel(
-            snap.stock.drift + snap.dividend / snap.stock_price - snap.rates.riskless_rate,
-            snap.rates.kappa * snap.stock.vol,
-            IDENTITY_REL_FLOOR,
-        )),
-    )
-    checks = [_check(name, _worst(map(error, snaps)), tol) for name, tol, error in identities]
-    return _suite("clearing", checks, n_states=N_SUITE_STATES)
-
-
-def _fd_errors(t, x, params: EconomyParams, table: DenominatorTable) -> dict:
-    """Worst relative gaps between closed-form Ito coefficients and FD oracles.
-
-    t and x are one state or 1-d arrays of states; the closed forms, the
-    plain stencil and the Richardson stencil are each one kernel call over
-    all of them.  Each quantity's value is its worst gap over the states
-    (and the agents), NaN if any gap is NaN.  First-order coefficients are
-    x-derivatives of the log fields; the dt-generator identity
-    (d_t f + d_xx f / 2) / f = h_t + (h_xx + h_x^2) / 2 for h = log f
-    recovers the second-order ones.  The second-order stencils use
-    Richardson extrapolation with wider steps, which keeps the roundoff
-    floor below the 1e-5 verification tolerance.
-    """
-    t, x = np.broadcast_arrays(np.atleast_1d(t), np.atleast_1d(x))
-    closed = evaluate_fields(t, x, params, table)
-    levels = lambda t, x: evaluate_fields(t, x, params, table)["log_levels"]
-
-    # one row per state; columns: log L, log zeta, log Z, log S, then log Z^j per agent
-    first = fd_engine(levels, t, x)[1].tolist()
-    l_x, zeta_x, z_x, s_x = zip(*(row[:4] for row in first))
-    f_t, f_x, f_xx = fd_engine(levels, t, x, dx=2e-2, dt=1e-3, richardson=True)[..., :4].tolist()
-    # Python floats: their ** is libm pow, numpy's ** squares
-    gen_l, gen_zeta, gen_z, gen_s = zip(*(
-        [ft + 0.5 * (fxx + fx**2) for ft, fx, fxx in zip(*rows)] for rows in zip(f_t, f_x, f_xx)
-    ))
-
-    def worst(closed_form, oracle):
-        pairs = zip(np.ravel(closed_form).tolist(), oracle)
-        return _worst(_rel(a, b, FD_REL_FLOOR) for a, b in pairs)
-
-    return {
-        "alpha_bar": worst(closed["alpha_bar"], l_x),
-        "rho_bar": worst(closed["rho_bar"], [-g for g in gen_l]),
-        "riskless_rate": worst(closed["riskless_rate"], [-g for g in gen_zeta]),
-        "kappa": worst(closed["kappa"], [-v for v in zeta_x]),
-        "alpha_tilde": worst(closed["alpha_tilde"], z_x),
-        "rho_tilde": worst(closed["rho_tilde"], [-g for g in gen_z]),
-        "alpha_tilde_agents": worst(
-            closed["alpha_tilde_agents"], [v for row in first for v in row[4:]]
-        ),
-        "sigma_S": worst(closed["vol"], s_x),
-        "mu_S": worst(closed["drift"], gen_s),
-    }
-
-
-def _suite_fd(params, table, seed: int, n_paths: int) -> dict:
-    """Every Ito coefficient against its finite-difference oracle, in three kernel calls."""
-    t, x = np.random.default_rng(seed).uniform((0.2, -2.0), (5.0, 2.0), (N_SUITE_STATES, 2)).T
-    checks = [_check(name, err, FD_TOL) for name, err in _fd_errors(t, x, params, table).items()]
-    return _suite("fd", checks, n_states=N_SUITE_STATES)
-
-
-def _mc_check(name: str, rep) -> dict:
-    out = _check(name, abs(rep.z_score), MC_Z_MAX)
-    out["estimate"] = rep.estimate
-    out["std_error"] = rep.std_error
-    out["closed_form"] = rep.closed_form
-    out["truncation_bound"] = rep.truncation_bound
-    return out
-
-
-def _suite_mc(params, table, seed: int, n_paths: int) -> dict:
-    """Monte Carlo wealth and stock oracles at the initial state.
-
-    The quadrature grid uses dt near 0.5.  The trapezoid is not exact
-    there: on the benchmark pair and trio it biases the estimates by
-    +0.7e-3 to +1.2e-3 relative, which is visible against the standard
-    error at 2000 paths.  Near the D > 0 boundary the horizon 5 / min D
-    needs more grid nodes than a path may hold; that is a model-level
-    failure of this suite, raised before any path is drawn.
-    """
-    state = MarketState(0.0, 0.0)
-    horizon = default_horizon(table)
-    if not horizon * 2.0 <= _MAX_GRID_NODES - 1:  # inf too
-        raise ModelError(
-            f"the mc suite cannot reach horizon {horizon:.17g} = 5 / min D "
-            f"(min D = {table.min_denominator:.17g}) at dt near 0.5 within "
-            f"{_MAX_GRID_NODES} grid nodes; this economy is too close to the D > 0 "
-            "boundary for it: verify it with the fd, clearing and martingale suites"
-        )
-    n_steps = max(2, math.ceil(horizon * 2.0))
-    wealth_reps, stock_rep = mc_oracles(
-        state, params, table, n_paths, horizon=horizon, n_steps=n_steps, seed=seed
-    )
-    checks = [
-        _mc_check(f"wealth_oracle_agent_{j + 1}", rep) for j, rep in enumerate(wealth_reps)
-    ]
-    checks.append(_mc_check("stock_oracle", stock_rep))
-    return _suite("mc", checks, n_paths=n_paths, horizon=horizon)
-
-
-def _suite_martingale(params, table, seed: int, n_paths: int) -> dict:
-    """Discounted gains process: payoff leg plus dividend leg equals S_0 zeta_0."""
-    rep = martingale_check(params, table, n_paths, horizon=5.0, seed=seed)
-    return _suite("martingale", [_mc_check("martingale", rep)], n_paths=n_paths)
-
-
-_SUITE_RUNNERS = {
-    "clearing": _suite_clearing,
-    "fd": _suite_fd,
-    "mc": _suite_mc,
-    "martingale": _suite_martingale,
-}
-
-
 def cmd_verify(args) -> int:
     if args.paths < 2:
         raise ConfigError("--paths must be at least 2")
@@ -401,20 +225,12 @@ def cmd_verify(args) -> int:
     _check_seed(args.seed)
     params = _load_economy(args.config)
     table = validate(params)
-    wanted = tuple(_SUITE_RUNNERS) if args.suite == "all" else (args.suite,)
-    suites = [_SUITE_RUNNERS[name](params, table, args.seed, args.paths) for name in wanted]
-    report = {
-        "config": args.config,
-        "seed": args.seed,
-        "suites": suites,
-        "pass": all(s["pass"] for s in suites),
-    }
-    _print_json(report)
+    names = tuple(SUITES) if args.suite == "all" else (args.suite,)
+    report = run_suites(params, table, names, args.seed, args.paths)
+    _print_json({"config": args.config, **report})
     if report["pass"]:
         return EXIT_OK
-    failing = [
-        c["quantity"] for s in suites for c in s["checks"] if not c["pass"]
-    ]
+    failing = [c["quantity"] for s in report["suites"] for c in s["checks"] if not c["pass"]]
     print(f"error: verification failed: {', '.join(failing)}", file=sys.stderr)
     return EXIT_MODEL
 
@@ -513,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("config", help="economy JSON file")
     p.add_argument(
-        "--suite", choices=("clearing", "fd", "mc", "martingale", "all"),
+        "--suite", choices=(*SUITES, "all"),
         default="all", help="which suite to run",
     )
     p.add_argument("--seed", type=int, default=0, help="seed for states and paths")

@@ -278,8 +278,6 @@ def economy_from_dict(obj) -> EconomyParams:
     if isinstance(r_raw, float) and not r_raw.is_integer():
         raise ConfigError("model requires integer R >= 2")
     r = int(r_raw)
-    if r < 2:
-        raise ConfigError("model requires integer R >= 2")
 
     if not isinstance(obj["agents"], list) or not obj["agents"]:
         raise ConfigError("agents must be a nonempty array")

@@ -374,7 +374,9 @@ def _path_integrals(
 def _report(values: np.ndarray, closed_form: float, bound: float) -> OracleReport:
     est = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-    if se > 0:
+    if not all(map(math.isfinite, (est, se, closed_form))):
+        z = math.nan  # an overflowed side gives no test: inf == inf is no agreement
+    elif se > 0:
         z = (est - closed_form) / se
     else:
         z = 0.0 if est == closed_form else math.copysign(math.inf, est - closed_form)

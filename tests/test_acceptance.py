@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from conftest import draw_economy, draw_state
-from crraeq.cli import _fd_errors
 from crraeq.equilibrium import consumptions, snapshot
 from crraeq.model import (
     Agent,
@@ -27,6 +26,7 @@ from crraeq.model import (
     validate,
 )
 from crraeq.simulate import martingale_check, mc_oracles
+from crraeq.verify import _fd_errors
 
 SWEEP_SEED = 901
 

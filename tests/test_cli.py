@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 
 import crraeq.cli
+import crraeq.verify
 from conftest import draw_economy, ladder
 from crraeq._csvfmt import _BINADES, _X_MAX, _X_MIN, RowWriter, _decide, _tables
 from crraeq.calibrate import CalibrationTarget, NoConvergence, solve_gamma
-from crraeq.cli import FD_TOL, _CSV_BLOCK_ROWS, _fd_errors, main
+from crraeq.cli import _CSV_BLOCK_ROWS, _to_json, main
 from crraeq.model import economy_from_dict, validate
 from crraeq.simulate import PathGrid, evaluate_series, simulate_path
+from crraeq.verify import FD_TOL, SUITES, _fd_errors, run_suites
 
 BENCH = {
     "R": 2, "sigma": 0.1, "alpha_star": 0.0, "delta0": 1.0,
@@ -621,14 +623,14 @@ def test_verify_clearing_three_agents(tmp_path):
 def test_verify_fault_injection_names_the_rate(tmp_path, monkeypatch):
     # a closed-form rate off by 1e-3 while every log level stays exact:
     # the fd suite must flag the rate and nothing else
-    real_fields = crraeq.cli.evaluate_fields
+    real_fields = crraeq.verify.evaluate_fields
 
     def biased_rate(*args):
         fields = real_fields(*args)
         fields["riskless_rate"] = fields["riskless_rate"] + 1e-3
         return fields
 
-    monkeypatch.setattr(crraeq.cli, "evaluate_fields", biased_rate)
+    monkeypatch.setattr(crraeq.verify, "evaluate_fields", biased_rate)
     cfg = write_config(tmp_path, BENCH)
     code, out, err = run_cli("verify", cfg, "--suite", "fd")
     assert code == 1
@@ -721,13 +723,13 @@ def test_calibrate_bad_shares_exit_2(tmp_path, monkeypatch):
 def test_fd_errors_differentiate_every_level_in_two_calls(monkeypatch):
     # one plain stencil and one Richardson stencil of the vector of log levels
     calls = []
-    real_fd_engine = crraeq.cli.fd_engine
+    real_fd_engine = crraeq.verify.fd_engine
 
     def counted(field, t, x, **steps):
         calls.append(steps)
         return real_fd_engine(field, t, x, **steps)
 
-    monkeypatch.setattr(crraeq.cli, "fd_engine", counted)
+    monkeypatch.setattr(crraeq.verify, "fd_engine", counted)
     for obj in (BENCH, PAIR, TRIO):
         params = economy_from_dict(obj)
         calls.clear()
@@ -740,22 +742,22 @@ def test_each_suite_evaluates_its_states_in_one_kernel_call_per_stencil(monkeypa
     # clearing: the closed forms; fd: the closed forms, the plain stencil
     # and the Richardson stencil, each over all of the suite's states
     calls = []
-    real = crraeq.cli.evaluate_fields
+    real = crraeq.verify.evaluate_fields
 
     def counted(t, x, params, table):
         calls.append(np.shape(t))
         return real(t, x, params, table)
 
-    monkeypatch.setattr(crraeq.cli, "evaluate_fields", counted)
+    monkeypatch.setattr(crraeq.verify, "evaluate_fields", counted)
     for obj in (PAIR, TRIO):
         params = economy_from_dict(obj)
         table = validate(params)
         calls.clear()
-        assert crraeq.cli._suite_clearing(params, table, 3, 2)["pass"]
-        assert calls == [(crraeq.cli.N_SUITE_STATES,)]
+        assert crraeq.verify._suite_clearing(params, table, 3, 2)["pass"]
+        assert calls == [(crraeq.verify.N_SUITE_STATES,)]
         calls.clear()
-        assert crraeq.cli._suite_fd(params, table, 3, 2)["pass"]
-        n = crraeq.cli.N_SUITE_STATES
+        assert crraeq.verify._suite_fd(params, table, 3, 2)["pass"]
+        n = crraeq.verify.N_SUITE_STATES
         assert calls == [(n,), (5, n), (9, n)]
 
 
@@ -777,10 +779,10 @@ def test_fd_errors_over_arrays_equal_the_worst_single_state_calls():
 
 
 def test_worst_gap_is_nan_if_any_gap_is_nan():
-    assert math.isnan(crraeq.cli._worst([1e-3, math.nan, 2e-3]))
-    assert math.isnan(crraeq.cli._worst([math.nan, 0.5]))
-    assert crraeq.cli._worst([1e-3, math.inf, 2e-3]) == math.inf
-    assert crraeq.cli._worst([0.0, 3e-12, 1e-12]) == 3e-12
+    assert math.isnan(crraeq.verify._worst([1e-3, math.nan, 2e-3]))
+    assert math.isnan(crraeq.verify._worst([math.nan, 0.5]))
+    assert crraeq.verify._worst([1e-3, math.inf, 2e-3]) == math.inf
+    assert crraeq.verify._worst([0.0, 3e-12, 1e-12]) == 3e-12
 
 
 def test_an_undefined_clearing_identity_fails_verification(tmp_path):
@@ -800,6 +802,43 @@ def test_an_undefined_clearing_identity_fails_verification(tmp_path):
     assert "wealth_aggregation" in err
 
 
+@pytest.mark.parametrize("delta0", [1e308, 1e160])
+def test_an_mc_check_without_a_finite_z_fails_verification(tmp_path, delta0):
+    # at delta0 = 1e308 the oracles' estimates overflow along with the
+    # closed forms, at 1e160 only the sample variance does: neither leaves a
+    # z-test (inf == inf is no agreement), so z is NaN and the checks fail
+    # (in a subprocess: the oracles' overflow warnings would be errors here)
+    cfg = write_config(tmp_path, dict(MC_PAIR, delta0=delta0))
+    proc = run_proc(["verify", cfg, "--paths", "300", "--seed", "0"])
+    assert proc.returncode == 1
+    checks = {
+        c["quantity"]: c for s in json.loads(proc.stdout)["suites"] for c in s["checks"]
+    }
+    for name in ("wealth_oracle_agent_1", "wealth_oracle_agent_2", "stock_oracle"):
+        sides = [checks[name][k] for k in ("estimate", "std_error", "closed_form")]
+        assert not all(map(math.isfinite, sides)), name
+        assert math.isnan(checks[name]["value"]), name
+        assert checks[name]["pass"] is False, name
+        assert name in proc.stderr
+    if delta0 == 1e308:  # its closed form S_0 zeta_0 is inf * 0
+        assert math.isnan(checks["martingale"]["value"])
+
+
+def test_run_suites_is_the_printed_report_and_each_suite_stands_alone(tmp_path):
+    cfg = write_config(tmp_path, PAIR)
+    argv = ("verify", cfg, "--seed", "4", "--paths", "50")
+    # the parity holds whether or not a check passes
+    _, out, _ = run_cli(*argv)
+    params = economy_from_dict(PAIR)
+    report = run_suites(params, validate(params), tuple(SUITES), 4, 50)
+    assert out == _to_json({"config": cfg, **report}) + "\n"
+    assert [s["suite"] for s in report["suites"]] == list(SUITES)
+    for suite in report["suites"]:
+        _, out, _ = run_cli(*argv, "--suite", suite["suite"])
+        alone = {"config": cfg, "seed": 4, "suites": [suite], "pass": suite["pass"]}
+        assert out == _to_json(alone) + "\n"
+
+
 def test_mc_suite_near_the_boundary_is_a_model_error_before_any_path(tmp_path, monkeypatch):
     # min D is about 1e-7, so the mc suite's horizon 5 / min D needs a grid
     # of 1e8 steps at dt near 0.5; the other suites still verify it
@@ -815,7 +854,7 @@ def test_mc_suite_near_the_boundary_is_a_model_error_before_any_path(tmp_path, m
         code, out, err = run_cli("verify", cfg, "--suite", suite, "--paths", "10")
         assert code == 0, (suite, err)
     monkeypatch.setattr(
-        crraeq.cli, "mc_oracles", lambda *a, **k: pytest.fail("paths drawn")
+        crraeq.verify, "mc_oracles", lambda *a, **k: pytest.fail("paths drawn")
     )
     code, out, err = run_cli("verify", cfg, "--suite", "mc", "--paths", "10")
     assert code == 1
