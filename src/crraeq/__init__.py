@@ -18,7 +18,6 @@ from .model import (
     NonpositiveDenominator,
     dividend,
     economy_from_dict,
-    lambda_j,
     validate,
 )
 from .multiindex import (
@@ -48,7 +47,6 @@ __all__ = [
     "dividend",
     "economy_from_dict",
     "enumerate_compositions",
-    "lambda_j",
     "log_multinomial_coefficient",
     "snapshot",
     "state_price_density",

@@ -243,11 +243,6 @@ def dividend(state: MarketState, params: EconomyParams) -> float:
     return float(np.exp(log_dividend(state.t, state.x, params)))
 
 
-def lambda_j(state: MarketState, agent: Agent) -> float:
-    """Change-of-measure martingale Lambda_t = exp(alpha X_t - alpha^2 t / 2)."""
-    return math.exp(agent.alpha * state.x - 0.5 * agent.alpha**2 * state.t)
-
-
 # --- JSON config schema (consumed by the CLI) -------------------------------
 
 _ECONOMY_KEYS = {"R", "sigma", "alpha_star", "delta0", "agents"}

@@ -2,8 +2,7 @@
 
 The driver X is a standard Brownian motion, so paths are sampled exactly
 (Gaussian increments); there is no discretization error anywhere except
-the trapezoid quadrature of time integrals and the finite dt of the
-realized-volatility residuals.
+the trapezoid quadrature of time integrals.
 
 Oracles deliberately avoid the composition machinery they are checking:
 the Monte Carlo integrands are built from the J agent log terms only,
@@ -38,8 +37,9 @@ not depend on the core count, and each group writes only its own paths'
 values: the reports have the same bits for any blocking, on any number
 of cores and under any BLAS thread count.  Truncating the integral at a
 finite horizon leaves an analytically known tail (each composition term
-decays like e^{-D(beta) (T-t)}), which is reported as
-`truncation_bound` and must stay small relative to the closed form.
+decays like e^{-D(beta) (T-t)}, so the kernel gives the tails), which is
+reported as `truncation_bound` and must stay small relative to the
+closed form.
 
 The z-scores assume square-integrable integrands.  A composition term
 e^{c X_u - m u} has finite second moment of its time integral only when
@@ -58,7 +58,7 @@ rekeys it for each of its paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,6 +69,8 @@ from .multiindex import DEFAULT_COMPOSITION_CAP
 
 DEFAULT_STEPS_PER_UNIT_TIME = 1024
 TRUNCATION_FRACTION = 0.1
+# fd_engine's coarse steps in x and t; it extrapolates from them and their halves
+_FD_DX, _FD_DT = 2e-2, 1e-3
 # path grids and Monte Carlo path counts share the composition table's cap
 # on materialised entries
 _MAX_GRID_NODES = DEFAULT_COMPOSITION_CAP
@@ -143,17 +145,6 @@ class OracleReport:
     z_score: float
     n_paths: int
     truncation_bound: float
-
-
-@dataclass(frozen=True)
-class RealizedVolReport:
-    """Moments of the normalized log-price increments against sigma^S."""
-
-    residual_mean: float
-    residual_mean_se: float
-    residual_var: float
-    residual_var_se: float
-    n_residuals: int
 
 
 def path_generator(seed: int, path_index: int) -> np.random.Generator:
@@ -245,21 +236,18 @@ def truncation_tails(
     horizon: float,
 ) -> list[float]:
     """Exact analytic tails beyond the horizon of the wealth integrals of
-    agents 1..J and then of the stock integral: each composition term
-    carries a factor e^{-D (T-t)}.
+    agents 1..J and then of the stock integral.
+
+    Each composition term's tail is the term times e^{-D (T-t)}, so the
+    tails are the kernel's wealths and stock price on a table whose log
+    offsets carry that factor.
     """
     span = horizon - state.t
     if span <= 0:
         raise ValueError("horizon must exceed the state time")
-    terms = equilibrium.log_z_terms_arr(state.t, state.x, params, table) - table.d_values * span
-    # agent j's sum weights the Z terms by beta_j / R (Pascal's rule): rows
-    # of log-weighted terms, one per agent, then the stock's plain terms
-    with np.errstate(divide="ignore"):
-        rows = np.vstack([terms + np.log(table.parts.T / params.R), terms])
-    log_tail_sums = equilibrium.lse_terms(rows)
-    _, lse_u, ld = equilibrium._clearing_logs(state.t, state.x, params)
-    log_zeta = params.R * (lse_u - ld)
-    return np.exp((1 - params.R) * ld - log_zeta + log_tail_sums).tolist()
+    tail = replace(table, log_offsets=table.log_offsets - table.d_values * span)
+    fields = equilibrium.evaluate_fields(state.t, state.x, params, tail)
+    return [*fields["wealths"].tolist(), float(fields["stock_price"])]
 
 
 def _resolve_grid(state_t: float, horizon, n_steps, table: DenominatorTable) -> PathGrid:
@@ -372,8 +360,15 @@ def _path_integrals(
 
 
 def _report(values: np.ndarray, closed_form: float, bound: float) -> OracleReport:
-    est = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+    # the statistics of values scaled by 2^-k, where 2^k is the binade of
+    # max |v|, then scaled back: the plain statistics' bits, without their
+    # overflow in the variance or their underflow near the float range
+    n = len(values)
+    _, k = math.frexp(float(np.max(np.abs(values))))
+    scaled = np.ldexp(values, -k)
+    with np.errstate(invalid="ignore"):  # inf - inf where a side has overflowed
+        est = float(np.ldexp(scaled.mean(), k))
+        se = float(np.ldexp(scaled.std(ddof=1) / math.sqrt(n), k)) if n > 1 else 0.0
     if not all(map(math.isfinite, (est, se, closed_form))):
         z = math.nan  # an overflowed side gives no test: inf == inf is no agreement
     elif se > 0:
@@ -385,7 +380,7 @@ def _report(values: np.ndarray, closed_form: float, bound: float) -> OracleRepor
         std_error=se,
         closed_form=closed_form,
         z_score=float(z),
-        n_paths=len(values),
+        n_paths=n,
         truncation_bound=bound,
     )
 
@@ -418,7 +413,8 @@ def mc_oracles(
             raise TruncationTooLoose(bound, target, grid.horizon)
 
     values, _ = _path_integrals(grid, state.x, n_paths, seed, params, agents=True)
-    values /= fields["zeta"]
+    with np.errstate(divide="ignore", invalid="ignore"):  # zeta underflows to 0
+        values /= fields["zeta"]
     reports = [_report(v, c, b) for v, c, b in zip(values, closed, bounds)]
     return reports[:-1], reports[-1]
 
@@ -450,63 +446,23 @@ def martingale_check(
     return _report(values, closed, 0.0)
 
 
-def realized_vol_check(
-    params: EconomyParams,
-    table: DenominatorTable,
-    x0: float = 0.0,
-    t0: float = 0.0,
-    horizon: float = 1.0,
-    n_steps: int = 1000,
-    n_paths: int = 64,
-    seed: int = 0,
-) -> RealizedVolReport:
-    """Normalized log-price increments against the closed-form sigma^S.
-
-    Residuals (dlog S - (mu^S - (sigma^S)^2/2) dt) / (sigma^S sqrt(dt)),
-    with coefficients frozen at the left node, should be approximately
-    standard normal for small dt.
-    """
-    grid = PathGrid(t0=t0, horizon=horizon, n_steps=n_steps)
-    res = []
-    for path in simulate_paths(grid, x0, n_paths, seed):
-        t, x = grid.times(), path.x_values
-        fields = equilibrium.evaluate_fields(t, x, params, table)
-        log_s, vol, drift = fields["log_levels"][:, 3], fields["vol"], fields["drift"]
-        d_log_s = np.diff(log_s)
-        expected = (drift[:-1] - 0.5 * vol[:-1] ** 2) * grid.dt
-        res.append((d_log_s - expected) / (vol[:-1] * math.sqrt(grid.dt)))
-    res = np.concatenate(res)
-    n = len(res)
-    mean = float(res.mean())
-    var = float(res.var(ddof=1))
-    central = res - mean
-    m2 = float((central**2).mean())
-    m4 = float((central**4).mean())
-    return RealizedVolReport(
-        residual_mean=mean,
-        residual_mean_se=math.sqrt(var / n),
-        residual_var=var,
-        residual_var_se=math.sqrt(max(m4 - m2**2, 0.0) / n),
-        n_residuals=n,
-    )
-
-
-def fd_engine(f, t, x, dx: float = 1e-4, dt: float = 1e-5, richardson: bool = False):
-    """Central differences of a scalar or vector field f(t, x) at one state
-    or at arrays of states (t, x), broadcast together.
+def fd_engine(f, t, x):
+    """Richardson-extrapolated central differences of a scalar or vector
+    field f(t, x) at one state or at arrays of states (t, x), broadcast
+    together.
 
     f must broadcast over array (t, x), with its values after the state
-    axes: every stencil point of every state, 5 of them or 9 with
-    Richardson, is evaluated in one call.  Returns the array [d/dt, d/dx,
-    d2/dx2], of shape (3,) plus the states' shape plus the shape of one
-    value of f, so each state and each column of a vector field gets the
-    stencil a scalar field at that state alone would.  With
-    richardson=True each derivative is extrapolated from steps h and h/2,
-    killing the leading h^2 error term; use it for second-order quantities
-    where the bare-step roundoff floor is above the target tolerance.
+    axes: all 9 stencil points of every state are evaluated in one call.
+    Returns the array [d/dt, d/dx, d2/dx2], of shape (3,) plus the states'
+    shape plus the shape of one value of f, so each state and each column
+    of a vector field gets the stencil a scalar field at that state alone
+    would.  Each derivative is extrapolated from the steps (_FD_DT, _FD_DX)
+    and their halves, which kills the leading h^2 error term; the wide
+    steps keep the roundoff floor of the second derivatives below the
+    verify suite's 1e-5 tolerance.
     """
     t0, x0 = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-    steps = [(dt, dx), (dt / 2, dx / 2)] if richardson else [(dt, dx)]
+    steps = [(_FD_DT, _FD_DX), (_FD_DT / 2, _FD_DX / 2)]
     t_pts, x_pts = [t0], [x0]
     for ht, hx in steps:
         t_pts += [t0, t0, t0 + ht, t0 - ht]
@@ -522,7 +478,4 @@ def fd_engine(f, t, x, dx: float = 1e-4, dt: float = 1e-5, richardson: bool = Fa
         f_xx = (up - 2 * center + down) / hx**2
         return np.array([f_t, f_x, f_xx])
 
-    out = stencil(0)
-    if richardson:
-        out = (4 * stencil(1) - out) / 3
-    return out
+    return (4 * stencil(1) - stencil(0)) / 3

@@ -83,33 +83,30 @@ def _suite_clearing(params, table, seed: int, n_paths: int) -> dict:
 def _fd_errors(t, x, params: EconomyParams, table: DenominatorTable) -> dict:
     """Worst relative gaps between closed-form Ito coefficients and FD oracles.
 
-    t and x are one state or 1-d arrays of states; the closed forms, the
-    plain stencil and the Richardson stencil are each one kernel call over
-    all of them.  Each quantity's value is its worst gap over the states
-    (and the agents), NaN if any gap is NaN.  First-order coefficients are
-    x-derivatives of the log fields; the dt-generator identity
+    t and x are one state or 1-d arrays of states; the closed forms and
+    the stencil are each one kernel call over all of them.  Each
+    quantity's value is its worst gap over the states (and the agents),
+    NaN if any gap is NaN.  First-order coefficients are x-derivatives of
+    the log fields; the dt-generator identity
     (d_t f + d_xx f / 2) / f = h_t + (h_xx + h_x^2) / 2 for h = log f
-    recovers the second-order ones.  The second-order stencils use
-    Richardson extrapolation with wider steps, which keeps the roundoff
-    floor below the 1e-5 verification tolerance.
+    recovers the second-order ones.
     """
     t, x = np.broadcast_arrays(np.atleast_1d(t), np.atleast_1d(x))
     closed = evaluate_fields(t, x, params, table)
     levels = lambda t, x: evaluate_fields(t, x, params, table)["log_levels"]
 
     # one row per state; columns: log L, log zeta, log Z, log S, then log Z^j per agent
-    first = fd_engine(levels, t, x)[1]
-    f_t, f_x, f_xx = fd_engine(levels, t, x, dx=2e-2, dt=1e-3, richardson=True)[..., :4]
+    f_t, f_x, f_xx = fd_engine(levels, t, x)
     gen = f_t + 0.5 * (f_xx + f_x * f_x)
     oracles = {  # closed-form field: its oracle at every state
-        "alpha_bar": first[:, 0],
+        "alpha_bar": f_x[:, 0],
         "rho_bar": -gen[:, 0],
         "riskless_rate": -gen[:, 1],
-        "kappa": -first[:, 1],
-        "alpha_tilde": first[:, 2],
+        "kappa": -f_x[:, 1],
+        "alpha_tilde": f_x[:, 2],
         "rho_tilde": -gen[:, 2],
-        "alpha_tilde_agents": first[:, 4:],
-        "vol": first[:, 3],
+        "alpha_tilde_agents": f_x[:, 4:],
+        "vol": f_x[:, 3],
         "drift": gen[:, 3],
     }
     quantity = {"vol": "sigma_S", "drift": "mu_S"}
@@ -120,7 +117,7 @@ def _fd_errors(t, x, params: EconomyParams, table: DenominatorTable) -> dict:
 
 
 def _suite_fd(params, table, seed: int, n_paths: int) -> dict:
-    """Every Ito coefficient against its finite-difference oracle, in three kernel calls."""
+    """Every Ito coefficient against its finite-difference oracle, in two kernel calls."""
     t, x = np.random.default_rng(seed).uniform((0.2, -2.0), (5.0, 2.0), (N_SUITE_STATES, 2)).T
     checks = [_check(name, err, FD_TOL) for name, err in _fd_errors(t, x, params, table).items()]
     return _suite("fd", checks, n_states=N_SUITE_STATES)

@@ -19,7 +19,7 @@ from crraeq._csvfmt import _BINADES, _X_MAX, _X_MIN, RowWriter, _decide, _tables
 from crraeq.calibrate import CalibrationTarget, NoConvergence, solve_gamma
 from crraeq.cli import _CSV_BLOCK_ROWS, _to_json, main
 from crraeq.model import economy_from_dict, validate
-from crraeq.simulate import PathGrid, evaluate_series, simulate_path
+from crraeq.simulate import PathGrid, _report, evaluate_series, simulate_path
 from crraeq.verify import FD_TOL, SUITES, _fd_errors, run_suites
 
 BENCH = {
@@ -721,26 +721,49 @@ def test_calibrate_bad_shares_exit_2(tmp_path, monkeypatch):
 
 
 def test_fd_errors_differentiate_every_level_in_two_calls(monkeypatch):
-    # one plain stencil and one Richardson stencil of the vector of log levels
+    # the closed forms and one Richardson stencil of the vector of log levels
     calls = []
-    real_fd_engine = crraeq.verify.fd_engine
+    real = crraeq.verify.evaluate_fields
 
-    def counted(field, t, x, **steps):
-        calls.append(steps)
-        return real_fd_engine(field, t, x, **steps)
+    def counted(t, x, params, table):
+        calls.append(np.shape(t))
+        return real(t, x, params, table)
 
-    monkeypatch.setattr(crraeq.verify, "fd_engine", counted)
+    monkeypatch.setattr(crraeq.verify, "evaluate_fields", counted)
     for obj in (BENCH, PAIR, TRIO):
         params = economy_from_dict(obj)
         calls.clear()
         errors = _fd_errors(1.0, 0.3, params, validate(params))
-        assert calls == [{}, dict(dx=2e-2, dt=1e-3, richardson=True)]
+        assert calls == [(1,), (9, 1)]
         assert max(errors.values()) <= FD_TOL
 
 
+@pytest.mark.parametrize(
+    "field", ["alpha_bar", "kappa", "alpha_tilde", "alpha_tilde_agents", "vol"]
+)
+def test_fd_suite_catches_a_first_order_field_off_by_1e_3(monkeypatch, field):
+    # the closed form of one first-order coefficient scaled by 1 + 1e-3;
+    # the stencil differentiates the unscaled log levels
+    real = crraeq.verify.evaluate_fields
+
+    def off(t, x, params, table):
+        fields = real(t, x, params, table)
+        fields[field] = fields[field] * (1 + 1e-3)
+        return fields
+
+    monkeypatch.setattr(crraeq.verify, "evaluate_fields", off)
+    quantity = {"vol": "sigma_S"}.get(field, field)
+    for obj in (PAIR, TRIO):
+        params = economy_from_dict(obj)
+        suite = crraeq.verify._suite_fd(params, validate(params), 3, 2)
+        failing = [c["quantity"] for c in suite["checks"] if not c["pass"]]
+        assert failing == [quantity]
+        assert suite["pass"] is False
+
+
 def test_each_suite_evaluates_its_states_in_one_kernel_call_per_stencil(monkeypatch):
-    # clearing: the closed forms; fd: the closed forms, the plain stencil
-    # and the Richardson stencil, each over all of the suite's states
+    # clearing: the closed forms; fd: the closed forms and the Richardson
+    # stencil, each over all of the suite's states
     calls = []
     real = crraeq.verify.evaluate_fields
 
@@ -758,7 +781,7 @@ def test_each_suite_evaluates_its_states_in_one_kernel_call_per_stencil(monkeypa
         calls.clear()
         assert crraeq.verify._suite_fd(params, table, 3, 2)["pass"]
         n = crraeq.verify.N_SUITE_STATES
-        assert calls == [(n,), (5, n), (9, n)]
+        assert calls == [(n,), (9, n)]
 
 
 def test_fd_errors_over_arrays_equal_the_worst_single_state_calls():
@@ -802,26 +825,52 @@ def test_an_undefined_clearing_identity_fails_verification(tmp_path):
     assert "wealth_aggregation" in err
 
 
-@pytest.mark.parametrize("delta0", [1e308, 1e160])
+@pytest.mark.parametrize("delta0", [1e308])
 def test_an_mc_check_without_a_finite_z_fails_verification(tmp_path, delta0):
     # at delta0 = 1e308 the oracles' estimates overflow along with the
-    # closed forms, at 1e160 only the sample variance does: neither leaves a
-    # z-test (inf == inf is no agreement), so z is NaN and the checks fail
-    # (in a subprocess: the oracles' overflow warnings would be errors here)
+    # closed forms: that leaves no z-test (inf == inf is no agreement), so z
+    # is NaN and the checks fail, with no numpy warning on stderr
     cfg = write_config(tmp_path, dict(MC_PAIR, delta0=delta0))
     proc = run_proc(["verify", cfg, "--paths", "300", "--seed", "0"])
     assert proc.returncode == 1
-    checks = {
-        c["quantity"]: c for s in json.loads(proc.stdout)["suites"] for c in s["checks"]
-    }
+    report = json.loads(proc.stdout)
+    checks = {c["quantity"]: c for s in report["suites"] for c in s["checks"]}
     for name in ("wealth_oracle_agent_1", "wealth_oracle_agent_2", "stock_oracle"):
         sides = [checks[name][k] for k in ("estimate", "std_error", "closed_form")]
         assert not all(map(math.isfinite, sides)), name
         assert math.isnan(checks[name]["value"]), name
         assert checks[name]["pass"] is False, name
-        assert name in proc.stderr
-    if delta0 == 1e308:  # its closed form S_0 zeta_0 is inf * 0
-        assert math.isnan(checks["martingale"]["value"])
+    # its closed form S_0 zeta_0 is inf * 0
+    assert math.isnan(checks["martingale"]["value"])
+    failing = [name for name, c in checks.items() if not c["pass"]]
+    assert proc.stderr == f"error: verification failed: {', '.join(failing)}\n"
+
+
+def test_an_mc_check_near_the_float_range_has_a_finite_std_error(tmp_path):
+    # at delta0 = 1e160 the oracles' squared deviations would overflow, but
+    # the statistics are taken at the binade of max |v|: std_error is
+    # finite, 1e160 times the one at delta0 = 1, and the suite passes (the
+    # values are divided by zeta_0 near 1e-320, a subnormal, whose rounding
+    # moves them by about 4e-5 relative)
+    checks = {}
+    for delta0 in (1.0, 1e160):
+        cfg = write_config(tmp_path, dict(MC_PAIR, delta0=delta0))
+        code, out, err = run_cli("verify", cfg, "--suite", "mc", "--paths", "300", "--seed", "0")
+        assert code == 0, err
+        checks[delta0] = json.loads(out)["suites"][0]["checks"]
+    for plain, huge in zip(checks[1.0], checks[1e160]):
+        assert math.isfinite(huge["std_error"])
+        np.testing.assert_allclose(huge["std_error"], 1e160 * plain["std_error"], rtol=1e-3)
+    # scaling the values, the closed form and the bound by 2^k scales every
+    # report field but z and the path count by 2^k, to the bit, out to where
+    # the plain squares would overflow (k = 1000) or underflow (k = -1000)
+    v = np.random.default_rng(3).lognormal(size=3000)
+    base = _report(v, 1.7, 0.01)
+    for k in (-1000, -7, 9, 1000):
+        got = _report(np.ldexp(v, k), math.ldexp(1.7, k), math.ldexp(0.01, k))
+        for name in ("estimate", "std_error", "closed_form", "truncation_bound"):
+            assert getattr(got, name) == math.ldexp(getattr(base, name), k), (k, name)
+        assert (got.z_score, got.n_paths) == (base.z_score, base.n_paths)
 
 
 def test_run_suites_is_the_printed_report_and_each_suite_stands_alone(tmp_path):

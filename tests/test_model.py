@@ -13,7 +13,6 @@ from crraeq.model import (
     NonpositiveDenominator,
     dividend,
     economy_from_dict,
-    lambda_j,
     log_dividend,
     sufficient_condition_margin,
     validate,
@@ -78,13 +77,6 @@ def test_sufficient_condition_implies_valid():
             assert tab.min_denominator > 0
             assert tab.footnote_holds
     assert hits > 20  # sweep must actually exercise the condition
-
-
-def test_lambda_martingale_solution():
-    assert lambda_j(MarketState(0.0, 0.0), Agent(0.1, 0.3, 0.0)) == 1.0
-    assert lambda_j(MarketState(3.0, -0.7), Agent(0.1, 0.0, 0.0)) == 1.0
-    got = lambda_j(MarketState(1.0, 1.0), Agent(0.1, 0.5, 0.0))
-    np.testing.assert_allclose(got, math.exp(0.375), rtol=1e-14)
 
 
 def test_lambda_empirical_martingale():

@@ -23,7 +23,6 @@ from crraeq.simulate import (
     fd_engine,
     martingale_check,
     mc_oracles,
-    realized_vol_check,
     simulate_paths,
     truncation_tails,
 )
@@ -572,24 +571,6 @@ def test_martingale_check_three_agents():
     assert abs(rep.z_score) <= 3
 
 
-def test_realized_vol_single_agent_exact_normal():
-    tab = validate(BENCH)
-    rep = realized_vol_check(BENCH, tab, horizon=0.5, n_steps=250, n_paths=80, seed=31)
-    assert abs(rep.residual_mean) <= 3 * rep.residual_mean_se
-    assert abs(rep.residual_var - 1.0) <= 3 * rep.residual_var_se
-
-
-def test_realized_vol_two_agent_fine_grid():
-    p = two_agent()
-    tab = validate(p)
-    rep = realized_vol_check(
-        p, tab, x0=0.3, horizon=0.05, n_steps=500, n_paths=40, seed=13
-    )
-    assert rep.n_residuals == 20_000
-    assert abs(rep.residual_mean) <= 3 * rep.residual_mean_se
-    assert abs(rep.residual_var - 1.0) <= 3 * rep.residual_var_se
-
-
 def test_fd_engine_on_known_fields():
     p = BENCH
     from crraeq.model import log_dividend
@@ -602,13 +583,13 @@ def test_fd_engine_on_known_fields():
     g = lambda t, x: np.exp(0.3 * x - 0.2 * t)
     st = MarketState(0.5, -0.2)
     val = g(st.t, st.x)
-    f_t, f_x, f_xx = fd_engine(g, st.t, st.x, dx=1e-3, dt=1e-3, richardson=True)
+    f_t, f_x, f_xx = fd_engine(g, st.t, st.x)
     np.testing.assert_allclose(f_t, -0.2 * val, rtol=1e-9)
     np.testing.assert_allclose(f_x, 0.3 * val, rtol=1e-9)
     np.testing.assert_allclose(f_xx, 0.09 * val, rtol=1e-7)
 
 
-def _pointwise_fd(f, st, dx, dt, richardson):
+def _pointwise_fd(f, st):
     """The stencil one scalar point at a time, as a reference for fd_engine."""
     at = lambda t, x: float(f(t, x))
 
@@ -619,9 +600,8 @@ def _pointwise_fd(f, st, dx, dt, richardson):
         f_xx = (up - 2 * at(st.t, st.x) + down) / hx**2
         return np.array([f_t, f_x, f_xx])
 
-    out = stencil(dt, dx)
-    if richardson:
-        out = (4 * stencil(dt / 2, dx / 2) - out) / 3
+    dx, dt = 2e-2, 1e-3
+    out = (4 * stencil(dt / 2, dx / 2) - stencil(dt, dx)) / 3
     return tuple(float(v) for v in out)
 
 
@@ -643,26 +623,21 @@ def test_fd_engine_one_batched_call_matches_pointwise_stencil():
         for _ in range(3):
             st = MarketState(float(rng.uniform(0.2, 5.0)), float(rng.uniform(-2, 2)))
             states.append(st)
-            for steps in ({}, dict(dx=2e-2, dt=1e-3, richardson=True)):
-                calls.clear()
-                got = fd_engine(counted, st.t, st.x, **steps)
-                assert calls == [(9,) if steps else (5,)]
-                assert got.shape == (3, p.n_agents + 4)
-                for k in range(p.n_agents + 4):
-                    want = _pointwise_fd(
-                        lambda t, x: levels(t, x)[..., k],
-                        st, steps.get("dx", 1e-4), steps.get("dt", 1e-5), bool(steps),
-                    )
-                    assert tuple(got[:, k].tolist()) == want
-        t, x = np.array([st.t for st in states]), np.array([st.x for st in states])
-        for steps in ({}, dict(dx=2e-2, dt=1e-3, richardson=True)):
             calls.clear()
-            got = fd_engine(counted, t, x, **steps)
-            assert calls == [(9, 3) if steps else (5, 3)]
-            assert got.shape == (3, 3, p.n_agents + 4)
-            for n, st in enumerate(states):
-                own = fd_engine(levels, st.t, st.x, **steps)
-                assert got[:, n].tobytes() == own.tobytes()
+            got = fd_engine(counted, st.t, st.x)
+            assert calls == [(9,)]
+            assert got.shape == (3, p.n_agents + 4)
+            for k in range(p.n_agents + 4):
+                want = _pointwise_fd(lambda t, x: levels(t, x)[..., k], st)
+                assert tuple(got[:, k].tolist()) == want
+        t, x = np.array([st.t for st in states]), np.array([st.x for st in states])
+        calls.clear()
+        got = fd_engine(counted, t, x)
+        assert calls == [(9, 3)]
+        assert got.shape == (3, 3, p.n_agents + 4)
+        for n, st in enumerate(states):
+            own = fd_engine(levels, st.t, st.x)
+            assert got[:, n].tobytes() == own.tobytes()
 
 
 def test_fd_matches_first_order_coefficients():
@@ -697,8 +672,7 @@ def test_fd_matches_second_order_coefficients():
             rb, sd = snap.rates, snap.stock
 
             f_t, f_x, f_xx = fd_engine(
-                lambda t, x: evaluate_fields(t, x, p, tab)["log_levels"],
-                st.t, st.x, dx=2e-2, dt=1e-3, richardson=True,
+                lambda t, x: evaluate_fields(t, x, p, tab)["log_levels"], st.t, st.x
             )
             gen_l, gen_zeta, _, gen_s = (f_t + 0.5 * (f_xx + f_x**2))[:4]
             np.testing.assert_allclose(-gen_zeta, rb.riskless_rate, rtol=1e-5, atol=1e-8)
