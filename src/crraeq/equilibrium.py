@@ -325,7 +325,10 @@ def _z_side(t, x, params: EconomyParams, table: DenominatorTable):
     underflowed sums, applied in group order once every group is done.
     Each node's terms, their largest and their einsum against the rows do
     not depend on the other nodes of its block, nor on its group, so
-    neither do the bits.
+    neither do the bits.  The einsum reduces each (node, row) pair along
+    contiguous memory wherever M >= 3 + 2J, since the table keeps the
+    rows' longer axis contiguous; the bits moved once, when the rows
+    took that layout, and not where M < 3 + 2J.
     """
     r_curv, n_agents = params.R, params.n_agents
     a0, b0, rows = table.a0, table.b0, table.rows
@@ -389,10 +392,13 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
     wealth shares E_Z[beta_j]/R and alpha_tilde^j.  The pass streams node
     blocks of at most _BLOCK_ELEMENTS (65,536) terms, run in contiguous
     groups on every usable core by `_block_map` (a single block runs
-    inline), so memory is O(cores x block + nodes J) at any M.  einsum
-    reduces each node in the same order at one state, along a path, in
-    any block and on any thread, so they agree to the bit on any number
-    of cores.  The entry `log_levels` stacks the logs [log L, log zeta,
+    inline), so memory is O(cores x block + nodes J) at any M.  einsum,
+    not a BLAS product, reduces each (node, row) pair along contiguous
+    memory (the table stores the rows' longer axis contiguous), in the
+    same order at one state, along a path, in any block and on any
+    thread, so the bits depend neither on the blocking nor on the cores
+    or BLAS threads.  They moved once, where that layout became C order
+    (M >= 3 + 2J).  The entry `log_levels` stacks the logs [log L, log zeta,
     log Z, log S, log Z^1 .. log Z^J] that the levels are exponentiated
     from; the finite-difference oracle differentiates every column in one
     stencil.

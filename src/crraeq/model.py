@@ -154,7 +154,13 @@ class DenominatorTable:
     [1, a - a0, b - b0, beta, beta (a - a0)], shape (3 + 2J, M), with
     b = t_coefs - a^2/2 and a0, b0 the midranges of a and b.  None of
     them involves gamma.  Agent j's wealth sum weights the same rows by
-    beta_j / R, so no other level is stored.
+    beta_j / R, so no other level is stored.  The rows' longer axis is
+    contiguous: C order where M >= 3 + 2J, Fortran order otherwise.
+    numpy's einsum runs its inner loop along the contiguous axis, so the
+    kernel reduces each (node, row) pair as one contiguous dot over the M
+    compositions wherever there are at least as many of them as rows.
+    `validate` fills the rows in place, one at a time, so it never holds
+    a second copy of the table's largest array.
     """
 
     parts: np.ndarray
@@ -209,9 +215,16 @@ def validate(params: EconomyParams) -> DenominatorTable:
 
     # a and b are centred on their midrange, so the kernel's sums round at
     # their spread rather than at their size (which the discount rates set)
-    a, beta = x_coefs, parts.T
+    a = x_coefs
     b = t_coefs - 0.5 * a**2
     a0, b0 = 0.5 * (a.max() + a.min()), 0.5 * (b.max() + b.min())
+    # filled in place, row by row: the rows are the table's largest array
+    rows = np.empty((3 + 2 * j, len(a)), order="C" if len(a) >= 3 + 2 * j else "F")
+    rows[0] = 1.0
+    np.subtract(a, a0, out=rows[1])
+    np.subtract(b, b0, out=rows[2])
+    rows[3 : 3 + j] = parts.T
+    np.multiply(parts.T, rows[1], out=rows[3 + j :])
     return DenominatorTable(
         parts=parts,
         d_values=d_values,
@@ -219,7 +232,7 @@ def validate(params: EconomyParams) -> DenominatorTable:
         x_coefs=x_coefs,
         t_coefs=t_coefs,
         log_offsets=log_coeffs - np.log(d_values),
-        rows=np.vstack([np.ones_like(a), a - a0, b - b0, beta, beta * (a - a0)]),
+        rows=rows,
         a0=a0,
         b0=b0,
         min_denominator=float(d_values.min()),

@@ -296,23 +296,32 @@ def _quadrature(exponent: np.ndarray, weights: np.ndarray, out: np.ndarray):
 
 
 def _path_integrals(
-    grid: PathGrid, x0: float, n_paths: int, seed: int, params: EconomyParams, agents: bool
+    grid: PathGrid,
+    x0: float,
+    n_paths: int,
+    seed: int,
+    params: EconomyParams,
+    agents: bool,
+    log_zeta: float | None = None,
 ):
-    """Time integrals of zeta delta, and with agents of each zeta c^j, along paths 0..n_paths-1.
+    """Time integrals of zeta delta, and with agents of each zeta c^j, along
+    paths 0..n_paths-1, divided by zeta_t = exp(log_zeta) when it is given.
 
     Returns (integrals, x_end): one row per integrand, the J agents' in
     agent order when agents is true and the stock's last, one column per
     path; and each path's X at the last node.  Each row is `_quadrature`
     of exp of its exponent,
 
-        stock:    (1-R) log delta + R lse u
-        agent j:  (1-R) log delta + (R-1) lse u + u_j
+        stock:    (1-R) log delta - log_zeta + R lse u
+        agent j:  (1-R) log delta - log_zeta + (R-1) lse u + u_j
 
     with u, lse u and log delta equal to `equilibrium._clearing_logs` at
     the path's nodes, to the bit; the stock's row does not depend on
-    agents.  Each group of `equilibrium._block_map` allocates its buffers
-    once (x, the J agent slabs, the maximum's slab, which then holds log
-    delta, lse u and a scratch slab) and writes only its blocks' columns.
+    agents.  Dividing in the exponent keeps an integral's precision where
+    zeta_t is subnormal; without log_zeta the pass makes no subtraction.
+    Each group of `equilibrium._block_map` allocates its buffers once (x,
+    the J agent slabs, the maximum's slab, which then holds log delta,
+    lse u and a scratch slab) and writes only its blocks' columns.
     """
     t = grid.times()
     slopes, offsets = equilibrium._agent_affine(t, params)
@@ -346,11 +355,13 @@ def _path_integrals(
             # agent's in turn, and lse u and log delta are scaled in place
             exponent = np.multiply(r_curv, lse_u, out=x)
             ld *= 1 - r_curv
-            exponent += ld  # (1-R) log delta + R lse u
+            if log_zeta is not None:
+                ld -= log_zeta
+            exponent += ld  # (1-R) log delta - log_zeta + R lse u
             _quadrature(exponent, weights, integrals[-1, rows])
             if agents:
                 lse_u *= r_curv - 1
-                lse_u += ld  # (1-R) log delta + (R-1) lse u
+                lse_u += ld  # (1-R) log delta - log_zeta + (R-1) lse u
                 for u_j, out in zip(u, integrals[:-1, rows]):
                     np.add(lse_u, u_j, out=exponent)
                     _quadrature(exponent, weights, out)
@@ -401,7 +412,10 @@ def mc_oracles(
     wealth reports in agent order and the stock report.  The integrands
     never touch the composition expansion, so the reports are independent
     checks of the closed forms.  Every truncation tail is checked, agents
-    first, before any path is drawn.
+    first, before any path is drawn.  The division by zeta_t is folded
+    into the path exponents as -log zeta_t, the kernel's own log, so an
+    estimate keeps its precision where zeta_t itself is subnormal or
+    beyond the float range.
     """
     _check_path_count(n_paths)
     grid = _resolve_grid(state.t, horizon, n_steps, table)
@@ -412,9 +426,9 @@ def mc_oracles(
         if bound > TRUNCATION_FRACTION * target:
             raise TruncationTooLoose(bound, target, grid.horizon)
 
-    values, _ = _path_integrals(grid, state.x, n_paths, seed, params, agents=True)
-    with np.errstate(divide="ignore", invalid="ignore"):  # zeta underflows to 0
-        values /= fields["zeta"]
+    log_zeta = float(fields["log_levels"][1])
+    with np.errstate(over="ignore"):  # an integral beyond the float range is inf
+        values, _ = _path_integrals(grid, state.x, n_paths, seed, params, True, log_zeta)
     reports = [_report(v, c, b) for v, c, b in zip(values, closed, bounds)]
     return reports[:-1], reports[-1]
 

@@ -613,6 +613,52 @@ def test_verify_bytes_do_not_depend_on_blas_threads(tmp_path, suite):
     assert (one.stdout, one.stderr, one.returncode) == (two.stdout, two.stderr, two.returncode)
 
 
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2, reason="needs two usable cores"
+)
+def test_ladder_bytes_do_not_depend_on_blas_threads_or_cores(tmp_path):
+    # R7 J7 (M = 1716) reduces along contiguous rows, and the 2049-node
+    # paths stream in blocks that run in one group per usable core; each
+    # child sets its own affinity before the package counts its cores
+    p = ladder(7, 7)
+    econ = {
+        "R": p.R, "sigma": p.sigma, "alpha_star": p.alpha_star, "delta0": p.delta0,
+        "agents": [{"rho": a.rho, "alpha": a.alpha, "gamma": a.gamma} for a in p.agents],
+    }
+    cfg = write_config(tmp_path, econ)
+    code = (
+        "import os, sys\n"
+        "os.sched_setaffinity(0, map(int, sys.argv[1].split(',')))\n"
+        "from crraeq.cli import main\n"
+        "sys.exit(main(sys.argv[2:]))\n"
+    )
+    cores = sorted(os.sched_getaffinity(0))[:2]
+    package_root = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(crraeq.cli.__file__)), os.environ.get("PYTHONPATH", "")]
+    )
+    runs = []
+    for k, (threads, cpus) in enumerate((("1", cores), ("2", cores), ("1", cores[:1]))):
+        # simulate prints its --out path: each child writes paths.csv in its own directory
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=package_root)
+        here = tmp_path / f"run{k}"
+        here.mkdir()
+        run = []
+        for argv in (
+            ["evaluate", cfg, "--t", "1.5", "--x", "-0.7"],
+            ["simulate", cfg, "--paths", "3", "--horizon", "2", "--steps", "2048",
+             "--seed", "7", "--out", "paths.csv"],
+        ):
+            res = subprocess.run(
+                [sys.executable, "-c", code, ",".join(map(str, cpus)), *argv],
+                capture_output=True, env=env, cwd=here,
+            )
+            assert res.returncode == 0, res.stderr
+            run.append((res.stdout, res.stderr))
+        runs.append((run, (here / "paths.csv").read_bytes()))
+    assert runs[0][1].count(b"\n") > 3 * 2049
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_verify_clearing_three_agents(tmp_path):
     cfg = write_config(tmp_path, TRIO)
     code, out, _ = run_cli("verify", cfg, "--suite", "clearing", "--seed", "3")
@@ -849,9 +895,9 @@ def test_an_mc_check_without_a_finite_z_fails_verification(tmp_path, delta0):
 def test_an_mc_check_near_the_float_range_has_a_finite_std_error(tmp_path):
     # at delta0 = 1e160 the oracles' squared deviations would overflow, but
     # the statistics are taken at the binade of max |v|: std_error is
-    # finite, 1e160 times the one at delta0 = 1, and the suite passes (the
-    # values are divided by zeta_0 near 1e-320, a subnormal, whose rounding
-    # moves them by about 4e-5 relative)
+    # finite, 1e160 times the one at delta0 = 1, and the suite passes; the
+    # division by zeta_0, near 1e-320 and so subnormal, is made in the path
+    # exponents, so the estimates keep full precision too
     checks = {}
     for delta0 in (1.0, 1e160):
         cfg = write_config(tmp_path, dict(MC_PAIR, delta0=delta0))
@@ -860,7 +906,8 @@ def test_an_mc_check_near_the_float_range_has_a_finite_std_error(tmp_path):
         checks[delta0] = json.loads(out)["suites"][0]["checks"]
     for plain, huge in zip(checks[1.0], checks[1e160]):
         assert math.isfinite(huge["std_error"])
-        np.testing.assert_allclose(huge["std_error"], 1e160 * plain["std_error"], rtol=1e-3)
+        for name in ("estimate", "std_error"):
+            np.testing.assert_allclose(huge[name], 1e160 * plain[name], rtol=1e-12)
     # scaling the values, the closed form and the bound by 2^k scales every
     # report field but z and the path count by 2^k, to the bit, out to where
     # the plain squares would overflow (k = 1000) or underflow (k = -1000)

@@ -1,6 +1,8 @@
 import math
+import operator
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -508,3 +510,62 @@ def test_kernel_memory_is_bounded_by_the_block(monkeypatch):
     t = np.linspace(0.0, 1.0, 2000)
     assert _traced_peak(lambda: evaluate_fields(t, 20000.0, p, tab)) < 8 * 2**20
     assert sum(shape[0] for shape in fallback) >= len(t)
+
+
+@pytest.mark.parametrize(
+    "params, order", [(PAIR, "F"), (TRIO, "C"), (ladder(4, 4), "C"), (ladder(7, 7), "C")]
+)
+def test_reduction_rows_keep_their_longer_axis_contiguous(params, order):
+    # einsum runs its inner loop along the contiguous axis: over the M
+    # compositions wherever there are at least as many as the 3 + 2J rows
+    tab = validate(params)
+    assert tab.rows.flags[f"{order}_CONTIGUOUS"]
+    assert (order == "C") == (len(tab.parts) >= tab.rows.shape[0])
+    a, beta = tab.x_coefs, tab.parts.T
+    b = tab.t_coefs - 0.5 * a**2
+    want = np.vstack([np.ones_like(a), a - tab.a0, b - tab.b0, beta, beta * (a - tab.a0)])
+    assert same_bits(tab.rows, want)
+
+
+def test_validate_builds_the_rows_in_place():
+    # R8 J8: the rows are 1 MB of the table's 1.6 MB; a second copy of them
+    # (a stack, then a contiguous copy of it) would break the bound
+    p = ladder(8, 8)
+    tab = validate(p)
+    table_bytes = sum(v.nbytes for v in vars(tab).values() if isinstance(v, np.ndarray))
+    assert _traced_peak(lambda: validate(p)) < table_bytes + tab.rows.nbytes
+
+
+# the worst error of each economy's Z reduction below, in units of eps times
+# the sum of |terms| of the field: twice the worst measured at these states
+Z_ACCURACY_CEILINGS = {"TRIO": 2.9, "R4J4": 2.3, "R7J7": 21.4}
+
+
+@pytest.mark.parametrize("name", list(Z_ACCURACY_CEILINGS))
+def test_z_reduction_is_within_a_few_eps_of_the_exact_sums(name):
+    p = {"TRIO": TRIO, "R4J4": ladder(4, 4), "R7J7": ladder(7, 7)}[name]
+    tab = validate(p)
+    eps = Fraction(np.finfo(float).eps)
+    worst = 0.0
+    for t, x in ((0.0, 0.0), (0.7, -1.3), (3.1, 2.4), (9.2, -4.6), (1.0, -300.0), (50.0, 2000.0)):
+        # the float terms the kernel reduces, summed exactly against each row
+        z = log_z_terms_arr(t, x, p, tab)
+        terms = [Fraction(v) for v in np.exp(z - z.max())]
+        exact = [sum(map(operator.mul, terms, map(Fraction, row)), Fraction(0)) for row in tab.rows]
+        _, total, alpha_tilde, _, _, _, share, _ = crraeq.equilibrium._z_side(
+            np.array([[t]]), np.array([[x]]), p, tab
+        )
+        assert (share >= crraeq.equilibrium._FULL_PRECISION_SHARE).all()  # no log-space redo
+        # every term of the total and of a share is nonnegative, so its sum
+        # of |terms| is its exact value; alpha_tilde = a0 + sum_m w_m (a_m - a0)
+        spread = sum(abs(w * Fraction(r)) for w, r in zip(terms, tab.rows[1])) / exact[0]
+        errors = [
+            abs(Fraction(float(total[0])) - exact[0]) / exact[0],
+            abs(Fraction(float(alpha_tilde[0])) - Fraction(tab.a0) - exact[1] / exact[0])
+            / (abs(Fraction(tab.a0)) + spread),
+        ]
+        for j in range(p.n_agents):
+            want = exact[3 + j] / (p.R * exact[0])
+            errors.append(abs(Fraction(float(share[0, j])) - want) / want)
+        worst = max(worst, float(max(errors) / eps))
+    assert worst <= Z_ACCURACY_CEILINGS[name], worst
