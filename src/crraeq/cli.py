@@ -50,7 +50,7 @@ from .model import (
     validate,
 )
 from .multiindex import CompositionCapExceeded
-from .simulate import MAX_PATHS, _resolve_grid, evaluate_series, simulate_path
+from .simulate import MAX_PATHS, _at_binade, _resolve_grid, evaluate_series, simulate_path
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -198,7 +198,7 @@ def cmd_simulate(args) -> int:
             rows.write(path_id, matrix)
             terminal.append(matrix[-1].copy())  # a view would keep every path's matrix
 
-    means = np.mean(terminal, axis=0)
+    means = _at_binade(np.array(terminal), lambda v: v.mean(axis=0))
     _print_json(
         {
             "paths": args.paths,

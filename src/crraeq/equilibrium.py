@@ -202,20 +202,6 @@ def _lse_slabs(u, top: np.ndarray, out: np.ndarray, scratch: np.ndarray):
     return out
 
 
-def lse_terms(a):
-    """log sum_m exp(a_m) over the last (composition) axis, against the maximum.
-
-    top + log sum_m exp(a_m - top), with numpy's pairwise sum, and top
-    where the maximum top is +-inf; NaN propagates.  1-D input gives a
-    scalar.
-    """
-    a = np.asarray(a, dtype=float)
-    top = np.max(a, axis=-1)
-    with np.errstate(invalid="ignore"):  # inf - inf where top is +-inf
-        out = np.log(np.sum(np.exp(a - top[..., None]), axis=-1)) + top
-    return np.where(np.isinf(top), top, out)[()]
-
-
 def _agent_affine(t, params: EconomyParams):
     """The agent log terms' slopes in x and their parts in t.
 
@@ -269,8 +255,8 @@ def log_z_terms_arr(t, x, params: EconomyParams, table: DenominatorTable) -> np.
     return _fill_log_z_terms(t, x, shift, table, out, np.empty_like(out))
 
 
-def _block_map(run_group, n_blocks: int) -> list:
-    """[run_group(blocks) for each contiguous group of range(n_blocks)], in group order.
+def _block_map(run_group, n_blocks: int) -> None:
+    """Call run_group(blocks) on each contiguous group of range(n_blocks).
 
     The blocks are split into at most _WORKERS groups of near-equal size.
     The calling thread runs the first group; each other group runs on its
@@ -284,14 +270,15 @@ def _block_map(run_group, n_blocks: int) -> list:
     """
     n_groups = min(_WORKERS, n_blocks)
     if n_groups <= 1:
-        return [run_group(range(n_blocks))]
+        run_group(range(n_blocks))
+        return
     cuts = [n_blocks * g // n_groups for g in range(n_groups + 1)]
     groups = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    results, errors = [None] * n_groups, [None] * n_groups
+    errors = [None] * n_groups
 
     def run(g):
         try:
-            results[g] = run_group(groups[g])
+            run_group(groups[g])
         except BaseException as exc:  # handed to the caller after the join
             errors[g] = exc
 
@@ -302,14 +289,45 @@ def _block_map(run_group, n_blocks: int) -> list:
     for thread in threads:
         thread.start()
     try:
-        results[0] = run_group(groups[0])
+        run_group(groups[0])
     finally:
         for thread in threads:
             thread.join()
     for exc in errors:
         if exc is not None:
             raise exc
-    return results
+
+
+def _z_pass(t, x, shift, addend, table: DenominatorTable, rows):
+    """(top, sums) of the log Z terms plus addend at flat nodes (t, x) of shape (nodes, 1).
+
+    top = each node's largest term and sums = the einsum of the terms'
+    exp(term - top) against rows, of shape (nodes, len(rows)).  The
+    terms are streamed in node blocks of at most _BLOCK_ELEMENTS (at
+    least one node); `_block_map` runs the blocks in contiguous groups,
+    one per usable core, and each group refills its own two buffers for
+    every block, so memory is O(groups x block + nodes x rows).  Each
+    node's terms, their largest and their einsum against the rows do not
+    depend on the other nodes of its block, nor on its group, so neither
+    do the bits.
+    """
+    n_nodes, per_block = len(t), max(1, _BLOCK_ELEMENTS // shift.size)
+    top, sums = np.empty(n_nodes), np.empty((n_nodes, len(rows)))
+
+    def run(blocks):
+        terms = np.empty((min(n_nodes, per_block), shift.size))
+        scratch = np.empty_like(terms)
+        for lo in range(blocks.start * per_block, blocks.stop * per_block, per_block):
+            blk = slice(lo, min(lo + per_block, n_nodes))
+            k = blk.stop - lo
+            z = _fill_log_z_terms(t[blk], x[blk], shift, table, terms[:k], scratch[:k])
+            z += addend
+            top[blk] = z.max(axis=-1)
+            z -= top[blk, None]
+            np.einsum("nm,km->nk", np.exp(z, out=z), rows, out=sums[blk])
+
+    _block_map(run, -(-n_nodes // per_block))
+    return top, sums
 
 
 def _z_side(t, x, params: EconomyParams, table: DenominatorTable):
@@ -317,68 +335,38 @@ def _z_side(t, x, params: EconomyParams, table: DenominatorTable):
 
     Returns top = the largest log term, the total Z/e^top, alpha_tilde,
     rho_tilde, and per agent (nodes, J): log Z^j, log Z^j - top, the
-    wealth share and alpha_tilde^j.  The terms are streamed in node blocks
-    of at most _BLOCK_ELEMENTS (at least one node); `_block_map` runs the
-    blocks in contiguous groups, one per usable core, and each group
-    refills its own two buffers for every block, so memory is
-    O(groups x block + nodes J).  A group lists its log-space redos of
-    underflowed sums, applied in group order once every group is done.
-    Each node's terms, their largest and their einsum against the rows do
-    not depend on the other nodes of its block, nor on its group, so
-    neither do the bits.  The einsum reduces each (node, row) pair along
-    contiguous memory wherever M >= 3 + 2J, since the table keeps the
-    rows' longer axis contiguous; the bits moved once, when the rows
-    took that layout, and not where M < 3 + 2J.
+    wealth share and alpha_tilde^j.  One `_z_pass` reduces the terms
+    against the table's rows at every node.  An agent's share below
+    tiny/eps has lost bits to underflowed terms; for each such agent a
+    second pass, at those nodes only, reduces the terms plus log beta_j
+    against the first two rows, in the same ratio form: log Z^j = top_j +
+    log s0 - log R and alpha_tilde^j = a0 + s1/s0.  The einsum reduces
+    each (node, row) pair along contiguous memory wherever M >= 3 + 2J,
+    since the table keeps the rows' longer axis contiguous; the bits moved
+    once, when the rows took that layout, and not where M < 3 + 2J.
     """
     r_curv, n_agents = params.R, params.n_agents
-    a0, b0, rows = table.a0, table.b0, table.rows
+    a0, b0 = table.a0, table.b0
     shift = table.log_offsets - table.parts @ params.gamma_vec / r_curv
-    n_nodes, per_block = len(t), max(1, _BLOCK_ELEMENTS // shift.size)
-    top, sums = np.empty(n_nodes), np.empty((n_nodes, len(rows)))
-    share = np.empty((n_nodes, n_agents))
-
-    def run(blocks):
-        terms = np.empty((min(n_nodes, per_block), shift.size))
-        scratch = np.empty_like(terms)
-        redone = []
-        for lo in range(blocks.start * per_block, blocks.stop * per_block, per_block):
-            blk = slice(lo, min(lo + per_block, n_nodes))
-            k = blk.stop - lo
-            z = _fill_log_z_terms(t[blk], x[blk], shift, table, terms[:k], scratch[:k])
-            top[blk] = z.max(axis=-1)
-            z -= top[blk, None]
-            np.einsum("nm,km->nk", np.exp(z, out=z), rows, out=sums[blk])
-            # a share below tiny/eps has lost bits to underflowed terms: redo
-            # that agent's sums in log space, masked to beta_j > 0, at those
-            # nodes only
-            np.divide(sums[blk, 3 : 3 + n_agents], r_curv * sums[blk, :1], out=share[blk])
-            low = share[blk] < _FULL_PRECISION_SHARE
-            for j in np.flatnonzero(low.any(axis=0)):
-                nodes = lo + np.flatnonzero(low[:, j])
-                sub = _fill_log_z_terms(
-                    t[nodes], x[nodes], shift, table, terms[: len(nodes)], scratch[: len(nodes)]
-                )
-                with np.errstate(divide="ignore"):
-                    sub += np.log(table.parts[:, j])
-                lse_j = lse_terms(sub)
-                sub -= lse_j[:, None]
-                weighted_a = np.einsum("nm,m->n", np.exp(sub, out=sub), rows[1])
-                redone.append((nodes, j, lse_j, weighted_a))
-        return redone
-
-    redone = _block_map(run, -(-n_nodes // per_block))
+    top, sums = _z_pass(t, x, shift, 0.0, table, table.rows)
 
     total, z_beta = sums[:, 0], sums[:, 3 : 3 + n_agents]
     alpha_tilde, rho_tilde = a0 + sums[:, 1] / total, b0 + sums[:, 2] / total
+    share = z_beta / (r_curv * sums[:, :1])
     with np.errstate(divide="ignore", invalid="ignore"):
         log_zj_rel = np.log(z_beta / r_curv)  # log Z^j - top
         log_zj = top[:, None] + log_zj_rel
         at_agents = a0 + sums[:, 3 + n_agents :] / z_beta
-    for nodes, j, lse_j, weighted_a in (r for group in redone for r in group):
-        log_zj[nodes, j] = lse_j - np.log(r_curv)
+    low = share < _FULL_PRECISION_SHARE
+    for j in np.flatnonzero(low.any(axis=0)):
+        nodes = np.flatnonzero(low[:, j])
+        with np.errstate(divide="ignore"):  # the terms without agent j are exp(-inf) = 0
+            log_beta = np.log(table.parts[:, j])
+        top_j, sums_j = _z_pass(t[nodes], x[nodes], shift, log_beta, table, table.rows[:2])
+        log_zj[nodes, j] = top_j + np.log(sums_j[:, 0]) - np.log(r_curv)
         log_zj_rel[nodes, j] = log_zj[nodes, j] - top[nodes]
         share[nodes, j] = np.exp(log_zj_rel[nodes, j] - np.log(total[nodes]))
-        at_agents[nodes, j] = a0 + weighted_a
+        at_agents[nodes, j] = a0 + sums_j[:, 1] / sums_j[:, 0]
     return top, total, alpha_tilde, rho_tilde, log_zj, log_zj_rel, share, at_agents
 
 
@@ -389,10 +377,12 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
     p = softmax(u).  The Z side is one pass over the level-R Z terms, taken
     against the largest one and reduced against the table's rows [1, a,
     b - a^2/2, beta, beta a]; by Pascal's rule the beta rows give the
-    wealth shares E_Z[beta_j]/R and alpha_tilde^j.  The pass streams node
-    blocks of at most _BLOCK_ELEMENTS (65,536) terms, run in contiguous
-    groups on every usable core by `_block_map` (a single block runs
-    inline), so memory is O(cores x block + nodes J) at any M.  einsum,
+    wealth shares E_Z[beta_j]/R and alpha_tilde^j.  Where an agent's share
+    has underflowed below tiny/eps, the same pass runs again at just those
+    nodes on the terms plus log beta_j (see `_z_side`).  A pass streams
+    node blocks of at most _BLOCK_ELEMENTS (65,536) terms, run in
+    contiguous groups on every usable core by `_block_map` (a single block
+    runs inline), so memory is O(cores x block + nodes J) at any M.  einsum,
     not a BLAS product, reduces each (node, row) pair along contiguous
     memory (the table stores the rows' longer axis contiguous), in the
     same order at one state, along a path, in any block and on any

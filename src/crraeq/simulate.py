@@ -370,16 +370,23 @@ def _path_integrals(
     return integrals, x_end
 
 
+def _at_binade(values: np.ndarray, stat):
+    """stat(values) over the first axis, taken at each column's binade.
+
+    Each column is scaled by 2^-k, where 2^k is the binade of its max |v|,
+    and stat's result scaled back: the plain statistic's bits, without its
+    overflow (a sum or a variance of values near the float range) or its
+    underflow.  Columns holding inf or NaN are not scaled.
+    """
+    _, k = np.frexp(np.max(np.abs(values), axis=0))
+    return np.ldexp(stat(np.ldexp(values, -k)), k)
+
+
 def _report(values: np.ndarray, closed_form: float, bound: float) -> OracleReport:
-    # the statistics of values scaled by 2^-k, where 2^k is the binade of
-    # max |v|, then scaled back: the plain statistics' bits, without their
-    # overflow in the variance or their underflow near the float range
     n = len(values)
-    _, k = math.frexp(float(np.max(np.abs(values))))
-    scaled = np.ldexp(values, -k)
     with np.errstate(invalid="ignore"):  # inf - inf where a side has overflowed
-        est = float(np.ldexp(scaled.mean(), k))
-        se = float(np.ldexp(scaled.std(ddof=1) / math.sqrt(n), k)) if n > 1 else 0.0
+        est = float(_at_binade(values, np.mean))
+        se = float(_at_binade(values, lambda v: v.std(ddof=1) / math.sqrt(n))) if n > 1 else 0.0
     if not all(map(math.isfinite, (est, se, closed_form))):
         z = math.nan  # an overflowed side gives no test: inf == inf is no agreement
     elif se > 0:

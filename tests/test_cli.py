@@ -309,6 +309,29 @@ def test_simulate_reproducible_across_runs_and_workers(tmp_path):
     assert other.read_bytes() != blobs[0]
 
 
+def test_simulate_terminal_means_near_the_float_range_stay_finite(tmp_path):
+    # every terminal S is about 5.07e306, so a plain sum of 100 of them
+    # overflows; each column's mean is taken at its binade instead, and is
+    # the plain mean's bits wherever that does not overflow
+    cfg = write_config(tmp_path, {**MC_PAIR, "delta0": 1e306})
+    out = tmp_path / "big.csv"
+    code, summary, err = run_cli("simulate", cfg, "--paths", "100", "--horizon", "0.001",
+                                 "--steps", "1", "--out", str(out))
+    assert (code, err) == (0, "")
+    header = out.read_text().splitlines()[0].split(",")
+    terminal = np.loadtxt(out, delimiter=",", skiprows=1)[1::2, 1:]  # two nodes a path
+    means = json.loads(summary)["terminal_means"]
+    assert list(means) == header[1:]
+    with np.errstate(over="ignore"):
+        plain = np.mean(terminal, axis=0)
+    for name, column, plain_mean in zip(header[1:], terminal.T, plain):
+        exact = sum(map(Fraction, column), Fraction(0)) / len(column)
+        assert abs(Fraction(means[name]) - exact) <= 1e-15 * abs(exact), name
+        if np.isfinite(plain_mean):
+            assert means[name] == plain_mean, name
+    assert 5e306 < means["S"] < 5.2e306
+
+
 @pytest.mark.parametrize("econ", [PAIR, TRIO], ids=["pair", "trio"])
 @pytest.mark.parametrize(
     "flag, value",

@@ -1,8 +1,11 @@
+import decimal
 import math
 import operator
 import threading
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +21,6 @@ from crraeq.equilibrium import (
     consumptions,
     evaluate_fields,
     log_z_terms_arr,
-    lse_terms,
     snapshot,
     state_price_density,
 )
@@ -257,36 +259,36 @@ def test_lse_agents_non_finite_inputs():
     np.testing.assert_array_equal(got, [np.inf, 0.0, -np.inf, np.nan, np.inf])
 
 
-def _lse_terms_cases(m, rng):
-    """Batches of m terms: random rows at four scales, rows past exp's overflow,
-    integer rows full of ties, and rows with +-inf, NaN or nothing but -inf."""
+def _log_term_rows(m, rng):
+    """Rows of m log terms: random rows at four scales, rows past exp's
+    overflow, integer rows full of ties, and rows holding -inf (the terms
+    plus log beta_j of the compositions without agent j)."""
     batches = [rng.normal(size=(6, m)) * scale for scale in (1e-3, 1.0, 50.0, 800.0)]
     batches.append(rng.normal(size=(6, m)) + 720.0)
     batches.append(rng.integers(-2, 3, size=(6, m)).astype(float))
-    special = rng.normal(size=(5, m))
-    special[0, 0] = np.inf
-    special[1, -1] = -np.inf
-    special[2, m // 2] = np.nan
-    special[3] = -np.inf
-    special[4, : (m + 1) // 2] = -np.inf
-    batches.append(special)
-    return batches
+    absent = rng.normal(size=(3, m))
+    absent[0, 1:] = -np.inf
+    absent[1, : m // 2] = -np.inf
+    absent[2, m // 2 + 1 :] = -np.inf
+    batches.append(absent)
+    return [row for batch in batches for row in batch]
 
 
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 17, 1716])
-def test_lse_terms_matches_scipy_bits(m):
-    # the plain max-shifted sum over the compositions agrees with scipy's
-    # tie-counting algorithm to rounding, row by row as in a batch
+def test_z_pass_log_sum_matches_scipy(m):
+    # the Z pass's plain max-shifted sum, top + log s0, over any finite
+    # largest term agrees with scipy's tie-counting algorithm to rounding;
+    # at t = 0 and x = 1 a table whose x coefficients are the row has the
+    # row for its log terms, to the bit
     rng = np.random.default_rng(200 + m)
-    for batch in _lse_terms_cases(m, rng):
-        want = logsumexp(batch, axis=-1)
-        got = lse_terms(batch)
-        assert got.shape == want.shape
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
-        for row, got_row in zip(batch, got):
-            one = lse_terms(row)
-            assert np.ndim(one) == 0
-            np.testing.assert_array_equal(one, got_row, strict=True)
+    for row in _log_term_rows(m, rng):
+        table = SimpleNamespace(x_coefs=row, t_coefs=np.zeros(m))
+        top, sums = crraeq.equilibrium._z_pass(
+            np.zeros((1, 1)), np.ones((1, 1)), np.zeros(m), 0.0, table, np.ones((1, m))
+        )
+        assert top[0] == row.max()
+        got = top + np.log(sums[:, 0])
+        np.testing.assert_allclose(got, logsumexp(row), rtol=1e-15, atol=1e-15)
 
 
 def test_wealth_shares_match_scipy_softmax_bits():
@@ -361,15 +363,16 @@ PAIR = EconomyParams(
 
 
 def _spy_on_fallback(monkeypatch):
-    """Record each log-space redo of an underflowed agent sum."""
+    """Record the node count of each second Z pass, the redo of an underflowed agent sum."""
     calls = []
-    real = crraeq.equilibrium.lse_terms
+    real = crraeq.equilibrium._z_pass
 
-    def spy(a):
-        calls.append(a.shape)
-        return real(a)
+    def spy(t, x, shift, addend, table, rows):
+        if len(rows) == 2:
+            calls.append(len(t))
+        return real(t, x, shift, addend, table, rows)
 
-    monkeypatch.setattr(crraeq.equilibrium, "lse_terms", spy)
+    monkeypatch.setattr(crraeq.equilibrium, "_z_pass", spy)
     return calls
 
 
@@ -409,20 +412,26 @@ def test_node_blocking_never_changes_a_bit(monkeypatch):
 
 
 def test_kernel_bits_do_not_depend_on_the_worker_count(monkeypatch):
-    threads = set()  # the threads that redid an underflowed agent sum
-    real = crraeq.equilibrium.lse_terms
+    passes = []  # per Z pass: its block count and the threads that ran its groups
+    real = crraeq.equilibrium._block_map
 
-    def spy(a):
-        threads.add(threading.current_thread())
-        return real(a)
+    def spy(run_group, n_blocks):
+        threads = set()
+        passes.append((n_blocks, threads))
 
-    monkeypatch.setattr(crraeq.equilibrium, "lse_terms", spy)
+        def run(blocks):
+            threads.add(threading.current_thread())
+            run_group(blocks)
+
+        real(run, n_blocks)
+
+    monkeypatch.setattr(crraeq.equilibrium, "_block_map", spy)
     rng = np.random.default_rng(77)
     n_far = 300
     cases = [
         # an R7 J7 path over many node blocks
         (ladder(7, 7), np.linspace(0.0, 1.0, 1717), 0.03 * np.cumsum(rng.normal(size=1717))),
-        # far states, where the log-space redo fires in every group
+        # far states, where every agent's sum underflows at some nodes
         (ladder(4, 4), np.linspace(0.0, 2.0, n_far), np.resize([-20000.0, 0.5, 20000.0], n_far)),
     ]
     for p, t, x in cases:
@@ -433,13 +442,15 @@ def test_kernel_bits_do_not_depend_on_the_worker_count(monkeypatch):
             monkeypatch.setattr(crraeq.equilibrium, "_BLOCK_ELEMENTS", nodes * len(tab.parts))
             for workers in (1, 2, 3):
                 monkeypatch.setattr(crraeq.equilibrium, "_WORKERS", workers)
-                threads.clear()
+                del passes[:]
                 got = evaluate_fields(t, x, p, tab)
                 assert got.keys() == want.keys()
                 for k in want:
                     assert same_bits(got[k], want[k]), (p.R, k, nodes, workers)
-                if x[0] == -20000.0:
-                    assert len(threads) == workers
+                # the redo passes, one per underflowed agent, run on the cores too
+                assert len(passes) == (1 + p.n_agents if x[0] == -20000.0 else 1)
+                for n_blocks, threads in passes:
+                    assert len(threads) == min(workers, n_blocks)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -450,15 +461,19 @@ def test_block_map_runs_contiguous_groups_at_once_in_the_callers_context(monkeyp
 
     def group(blocks):
         meet.wait()
-        return list(blocks), threading.get_ident()
+        seen.append((list(blocks), threading.get_ident()))
 
-    got = _block_map(group, 7)
-    assert [b for blocks, _ in got for b in blocks] == list(range(7))
-    assert len(got) == workers and got[0][1] == caller
-    assert len({ident for _, ident in got}) == workers
-    starts = [blocks[0] for blocks, _ in got]
+    seen = []
+    assert _block_map(group, 7) is None
+    seen.sort()
+    assert [b for blocks, _ in seen for b in blocks] == list(range(7))
+    assert len(seen) == workers and seen[0][1] == caller
+    assert len({ident for _, ident in seen}) == workers
+    starts = [blocks[0] for blocks, _ in seen]
     # one block is the plain call
-    assert _block_map(lambda blocks: (list(blocks), threading.get_ident()), 1) == [([0], caller)]
+    seen = []
+    _block_map(lambda blocks: seen.append((list(blocks), threading.get_ident())), 1)
+    assert seen == [([0], caller)]
     assert threading.active_count() == before
 
     def overflow_late(blocks):
@@ -509,7 +524,7 @@ def test_kernel_memory_is_bounded_by_the_block(monkeypatch):
     fallback = _spy_on_fallback(monkeypatch)
     t = np.linspace(0.0, 1.0, 2000)
     assert _traced_peak(lambda: evaluate_fields(t, 20000.0, p, tab)) < 8 * 2**20
-    assert sum(shape[0] for shape in fallback) >= len(t)
+    assert sum(fallback) >= len(t)
 
 
 @pytest.mark.parametrize(
@@ -569,3 +584,82 @@ def test_z_reduction_is_within_a_few_eps_of_the_exact_sums(name):
             errors.append(abs(Fraction(float(share[0, j])) - want) / want)
         worst = max(worst, float(max(errors) / eps))
     assert worst <= Z_ACCURACY_CEILINGS[name], worst
+
+
+def test_underflow_redo_is_within_a_few_eps_of_the_exact_sums():
+    # at far states some agents' shares fall below tiny/eps, and the kernel
+    # redoes their sums on the terms plus log beta_j.  Against 40-digit sums
+    # of exp of the kernel's float log terms, log Z^j is within 2 eps (1 +
+    # |log Z^j|), and alpha_tilde^j = a0 + sum_m w_m (a_m - a0) within 2 eps
+    # (|a0| + max |a_m - a0|) over the compositions m that hold agent j
+    rng = np.random.default_rng(1)
+    t, x = (v.reshape(-1, 1) for v in np.meshgrid([0.0, 50.0], np.linspace(-2e4, 2e4, 41)))
+    eps = np.finfo(float).eps
+    worst, n_redone = [0.0, 0.0], 0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        for _ in range(8):
+            p, tab = draw_economy(rng, max_agents=4, max_r=5)
+            _, _, _, _, log_zj, _, share, at_agents = crraeq.equilibrium._z_side(t, x, p, tab)
+            for n, j in np.argwhere(share < crraeq.equilibrium._FULL_PRECISION_SHARE):
+                z = log_z_terms_arr(t[n, 0], x[n, 0], p, tab)
+                held = tab.parts[:, j] > 0
+                w = [Decimal(v).exp() * int(b) for v, b in zip(z[held], tab.parts[held, j])]
+                s0 = sum(w, Decimal(0))
+                s1 = sum(map(operator.mul, w, map(Decimal, tab.rows[1][held])), Decimal(0))
+                log_zj_exact = (s0 / p.R).ln()
+                spread = abs(tab.a0) + np.abs(tab.rows[1][held]).max()
+                errors = (
+                    abs(Decimal(log_zj[n, j]) - log_zj_exact) / (1 + abs(log_zj_exact)),
+                    abs(Decimal(at_agents[n, j]) - Decimal(tab.a0) - s1 / s0) / Decimal(spread),
+                )
+                worst = [max(seen, float(e) / eps) for seen, e in zip(worst, errors)]
+                n_redone += 1
+    assert n_redone > 300
+    assert worst[0] <= 2.0 and worst[1] <= 2.0, worst
+
+
+# the forced redo against the plain pass at ordinary states: twice the worst
+# measured, in eps times each field's scale (see the test)
+FORCED_REDO_CEILINGS = {"log_levels": 2.0, "wealths": 10.0, "alpha_tilde_agents": 13.0,
+                        "portfolios": 12.0}
+
+
+@pytest.mark.parametrize(
+    "params", [PAIR, TRIO, ladder(4, 4), ladder(7, 7)], ids=["PAIR", "TRIO", "R4J4", "R7J7"]
+)
+def test_forced_redo_stays_within_a_few_eps_of_the_plain_pass(monkeypatch, params):
+    # a share threshold of 1 redoes every agent's sums at every node; only
+    # the per-agent fields may move, each within a few eps of its scale:
+    # log Z^j against the largest logs it is formed from, eps (1 + |log Z|
+    # + |log Z^j|); w^j in eps (1 + |log w^j|); alpha_tilde^j in eps (|a0|
+    # + max |a_m - a0|) over the compositions holding j; and pi^j, whose
+    # share is exponentiated from a log, in eps (s (|sigma| + that alpha
+    # scale + |alpha_bar|) / |sigma^S| + |pi^j| (1 + |log s|)), s = w^j/S
+    tab = validate(params)
+    rng = np.random.default_rng(10)
+    t = np.concatenate([[0.0], rng.uniform(0.0, 10.0, 12), [1.0, 1.0, 50.0]])
+    x = np.concatenate([[0.0], rng.uniform(-5.0, 5.0, 12), [-300.0, 300.0, 2000.0]])
+    want = evaluate_fields(t, x, params, tab)
+    monkeypatch.setattr(crraeq.equilibrium, "_FULL_PRECISION_SHARE", 1.0)
+    got = evaluate_fields(t, x, params, tab)
+    for k in want.keys() - FORCED_REDO_CEILINGS.keys():
+        assert same_bits(got[k], want[k]), k
+    eps = np.finfo(float).eps
+    log_levels = want["log_levels"]
+    alpha_scale = np.array(
+        [abs(tab.a0) + np.abs(tab.rows[1][beta > 0]).max() for beta in tab.parts.T]
+    )
+    s = want["wealths"] / want["stock_price"][:, None]
+    scales = {
+        "log_levels": 1 + np.abs(log_levels[:, 2:3]) + np.abs(log_levels[:, 4:]),
+        "wealths": want["wealths"] * (1 + np.abs(np.log(want["wealths"]))),
+        "alpha_tilde_agents": alpha_scale,
+        "portfolios": s * (params.sigma + alpha_scale + np.abs(want["alpha_bar"][:, None]))
+        / np.abs(want["vol"][:, None])
+        + np.abs(want["portfolios"]) * (1 + np.abs(np.log(s))),
+    }
+    for k, ceiling in FORCED_REDO_CEILINGS.items():
+        moved = got[k][:, 4:] - want[k][:, 4:] if k == "log_levels" else got[k] - want[k]
+        worst = (np.abs(moved) / (eps * scales[k])).max()
+        assert worst <= ceiling, (k, worst)
