@@ -50,7 +50,9 @@ from .model import (
     validate,
 )
 from .multiindex import CompositionCapExceeded
-from .simulate import MAX_PATHS, _at_binade, _resolve_grid, evaluate_series, simulate_path
+from .simulate import (
+    MAX_PATHS, _at_binade, _check_seed, _resolve_grid, evaluate_series, simulate_path,
+)
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -162,12 +164,6 @@ def _series_matrix(series) -> np.ndarray:
 # rows per block of CSV: large enough that numpy's per-call cost vanishes,
 # small enough that a block's arrays stay in cache
 _CSV_BLOCK_ROWS = 512
-
-
-def _check_seed(seed: int) -> None:
-    """Path streams are keyed by an unsigned 64-bit seed."""
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"--seed must be in [0, 2**64), got {seed}")
 
 
 def cmd_simulate(args) -> int:

@@ -29,15 +29,14 @@ kernel's node blocks use.
 core (the calling thread runs the first; a single block runs inline and
 starts no thread), and each group reuses its own buffers, so memory
 grows with the core count but not with the path count.  Each path's
-time integral is an einsum over its nodes, not a BLAS product, that adds
-them in one order at any block size (a path longer than numpy's buffer
-of 8192 nodes is reduced on its own, see `_quadrature`).  So a path's
-values do not depend on the path count or the blocking, the blocks do
-not depend on the core count, and each group writes only its own paths'
-values: the reports have the same bits for any blocking, on any number
-of cores and under any BLAS thread count.  Truncating the integral at a
-finite horizon leaves an analytically known tail (each composition term
-decays like e^{-D(beta) (T-t)}, so the kernel gives the tails), which is
+time integral is the trapezoid rule over its nodes, one row sum that
+numpy reduces on its own (`_trapezoid`).  So a path's values do not
+depend on the path count or the blocking, the blocks do not depend on
+the core count, and each group writes only its own paths' values: the
+reports have the same bits for any blocking, on any number of cores and
+under any BLAS thread count.  Truncating the integral at a finite
+horizon leaves an analytically known tail (each composition term decays
+like e^{-D(beta) (T-t)}, so the kernel gives the tails), which is
 reported as `truncation_bound` and must stay small relative to the
 closed form.
 
@@ -46,8 +45,8 @@ e^{c X_u - m u} has finite second moment of its time integral only when
 2 D(beta) > c^2 with c = a(beta) + (1-R) sigma; economies close to the
 D > 0 existence boundary violate this, and their oracle estimates are
 then dominated by rare deep-tail paths (plain sampling looks biased low
-at any affordable path count).  Such economies need importance sampling,
-which is out of scope; verify them with the FD and clearing suites.
+at any affordable path count).  Verify them with the fd and clearing
+suites; ROADMAP.md items 2 and 9 plan a widened random-time sampler.
 
 Randomness: one counter-based Philox stream per path, keyed by
 (seed, path index), so path i is the same regardless of n_paths,
@@ -209,6 +208,7 @@ def simulate_paths(
 ) -> list[SimulatedPath]:
     """Exact Brownian paths 0..n_paths-1 of X from x0; deterministic given seed."""
     _check_path_count(n_paths)
+    _check_seed(seed)
     return [simulate_path(grid, x0, seed, i) for i in range(n_paths)]
 
 
@@ -274,25 +274,23 @@ def _check_path_count(n_paths: int) -> None:
         raise ValueError(f"n_paths must be at most {MAX_PATHS}, got {n_paths}")
 
 
-# numpy's fixed ufunc buffer, in elements: einsum sums a lone row longer than
-# this in buffer-sized pieces, but rows in company whole
-_EINSUM_BUFFER = 8192
+def _check_seed(seed: int) -> None:
+    """Path streams are keyed by an unsigned 64-bit seed."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
-def _quadrature(exponent: np.ndarray, weights: np.ndarray, out: np.ndarray):
-    """out[p] = sum_n exp(exponent[p, n]) weights[n], overwriting exponent.
-
-    einsum sums each path's nodes in one fixed order whatever the number
-    of paths in the block: paths of up to _EINSUM_BUFFER nodes together,
-    longer ones one at a time, as a block of one path sums them.  So the
-    bits depend neither on the blocking nor on BLAS threads.
+def _trapezoid(exponent: np.ndarray, dt: float, out: np.ndarray):
+    """out[p] = dt times the sum of exp(exponent[p]) with its end nodes
+    halved, the trapezoid rule; overwrites exponent.  np.add.reduce sums
+    each contiguous row on its own, pairwise, so a path's bits depend
+    neither on the other paths in its block nor on BLAS threads.
     """
-    np.exp(exponent, out=exponent)
-    if exponent.shape[1] <= _EINSUM_BUFFER:
-        np.einsum("pn,n->p", exponent, weights, out=out)
-        return
-    for p in range(len(exponent)):
-        np.einsum("pn,n->p", exponent[p : p + 1], weights, out=out[p : p + 1])
+    f = np.exp(exponent, out=exponent)
+    f[:, 0] *= 0.5
+    f[:, -1] *= 0.5
+    np.add.reduce(f, axis=1, out=out)
+    out *= dt
 
 
 def _path_integrals(
@@ -309,7 +307,7 @@ def _path_integrals(
 
     Returns (integrals, x_end): one row per integrand, the J agents' in
     agent order when agents is true and the stock's last, one column per
-    path; and each path's X at the last node.  Each row is `_quadrature`
+    path; and each path's X at the last node.  Each row is `_trapezoid`
     of exp of its exponent,
 
         stock:    (1-R) log delta - log_zeta + R lse u
@@ -327,8 +325,6 @@ def _path_integrals(
     slopes, offsets = equilibrium._agent_affine(t, params)
     slopes, offsets = slopes[:, None, None], np.ascontiguousarray(offsets.T)[:, None, :]
     log_delta_t = model.log_dividend_trend(t, params)
-    weights = np.full(len(t), grid.dt)  # the trapezoid rule
-    weights[0] = weights[-1] = grid.dt / 2
     r_curv = params.R
     integrals = np.empty((params.n_agents + 1 if agents else 1, n_paths))
     x_end = np.empty(n_paths)
@@ -358,13 +354,13 @@ def _path_integrals(
             if log_zeta is not None:
                 ld -= log_zeta
             exponent += ld  # (1-R) log delta - log_zeta + R lse u
-            _quadrature(exponent, weights, integrals[-1, rows])
+            _trapezoid(exponent, grid.dt, integrals[-1, rows])
             if agents:
                 lse_u *= r_curv - 1
                 lse_u += ld  # (1-R) log delta - log_zeta + (R-1) lse u
                 for u_j, out in zip(u, integrals[:-1, rows]):
                     np.add(lse_u, u_j, out=exponent)
-                    _quadrature(exponent, weights, out)
+                    _trapezoid(exponent, grid.dt, out)
 
     equilibrium._block_map(run, -(-n_paths // n_rows))
     return integrals, x_end
@@ -425,6 +421,7 @@ def mc_oracles(
     beyond the float range.
     """
     _check_path_count(n_paths)
+    _check_seed(seed)
     grid = _resolve_grid(state.t, horizon, n_steps, table)
     fields = equilibrium.evaluate_fields(state.t, state.x, params, table)
     closed = [float(w) for w in fields["wealths"]] + [float(fields["stock_price"])]
@@ -454,6 +451,7 @@ def martingale_check(
     The identity is exact for every horizon, so truncation_bound is zero.
     """
     _check_path_count(n_paths)
+    _check_seed(seed)
     grid = _resolve_grid(0.0, horizon, n_steps, table)
     s0 = MarketState(0.0, x0)
     fields = equilibrium.evaluate_fields(s0.t, s0.x, params, table)

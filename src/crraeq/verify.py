@@ -13,7 +13,9 @@ import numpy as np
 
 from .equilibrium import evaluate_fields
 from .model import DenominatorTable, EconomyParams, MarketState, ModelError
-from .simulate import _MAX_GRID_NODES, default_horizon, fd_engine, martingale_check, mc_oracles
+from .simulate import (
+    _MAX_GRID_NODES, _check_seed, default_horizon, fd_engine, martingale_check, mc_oracles,
+)
 
 FD_TOL = 1e-5
 MC_Z_MAX = 3.0
@@ -174,5 +176,6 @@ SUITES = {
 
 def run_suites(params: EconomyParams, table: DenominatorTable, names, seed, n_paths) -> dict:
     """The named suites of `SUITES`, in the order given, on a validated economy."""
+    _check_seed(seed)
     suites = [SUITES[name](params, table, seed, n_paths) for name in names]
     return {"seed": seed, "suites": suites, "pass": all(s["pass"] for s in suites)}

@@ -3,6 +3,7 @@ import math
 import operator
 import threading
 import tracemalloc
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
@@ -663,3 +664,137 @@ def test_forced_redo_stays_within_a_few_eps_of_the_plain_pass(monkeypatch, param
         moved = got[k][:, 4:] - want[k][:, 4:] if k == "log_levels" else got[k] - want[k]
         worst = (np.abs(moved) / (eps * scales[k])).max()
         assert worst <= ceiling, (k, worst)
+
+
+
+# The model's exact identities, the kernel against itself on another
+# economy with the same table: twice the worst error measured at the
+# states of `_identity_states`, in eps times the scales of `_level_error`
+# and `_coefficient_errors`
+TIME_GAMMA_CEILINGS = {"levels": 3.8, "alpha": 2.8, "rates": 0.6, "portfolios": 7.0}
+DELTA0_LEVELS_CEILING = 8.2
+IDENTITY_ECONOMIES = [PAIR, TRIO, ladder(4, 4), ladder(7, 7)]
+
+
+def _identity_states():
+    rng = np.random.default_rng(13)
+    t = np.concatenate([rng.uniform(0.1, 10.0, 18), [1.0, 1.0, 50.0, 50.0]])
+    x = np.concatenate([rng.uniform(-5.0, 5.0, 18), [-300.0, 300.0, -2000.0, 2000.0]])
+    return t, x
+
+
+def _level_error(levels):
+    """The worst gap of the levels from their references, in eps times 1 +
+    |log v| + the |logs| it is formed from (log L, log Z, log delta), at
+    whichever evaluation has the larger scale.
+
+    levels maps a name to (log v, its fields, log ref, its fields): the
+    logs over the states and a trailing axis, the identity's factor taken
+    out.  A gap in log v is v's relative gap.
+    """
+    def scale(log_v, f):
+        ll = f["log_levels"]
+        formed_from = 1 + np.abs(ll[:, 0]) + np.abs(ll[:, 2]) + np.abs(np.log(f["dividend"]))
+        return np.abs(log_v) + formed_from[:, None]
+
+    gaps = [
+        (np.abs(v - ref) / np.maximum(scale(v, f), scale(ref, f_ref))).max()
+        for v, f, ref, f_ref in levels.values()
+    ]
+    return float(max(gaps)) / np.finfo(float).eps
+
+
+def _coefficient_errors(got, want, p, tab):
+    """The worst gap of each group of coefficients in got from want, in eps
+    times its scale at want: alpha_bar, kappa, alpha_tilde, sigma^S and
+    alpha_tilde^j in |sigma| + |alpha_tilde| + |alpha_bar|; the rates in
+    the sum of |terms| the four are formed from; pi^j as in
+    `test_forced_redo_stays_within_a_few_eps_of_the_plain_pass`.
+    """
+    sigma, alpha_bar, alpha_tilde = p.sigma, want["alpha_bar"], want["alpha_tilde"]
+    rate_terms = (
+        np.abs(want["rho_bar"]) + p.R * sigma * np.abs(p.alpha_star + alpha_bar)
+        + sigma**2 * p.R * (p.R + 1) / 2 + abs(tab.b0) + np.abs(tab.rows[2]).max()
+        + abs(sigma * p.alpha_star) + np.abs(alpha_tilde - alpha_bar) * np.abs(sigma - alpha_bar)
+    )
+    share = want["wealths"] / want["stock_price"][:, None]
+    agent_alpha = np.array(
+        [abs(tab.a0) + np.abs(tab.rows[1][beta > 0]).max() for beta in tab.parts.T]
+    )
+    groups = {  # group: (its fields, their scale)
+        "alpha": (
+            ["alpha_bar", "kappa", "alpha_tilde", "vol", "alpha_tilde_agents"],
+            (abs(sigma) + np.abs(alpha_tilde) + np.abs(alpha_bar))[:, None],
+        ),
+        "rates": (["rho_bar", "riskless_rate", "rho_tilde", "drift"], rate_terms[:, None]),
+        "portfolios": (
+            ["portfolios"],
+            share * (sigma + agent_alpha + np.abs(alpha_bar[:, None]))
+            / np.abs(want["vol"][:, None])
+            + np.abs(want["portfolios"]) * (1 + np.abs(np.log(share))),
+        ),
+    }
+    eps, n = np.finfo(float).eps, len(alpha_bar)
+    return {
+        group: max(float((np.abs(got[k] - want[k]).reshape(n, -1) / scale).max()) for k in fields)
+        / eps
+        for group, (fields, scale) in groups.items()
+    }
+
+
+def _time_gamma_errors(p):
+    # the fields at (t, x; gamma) against those at (0, x; gamma + decay t),
+    # each state on its own economy, all on p's table
+    tab = validate(p)
+    t, x = _identity_states()
+    want = evaluate_fields(t, x, p, tab)
+    shifted = []
+    for t_n, x_n in zip(t, x):
+        agents = tuple(
+            Agent(a.rho, a.alpha, a.gamma + (a.rho + a.alpha**2 / 2) * t_n) for a in p.agents
+        )
+        shifted.append(evaluate_fields(0.0, x_n, replace(p, agents=agents), tab))
+    got = {k: np.stack([f[k] for f in shifted]) for k in want}
+    log_of = lambda f, k: np.log(f[k]).reshape(len(t), -1)
+    levels = {  # the levels over delta, and pd
+        k: (log_of(got, k) - log_of(got, "dividend"), got,
+            log_of(want, k) - log_of(want, "dividend"), want)
+        for k in ("stock_price", "wealths", "consumptions")
+    }
+    levels["pd_ratio"] = (log_of(got, "pd_ratio"), got, log_of(want, "pd_ratio"), want)
+    return {"levels": _level_error(levels), **_coefficient_errors(got, want, p, tab)}
+
+
+@pytest.mark.parametrize("params", IDENTITY_ECONOMIES, ids=["PAIR", "TRIO", "R4J4", "R7J7"])
+def test_time_shifts_into_the_pareto_weights(params):
+    # Z and L depend on (t, gamma) only through gamma + decay t, decay_j =
+    # rho_j + alpha_j^2/2: S/delta, w^j/delta, c^j/delta, pd and every
+    # coefficient at (t, x; gamma) equal those at (0, x; gamma + decay t)
+    worst = _time_gamma_errors(params)
+    for group, ceiling in TIME_GAMMA_CEILINGS.items():
+        assert worst[group] <= ceiling, (group, worst)
+
+
+@pytest.mark.parametrize("params", IDENTITY_ECONOMIES, ids=["PAIR", "TRIO", "R4J4", "R7J7"])
+@pytest.mark.parametrize("k", [1e5, 3.0, 1e-3])
+def test_delta0_scales_the_levels_and_leaves_every_coefficient(params, k):
+    # S, w^j and c^j scale by k and zeta by k^-R; no coefficient moves a bit
+    tab = validate(params)
+    t, x = _identity_states()
+    want = evaluate_fields(t, x, params, tab)
+    got = evaluate_fields(t, x, replace(params, delta0=params.delta0 * k), tab)
+    scaled = {"dividend", "zeta", "stock_price", "wealths", "consumptions", "log_levels"}
+    for name in want.keys() - scaled:
+        assert same_bits(got[name], want[name]), name
+    fixed = [0, 2] + list(range(4, 4 + params.n_agents))  # log L, log Z, log Z^j
+    assert same_bits(got["log_levels"][:, fixed], want["log_levels"][:, fixed])
+    log_k, log_of = math.log(k), lambda f, name: np.log(f[name]).reshape(len(t), -1)
+    levels = {
+        name: (log_of(got, name) - log_k, got, log_of(want, name), want)
+        for name in ("stock_price", "wealths", "consumptions")
+    }
+    # zeta through the log it is exponentiated from, which underflows nowhere
+    log_zeta = lambda f: f["log_levels"][:, 1:2]
+    levels["zeta"] = (log_zeta(got) + params.R * log_k, got, log_zeta(want), want)
+    worst = _level_error(levels)
+    assert worst <= DELTA0_LEVELS_CEILING, worst

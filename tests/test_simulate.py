@@ -26,6 +26,7 @@ from crraeq.simulate import (
     simulate_paths,
     truncation_tails,
 )
+from crraeq.verify import run_suites
 
 BENCH = EconomyParams(
     R=2, sigma=0.1, alpha_star=0.0, delta0=1.0, agents=(Agent(0.02, 0.0, 0.0),)
@@ -334,13 +335,29 @@ def test_path_blocks_form_the_kernels_clearing_logs_to_the_bit(monkeypatch, p):
     r = p.R
     base = (r - 1) * lse_u + (1 - r) * ld
     exponents = [base + u[..., j] for j in range(p.n_agents)] + [r * lse_u + (1 - r) * ld]
-    weights = np.full(len(t), grid.dt)
-    weights[0] = weights[-1] = grid.dt / 2
     assert integrals.shape == (p.n_agents + 1, n_paths)
     for row, exponent in zip(integrals, exponents):
         want = np.empty(n_paths)
-        crraeq.simulate._quadrature(exponent, weights, want)
+        crraeq.simulate._trapezoid(exponent, grid.dt, want)
         assert same_bits(row, want)
+
+
+@pytest.mark.parametrize("n_nodes", [2, 3, 8, 9, 127, 129, 5121, 8192, 8193, 20001])
+def test_trapezoid_gives_a_row_the_same_bits_alone_and_in_any_block(n_nodes):
+    # each path's integral is its own row sum, so no other row of its block
+    # moves its bits, at any length (numpy's buffer holds 8192 elements)
+    exponents = np.random.default_rng(n_nodes).normal(size=(37, n_nodes))
+    dt = 0.01
+    alone = np.empty(37)
+    for p in range(37):
+        crraeq.simulate._trapezoid(exponents[p : p + 1].copy(), dt, alone[p : p + 1])
+    np.testing.assert_allclose(alone, np.trapezoid(np.exp(exponents), dx=dt), rtol=1e-13)
+    for n_rows in (1, 2, 5, 37):
+        got = np.empty(37)
+        for lo in range(0, 37, n_rows):
+            block = exponents[lo : lo + n_rows].copy()
+            crraeq.simulate._trapezoid(block, dt, got[lo : lo + n_rows])
+        assert same_bits(got, alone), n_rows
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -541,6 +558,27 @@ def test_oracles_reject_nonpositive_path_counts(monkeypatch, oracle, n_paths):
     message = "positive$" if n_paths < 1 else f"at most {MAX_PATHS}, got {n_paths}$"
     with pytest.raises(ValueError, match="^n_paths must be " + message):
         oracle(p, tab, n_paths)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, tab, seed: mc_oracles(S0, p, tab, 10, horizon=5.0, n_steps=20, seed=seed),
+    lambda p, tab, seed: martingale_check(p, tab, 10, horizon=1.0, n_steps=20, seed=seed),
+    lambda p, tab, seed: simulate_paths(PathGrid(0.0, 1.0, 20), 0.0, 10, seed),
+    lambda p, tab, seed: run_suites(p, tab, ("clearing", "mc"), seed, 10),
+], ids=["mc_oracles", "martingale_check", "simulate_paths", "run_suites"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_library_calls_reject_seeds_outside_64_bits(monkeypatch, call, seed):
+    # the path streams are keyed by an unsigned 64-bit seed; numpy's own
+    # error for 2**64 would be an OverflowError about a C long
+    p = two_agent()
+    tab = validate(p)
+
+    def no_draws(seed, path_index):
+        raise AssertionError("paths drawn before the seed was checked")
+
+    monkeypatch.setattr(crraeq.simulate, "path_generator", no_draws)
+    with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+        call(p, tab, seed)
 
 
 def test_default_horizon_follows_min_denominator():
