@@ -8,18 +8,19 @@ normalization sum gamma_j = 0.
 
 The iteration is a damped fixed point
 
-    gamma_j <- gamma_j + 0.5 R log(current share_j / target share_j)
+    gamma_j <- gamma_j + 0.5 R (log current share_j - log target share_j)
 
 motivated by the single-composition limit where share_j is proportional
 to exp(-gamma_j / R) at the initial state.  If progress stalls, a Newton
-step takes over.  Each share map evaluation is one pass over the level-R
-Z terms: by Pascal's rule share_j = E_Z[beta_j] / R, and its Jacobian is
-exactly -Cov_Z(beta / R), which needs one more pass and no finite
-difference.  The covariance annihilates a common shift of gamma, so its
-minimum-norm Newton step sums to zero.  Every iterate's shares are
-computed once.  The composition table does not involve gamma, so the
-economy is validated once and every iterate is evaluated on that one
-table.
+step takes over.  By Pascal's rule share_j = E_Z[beta_j] / R, and the
+share map's Jacobian is exactly -Cov_Z(beta / R), with no finite
+difference.  Both are read from the kernel's Z reduction, so this module
+forms no Z term: a share is `equilibrium._z_side`'s at one node, and the
+covariance takes one `equilibrium._z_pass` per agent.  The covariance
+annihilates a common shift of gamma, so its minimum-norm Newton step
+sums to zero.  Every iterate's shares are computed once.  The
+composition table does not involve gamma, so the economy is validated
+once and every iterate is evaluated on that one table.
 """
 
 from __future__ import annotations
@@ -65,26 +66,17 @@ class CalibrationTarget:
             raise ValueError(f"shares must sum to 1, got sum {sum(self.shares)!r}")
 
 
-def _z_weights(
-    params: EconomyParams, table: DenominatorTable, state: MarketState
-) -> np.ndarray:
-    """The probabilities of E_Z: the level-R Z terms normalised to sum to one."""
-    terms = equilibrium.log_z_terms_arr(state.t, state.x, params, table)
-    # scipy.special.softmax's two lines, so their bits are its bits
-    weights = np.exp(terms - terms.max())
-    return weights / weights.sum(keepdims=True)
-
-
 def wealth_shares(
     params: EconomyParams, table: DenominatorTable, state: MarketState
 ) -> np.ndarray:
-    """w^j/S = E_Z[beta_j]/R at a state (Pascal's rule).
+    """w^j/S = E_Z[beta_j]/R at a state (Pascal's rule), the kernel's shares.
 
     The delta and zeta prefactors cancel in the ratio, so the shares are
-    the Z-weighted mean of the compositions over R.  einsum sums in one
-    fixed order, where a BLAS product's bits vary with its thread count.
+    the Z-weighted mean of the compositions over R: `equilibrium._z_side`'s
+    share at the one node, bit for bit, with its underflow redo.
     """
-    return np.einsum("m,mj->j", _z_weights(params, table, state), table.parts) / params.R
+    node = np.array([[state.t]]), np.array([[state.x]])
+    return equilibrium._z_side(*node, params, table)[6][0]
 
 
 def solve_gamma(
@@ -119,6 +111,7 @@ def solve_gamma_on_table(
         return wealth_shares(params.with_gammas(g), table, target.state)
 
     tgt = np.array(target.shares)
+    log_tgt = np.log(tgt)
     gamma = np.zeros(j)
     shares = shares_at(gamma)
     r_curv = params.R
@@ -140,7 +133,8 @@ def solve_gamma_on_table(
             step = _newton_step(params.with_gammas(gamma), table, target.state, shares, tgt)
             stall = 0
         else:
-            step = 0.5 * r_curv * np.log(shares / tgt)
+            # a difference of logs: shares / tgt overflows at a subnormal target
+            step = 0.5 * r_curv * (np.log(shares) - log_tgt)
 
         # backtrack until the residual improves (guards both solvers)
         for _ in range(30):
@@ -159,10 +153,18 @@ def _newton_step(params, table, state, shares, tgt):
     """Minimum-norm Newton step from the exact Jacobian -Cov_Z(beta / R).
 
     shares is E_Z[beta / R] at params' gamma, so it centres the
-    compositions.  A common shift of gamma is in the covariance's null
-    space, and the minimum-norm solution is orthogonal to it.
+    compositions.  Column k of the covariance is one Z pass against the
+    rows [1, c c_k]: E_Z[c c_k] = s[1:] / s[0].  A common shift of gamma
+    is in the covariance's null space, and the minimum-norm solution is
+    orthogonal to it.
     """
     centred = table.parts / params.R - shares
-    cov = np.einsum("m,mj,mk->jk", _z_weights(params, table, state), centred, centred)
+    node = np.array([[state.t]]), np.array([[state.x]])
+    shift = equilibrium._z_shift(params, table)
+    cov = np.empty((params.n_agents, params.n_agents))
+    for k in range(params.n_agents):
+        rows = np.vstack([np.ones(len(centred)), centred.T * centred[:, k]])
+        _, sums = equilibrium._z_pass(*node, shift, 0.0, table, rows)
+        cov[:, k] = sums[0, 1:] / sums[0, 0]
     step, *_ = np.linalg.lstsq(cov, shares - tgt, rcond=None)
     return step

@@ -230,29 +230,24 @@ def _clearing_logs(t, x, params: EconomyParams):
     return u, lse_u, log_dividend(t, x, params)
 
 
+def _z_shift(params: EconomyParams, table: DenominatorTable) -> np.ndarray:
+    """The log Z terms' state-free part, log_offsets - gamma.beta/R, of shape (M,).
+
+    gamma.beta/R is the terms' only gamma-dependent coefficient; it is
+    formed here from params, never stored in the table.
+    """
+    return table.log_offsets - table.parts @ params.gamma_vec / params.R
+
+
 def _fill_log_z_terms(t, x, shift, table: DenominatorTable, out, scratch):
-    """out[..., m] = log of Z term m at (t, x), given shift = log_offsets - g.
+    """out[..., m] = log of Z term m at (t, x): a x + shift - b t, shift from `_z_shift`.
 
     t and x carry a trailing unit axis; scratch is a buffer of out's shape.
-    The order of operations is `log_z_terms_arr`'s, so the bits are too.
     """
     np.multiply(table.x_coefs, x, out=out)
     out += shift
     out -= np.multiply(table.t_coefs, t, out=scratch)
     return out
-
-
-def log_z_terms_arr(t, x, params: EconomyParams, table: DenominatorTable) -> np.ndarray:
-    """Log of each |beta|=R term of Z_t: logC - log D + a x - g - b t, shape (..., M).
-
-    g = gamma.beta/R is the only gamma-dependent coefficient; it is formed
-    here from params, never stored in the table.
-    """
-    t = np.asarray(t, dtype=float)[..., None]
-    x = np.asarray(x, dtype=float)[..., None]
-    shift = table.log_offsets - table.parts @ params.gamma_vec / params.R
-    out = np.empty(np.broadcast_shapes(t.shape, x.shape, shift.shape))
-    return _fill_log_z_terms(t, x, shift, table, out, np.empty_like(out))
 
 
 def _block_map(run_group, n_blocks: int) -> None:
@@ -342,12 +337,11 @@ def _z_side(t, x, params: EconomyParams, table: DenominatorTable):
     against the first two rows, in the same ratio form: log Z^j = top_j +
     log s0 - log R and alpha_tilde^j = a0 + s1/s0.  The einsum reduces
     each (node, row) pair along contiguous memory wherever M >= 3 + 2J,
-    since the table keeps the rows' longer axis contiguous; the bits moved
-    once, when the rows took that layout, and not where M < 3 + 2J.
+    since the table keeps the rows' longer axis contiguous.
     """
     r_curv, n_agents = params.R, params.n_agents
     a0, b0 = table.a0, table.b0
-    shift = table.log_offsets - table.parts @ params.gamma_vec / r_curv
+    shift = _z_shift(params, table)
     top, sums = _z_pass(t, x, shift, 0.0, table, table.rows)
 
     total, z_beta = sums[:, 0], sums[:, 3 : 3 + n_agents]
@@ -387,8 +381,7 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
     memory (the table stores the rows' longer axis contiguous), in the
     same order at one state, along a path, in any block and on any
     thread, so the bits depend neither on the blocking nor on the cores
-    or BLAS threads.  They moved once, where that layout became C order
-    (M >= 3 + 2J).  The entry `log_levels` stacks the logs [log L, log zeta,
+    or BLAS threads.  The entry `log_levels` stacks the logs [log L, log zeta,
     log Z, log S, log Z^1 .. log Z^J] that the levels are exponentiated
     from; the finite-difference oracle differentiates every column in one
     stencil.

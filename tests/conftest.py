@@ -65,3 +65,18 @@ def clearing_reference(t, x, params):
     sigma = params.sigma
     log_delta = np.log(params.delta0) + sigma * x + (params.alpha_star * sigma - sigma**2 / 2) * t
     return u, log_delta[..., 0]
+
+
+def log_z_terms(t, x, params, table):
+    """Log of each |beta| = R term of Z_t at broadcast (t, x), shape (..., M).
+
+    log C(beta) - log D(beta) + a x - gamma.beta/R - b t, with gamma
+    formed here from the agents.  The tests' reference for the terms the
+    kernel reduces: its order of operations is the kernel's fill, so the
+    bits are too.
+    """
+    t = np.asarray(t, dtype=float)[..., None]
+    x = np.asarray(x, dtype=float)[..., None]
+    gamma = np.array([a.gamma for a in params.agents])
+    shift = table.log_offsets - table.parts @ gamma / params.R
+    return table.x_coefs * x + shift - table.t_coefs * t

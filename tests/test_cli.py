@@ -735,6 +735,17 @@ def test_calibrate_achieves_targets(tmp_path):
     assert abs(sum(rep["gamma"])) < 1e-12
 
 
+def test_calibrate_reaches_a_subnormal_target_share(tmp_path):
+    # a subnormal share is a valid target; the damped step's ratio of
+    # shares to targets overflowed there and gave NaN gamma (exit 2)
+    cfg = write_config(tmp_path, TRIO)
+    code, out, err = run_cli("calibrate", cfg, "--shares", "1e-310,0.5,0.5")
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert np.isfinite(rep["gamma"]).all()
+    np.testing.assert_allclose(rep["achieved_shares"], [1e-310, 0.5, 0.5], rtol=0, atol=1e-10)
+
+
 def test_calibrate_validates_once(tmp_path, monkeypatch):
     calls = []
     real_validate = crraeq.cli.validate

@@ -13,7 +13,14 @@ import pytest
 from scipy.special import logsumexp, softmax
 
 import crraeq.equilibrium
-from conftest import clearing_reference, draw_economy, draw_state, ladder, same_bits
+from conftest import (
+    clearing_reference,
+    draw_economy,
+    draw_state,
+    ladder,
+    log_z_terms,
+    same_bits,
+)
 from crraeq.calibrate import wealth_shares
 from crraeq.equilibrium import (
     _block_map,
@@ -21,7 +28,6 @@ from crraeq.equilibrium import (
     _lse_slabs,
     consumptions,
     evaluate_fields,
-    log_z_terms_arr,
     snapshot,
     state_price_density,
 )
@@ -292,18 +298,31 @@ def test_z_pass_log_sum_matches_scipy(m):
         np.testing.assert_allclose(got, logsumexp(row), rtol=1e-15, atol=1e-15)
 
 
-def test_wealth_shares_match_scipy_softmax_bits():
+@pytest.mark.parametrize("redo", ["plain", "forced_redo"])
+def test_wealth_shares_are_the_kernels_shares(monkeypatch, redo):
+    # wealth_shares at one state is the kernel's share at that node of a
+    # batch, bit for bit, with the underflow redo (forced at every agent by
+    # a share threshold of 1).  It matches scipy's softmax of the terms
+    # against the compositions to 1e-14, and a share the redo exponentiates
+    # from its log to 1e-14 (1 + |log s|): at (1, 3000) a share of 3.9e-304
+    # is off by 1.7e-13 against 60-digit sums of the same terms
+    if redo == "forced_redo":
+        monkeypatch.setattr(crraeq.equilibrium, "_FULL_PRECISION_SHARE", 1.0)
     rng = np.random.default_rng(76)
     economies = [(p, validate(p)) for p in (symmetric_pair(), TRIO)]
     economies += [draw_economy(rng, max_agents=4, max_r=5) for _ in range(3)]
+    states = [S0, MarketState(2.5, -1.5), MarketState(1.0, 3000.0)]
+    t, x = (np.array([[getattr(s, k)] for s in states]) for k in "tx")
     for p, tab in economies:
-        for state in (S0, MarketState(2.5, -1.5), MarketState(1.0, 3000.0)):
-            terms = log_z_terms_arr(state.t, state.x, p, tab)
-            # scipy's softmax weights, summed against the compositions by einsum
-            want = np.einsum("m,mj->j", softmax(terms), tab.parts) / p.R
+        share = crraeq.equilibrium._z_side(t, x, p, tab)[6]
+        for n, state in enumerate(states):
             got = wealth_shares(p, tab, state)
-            np.testing.assert_array_equal(got, want, strict=True)
-            np.testing.assert_allclose(got, softmax(terms) @ tab.parts / p.R, rtol=1e-14)
+            np.testing.assert_array_equal(got, share[n], strict=True)
+            want = softmax(log_z_terms(state.t, state.x, p, tab)) @ tab.parts / p.R
+            redone = got < crraeq.equilibrium._FULL_PRECISION_SHARE
+            log_scale = 1 + np.abs(np.log(np.maximum(want, np.finfo(float).tiny)))
+            bound = 1e-14 * want * np.where(redone, log_scale, 1.0)
+            assert (np.abs(got - want) <= bound).all(), (got, want)
 
 
 def _log_level_references(t, x, p, tab, log_z):
@@ -318,11 +337,11 @@ def _log_level_references(t, x, p, tab, log_z):
     refs = [
         p.R * lse_u,
         log_zeta,
-        logsumexp(log_z_terms_arr(t, x, p, tab), axis=-1),
+        logsumexp(log_z_terms(t, x, p, tab), axis=-1),
         (1 - p.R) * log_delta - log_zeta + log_z,
     ]
     for j in range(p.n_agents):
-        terms = log_z_terms_arr(t, x, p, tab)
+        terms = log_z_terms(t, x, p, tab)
         refs.append(logsumexp(terms, axis=-1, b=tab.parts[:, j] / p.R))
     return refs
 
@@ -565,7 +584,7 @@ def test_z_reduction_is_within_a_few_eps_of_the_exact_sums(name):
     worst = 0.0
     for t, x in ((0.0, 0.0), (0.7, -1.3), (3.1, 2.4), (9.2, -4.6), (1.0, -300.0), (50.0, 2000.0)):
         # the float terms the kernel reduces, summed exactly against each row
-        z = log_z_terms_arr(t, x, p, tab)
+        z = log_z_terms(t, x, p, tab)
         terms = [Fraction(v) for v in np.exp(z - z.max())]
         exact = [sum(map(operator.mul, terms, map(Fraction, row)), Fraction(0)) for row in tab.rows]
         _, total, alpha_tilde, _, _, _, share, _ = crraeq.equilibrium._z_side(
@@ -603,7 +622,7 @@ def test_underflow_redo_is_within_a_few_eps_of_the_exact_sums():
             p, tab = draw_economy(rng, max_agents=4, max_r=5)
             _, _, _, _, log_zj, _, share, at_agents = crraeq.equilibrium._z_side(t, x, p, tab)
             for n, j in np.argwhere(share < crraeq.equilibrium._FULL_PRECISION_SHARE):
-                z = log_z_terms_arr(t[n, 0], x[n, 0], p, tab)
+                z = log_z_terms(t[n, 0], x[n, 0], p, tab)
                 held = tab.parts[:, j] > 0
                 w = [Decimal(v).exp() * int(b) for v, b in zip(z[held], tab.parts[held, j])]
                 s0 = sum(w, Decimal(0))

@@ -9,9 +9,9 @@ from scipy.special import logsumexp
 
 import crraeq.equilibrium
 import crraeq.simulate
-from conftest import draw_economy, same_bits
+from conftest import draw_economy, log_z_terms, same_bits
 from crraeq.dynamics import DegenerateStockVolatility
-from crraeq.equilibrium import evaluate_fields, log_z_terms_arr, snapshot, state_price_density
+from crraeq.equilibrium import evaluate_fields, snapshot, state_price_density
 from crraeq.model import Agent, EconomyParams, MarketState, dividend, validate
 from crraeq.simulate import (
     MAX_PATHS,
@@ -430,7 +430,8 @@ def test_oracle_bits_do_not_depend_on_blocking(monkeypatch, p):
 
 
 def test_long_path_oracle_bits_do_not_depend_on_the_worker_count(monkeypatch):
-    # paths of more than numpy's 8192-element einsum buffer, in blocks of 7 and 1
+    # paths of 9001 nodes in blocks of 7 and 1: the reports are the same
+    # bits whether one group runs every block or two or three groups share them
     tab = validate(PAIR)
     n_paths, n_steps = 8, 9000
     assert crraeq.simulate._BLOCK_ELEMENTS // (n_steps + 1) == n_paths - 1  # blocks of 7 and 1
@@ -444,8 +445,9 @@ def test_long_path_oracle_bits_do_not_depend_on_the_worker_count(monkeypatch):
 
 
 def test_long_path_bits_do_not_depend_on_the_path_count_or_blocking(monkeypatch):
-    # einsum sums a lone row longer than its 8192-element buffer in pieces and
-    # rows in company whole; each path of 10001 nodes must get one sum anyway
+    # the trapezoid reduces each path's row of 10001 nodes on its own, so a
+    # path's sum does not depend on the other paths in its block, on the
+    # path count or on the block size
     tab = validate(PAIR)
     grid = dict(horizon=20.0, n_steps=10000, seed=1)
     reported = []
@@ -529,7 +531,7 @@ def test_truncation_tails_are_the_weighted_tail_sums():
         tails = truncation_tails(s, p, tab, horizon)
         assert len(tails) == p.n_agents + 1
         assert all(type(v) is float for v in tails)
-        decayed = np.exp(log_z_terms_arr(s.t, s.x, p, tab) - tab.d_values * (horizon - s.t))
+        decayed = np.exp(log_z_terms(s.t, s.x, p, tab) - tab.d_values * (horizon - s.t))
         prefactor = dividend(s, p) ** (1 - p.R) / state_price_density(s, p)
         want = [*(decayed @ tab.parts / p.R), decayed.sum()]
         np.testing.assert_allclose(tails, prefactor * np.array(want), rtol=1e-12)
