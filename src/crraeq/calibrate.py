@@ -164,7 +164,7 @@ def _newton_step(params, table, state, shares, tgt):
     cov = np.empty((params.n_agents, params.n_agents))
     for k in range(params.n_agents):
         rows = np.vstack([np.ones(len(centred)), centred.T * centred[:, k]])
-        _, sums = equilibrium._z_pass(*node, shift, 0.0, table, rows)
+        _, sums = equilibrium._z_pass(*node, shift, table, rows)
         cov[:, k] = sums[0, 1:] / sums[0, 0]
     step, *_ = np.linalg.lstsq(cov, shares - tgt, rcond=None)
     return step

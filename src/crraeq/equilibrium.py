@@ -46,7 +46,7 @@ _FULL_PRECISION_SHARE = np.finfo(float).tiny / np.finfo(float).eps
 # the most float64 terms a block holds at once (512 KiB): the kernel's node
 # blocks and the Monte Carlo path blocks share this budget
 _BLOCK_ELEMENTS = 1 << 16
-# the cores this process may run on: `_block_map` runs one group of blocks on each
+# the cores this process may run on: `_block_map` runs one block-claiming group on each
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -239,72 +239,70 @@ def _z_shift(params: EconomyParams, table: DenominatorTable) -> np.ndarray:
     return table.log_offsets - table.parts @ params.gamma_vec / params.R
 
 
-def _fill_log_z_terms(t, x, shift, table: DenominatorTable, out, scratch):
-    """out[..., m] = log of Z term m at (t, x): a x + shift - b t, shift from `_z_shift`.
+def _block_map(run_group, n_items: int, per_block: int) -> None:
+    """Run range(n_items) in blocks of per_block items, claimed by up to _WORKERS groups.
 
-    t and x carry a trailing unit axis; scratch is a buffer of out's shape.
-    """
-    np.multiply(table.x_coefs, x, out=out)
-    out += shift
-    out -= np.multiply(table.t_coefs, t, out=scratch)
-    return out
-
-
-def _block_map(run_group, n_blocks: int) -> None:
-    """Call run_group(blocks) on each contiguous group of range(n_blocks).
-
-    The blocks are split into at most _WORKERS groups of near-equal size.
-    The calling thread runs the first group; each other group runs on its
-    own thread in a copy of the caller's context, which carries the
-    caller's np.errstate (numpy keeps it in a context variable; a plain
-    thread would start at numpy's defaults).  Every thread is joined before
-    the first exception, in group order, is raised.  With one block or one
-    core this is the plain call and starts no thread.  A group must write
+    run_group(blocks) iterates the slices of the blocks its group claims,
+    in block order, from one queue shared under a lock, so a group on a
+    core that other load slows takes fewer blocks.  The calling thread
+    runs one group; each other group runs on its own thread in a copy of
+    the caller's context, which carries the caller's np.errstate (numpy
+    keeps it in a context variable; a plain thread would start at numpy's
+    defaults).  A group stops at its first exception; once every thread
+    has joined, the exception of the lowest-numbered failing block is
+    raised, and as blocks are claimed in order that block always runs.
+    With one block or one core this starts no thread.  A group must write
     only its own blocks' rows of any shared output, and the numpy calls
     that do the work release the interpreter lock, so the groups overlap.
     """
-    n_groups = min(_WORKERS, n_blocks)
-    if n_groups <= 1:
-        run_group(range(n_blocks))
-        return
-    cuts = [n_blocks * g // n_groups for g in range(n_groups + 1)]
-    groups = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    errors = [None] * n_groups
+    starts = range(0, n_items, per_block)
+    queue, lock, failures = iter(starts), threading.Lock(), []
 
-    def run(g):
+    def run():
+        claimed = -1
+
+        def blocks():
+            nonlocal claimed
+            while True:
+                with lock:
+                    claimed = next(queue, n_items)
+                if claimed == n_items:
+                    return
+                yield slice(claimed, min(claimed + per_block, n_items))
+
         try:
-            run_group(groups[g])
+            run_group(blocks())
         except BaseException as exc:  # handed to the caller after the join
-            errors[g] = exc
+            failures.append((claimed, exc))
 
     threads = [
-        threading.Thread(target=contextvars.copy_context().run, args=(run, g))
-        for g in range(1, n_groups)
+        threading.Thread(target=contextvars.copy_context().run, args=(run,))
+        for _ in range(min(_WORKERS, len(starts)) - 1)
     ]
     for thread in threads:
         thread.start()
     try:
-        run_group(groups[0])
+        run()
     finally:
         for thread in threads:
             thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
 
 
-def _z_pass(t, x, shift, addend, table: DenominatorTable, rows):
-    """(top, sums) of the log Z terms plus addend at flat nodes (t, x) of shape (nodes, 1).
+def _z_pass(t, x, shift, table: DenominatorTable, rows):
+    """(top, sums) of the log Z terms at flat nodes (t, x) of shape (nodes, 1).
 
-    top = each node's largest term and sums = the einsum of the terms'
-    exp(term - top) against rows, of shape (nodes, len(rows)).  The
-    terms are streamed in node blocks of at most _BLOCK_ELEMENTS (at
-    least one node); `_block_map` runs the blocks in contiguous groups,
-    one per usable core, and each group refills its own two buffers for
-    every block, so memory is O(groups x block + nodes x rows).  Each
-    node's terms, their largest and their einsum against the rows do not
-    depend on the other nodes of its block, nor on its group, so neither
-    do the bits.
+    Term m at a node is a_m x + shift_m - b_m t, shift from `_z_shift`
+    (plus log beta_j in the underflow redo); top = each node's largest
+    term and sums = the einsum of the terms' exp(term - top) against
+    rows, of shape (nodes, len(rows)).  The terms are streamed in node
+    blocks of at most _BLOCK_ELEMENTS (at least one node), which the
+    groups of `_block_map` claim, one group per usable core; each group
+    refills its own two buffers for every block, so memory is O(groups x
+    block + nodes x rows).  Each node's terms, their largest and their
+    einsum against the rows do not depend on the other nodes of its
+    block, nor on the group that claims it, so neither do the bits.
     """
     n_nodes, per_block = len(t), max(1, _BLOCK_ELEMENTS // shift.size)
     top, sums = np.empty(n_nodes), np.empty((n_nodes, len(rows)))
@@ -312,16 +310,16 @@ def _z_pass(t, x, shift, addend, table: DenominatorTable, rows):
     def run(blocks):
         terms = np.empty((min(n_nodes, per_block), shift.size))
         scratch = np.empty_like(terms)
-        for lo in range(blocks.start * per_block, blocks.stop * per_block, per_block):
-            blk = slice(lo, min(lo + per_block, n_nodes))
-            k = blk.stop - lo
-            z = _fill_log_z_terms(t[blk], x[blk], shift, table, terms[:k], scratch[:k])
-            z += addend
+        for blk in blocks:
+            k = blk.stop - blk.start
+            z = np.multiply(table.x_coefs, x[blk], out=terms[:k])
+            z += shift
+            z -= np.multiply(table.t_coefs, t[blk], out=scratch[:k])
             top[blk] = z.max(axis=-1)
             z -= top[blk, None]
             np.einsum("nm,km->nk", np.exp(z, out=z), rows, out=sums[blk])
 
-    _block_map(run, -(-n_nodes // per_block))
+    _block_map(run, n_nodes, per_block)
     return top, sums
 
 
@@ -333,16 +331,17 @@ def _z_side(t, x, params: EconomyParams, table: DenominatorTable):
     wealth share and alpha_tilde^j.  One `_z_pass` reduces the terms
     against the table's rows at every node.  An agent's share below
     tiny/eps has lost bits to underflowed terms; for each such agent a
-    second pass, at those nodes only, reduces the terms plus log beta_j
-    against the first two rows, in the same ratio form: log Z^j = top_j +
-    log s0 - log R and alpha_tilde^j = a0 + s1/s0.  The einsum reduces
-    each (node, row) pair along contiguous memory wherever M >= 3 + 2J,
-    since the table keeps the rows' longer axis contiguous.
+    second pass, at those nodes only, adds log beta_j to the (M,) shift
+    and reduces the terms against the first two rows, in the same ratio
+    form: log Z^j = top_j + log s0 - log R and alpha_tilde^j = a0 +
+    s1/s0.  The einsum reduces each (node, row) pair along contiguous
+    memory wherever M >= 3 + 2J, since the table keeps the rows' longer
+    axis contiguous.
     """
     r_curv, n_agents = params.R, params.n_agents
     a0, b0 = table.a0, table.b0
     shift = _z_shift(params, table)
-    top, sums = _z_pass(t, x, shift, 0.0, table, table.rows)
+    top, sums = _z_pass(t, x, shift, table, table.rows)
 
     total, z_beta = sums[:, 0], sums[:, 3 : 3 + n_agents]
     alpha_tilde, rho_tilde = a0 + sums[:, 1] / total, b0 + sums[:, 2] / total
@@ -355,8 +354,8 @@ def _z_side(t, x, params: EconomyParams, table: DenominatorTable):
     for j in np.flatnonzero(low.any(axis=0)):
         nodes = np.flatnonzero(low[:, j])
         with np.errstate(divide="ignore"):  # the terms without agent j are exp(-inf) = 0
-            log_beta = np.log(table.parts[:, j])
-        top_j, sums_j = _z_pass(t[nodes], x[nodes], shift, log_beta, table, table.rows[:2])
+            shift_j = shift + np.log(table.parts[:, j])
+        top_j, sums_j = _z_pass(t[nodes], x[nodes], shift_j, table, table.rows[:2])
         log_zj[nodes, j] = top_j + np.log(sums_j[:, 0]) - np.log(r_curv)
         log_zj_rel[nodes, j] = log_zj[nodes, j] - top[nodes]
         share[nodes, j] = np.exp(log_zj_rel[nodes, j] - np.log(total[nodes]))
@@ -374,9 +373,9 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
     wealth shares E_Z[beta_j]/R and alpha_tilde^j.  Where an agent's share
     has underflowed below tiny/eps, the same pass runs again at just those
     nodes on the terms plus log beta_j (see `_z_side`).  A pass streams
-    node blocks of at most _BLOCK_ELEMENTS (65,536) terms, run in
-    contiguous groups on every usable core by `_block_map` (a single block
-    runs inline), so memory is O(cores x block + nodes J) at any M.  einsum,
+    node blocks of at most _BLOCK_ELEMENTS (65,536) terms, which one group
+    per usable core claims in turn from `_block_map` (a single block runs
+    inline), so memory is O(cores x block + nodes J) at any M.  einsum,
     not a BLAS product, reduces each (node, row) pair along contiguous
     memory (the table stores the rows' longer axis contiguous), in the
     same order at one state, along a path, in any block and on any

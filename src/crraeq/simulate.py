@@ -24,21 +24,20 @@ logsumexp.  These are the closed-form side's own clearing logs, formed
 by the same elementwise steps, so they equal the kernel's to the bit;
 the oracle stays independent because it never touches a composition.
 Blocks have a fixed, cache-sized budget of nodes, the one the field
-kernel's node blocks use.
-`equilibrium._block_map` runs them in contiguous groups, one per usable
-core (the calling thread runs the first; a single block runs inline and
-starts no thread), and each group reuses its own buffers, so memory
-grows with the core count but not with the path count.  Each path's
-time integral is the trapezoid rule over its nodes, one row sum that
-numpy reduces on its own (`_trapezoid`).  So a path's values do not
-depend on the path count or the blocking, the blocks do not depend on
-the core count, and each group writes only its own paths' values: the
-reports have the same bits for any blocking, on any number of cores and
-under any BLAS thread count.  Truncating the integral at a finite
-horizon leaves an analytically known tail (each composition term decays
-like e^{-D(beta) (T-t)}, so the kernel gives the tails), which is
-reported as `truncation_bound` and must stay small relative to the
-closed form.
+kernel's node blocks use.  One group per usable core claims them in
+turn from `equilibrium._block_map` (the calling thread runs one group;
+a single block runs inline and starts no thread), and each group reuses
+its own buffers, so memory grows with the core count but not with the
+path count.  Each path's time integral is the trapezoid rule over its
+nodes, one row sum that numpy reduces on its own (`_trapezoid`).  So a
+path's values do not depend on the path count, the blocking or the
+group that claims its block, and each group writes only its own paths'
+values: the reports have the same bits for any blocking, on any number
+of cores and under any BLAS thread count.  Truncating the integral at
+a finite horizon leaves an analytically known tail (each composition
+term decays like e^{-D(beta) (T-t)}, so the kernel gives the tails),
+which is reported as `truncation_bound` and must stay small relative to
+the closed form.
 
 The z-scores assume square-integrable integrands.  A composition term
 e^{c X_u - m u} has finite second moment of its time integral only when
@@ -319,7 +318,8 @@ def _path_integrals(
     zeta_t is subnormal; without log_zeta the pass makes no subtraction.
     Each group of `equilibrium._block_map` allocates its buffers once (x,
     the J agent slabs, the maximum's slab, which then holds log delta,
-    lse u and a scratch slab) and writes only its blocks' columns.
+    lse u and a scratch slab), refills them for every block it claims and
+    writes only those blocks' columns.
     """
     t = grid.times()
     slopes, offsets = equilibrium._agent_affine(t, params)
@@ -328,19 +328,18 @@ def _path_integrals(
     r_curv = params.R
     integrals = np.empty((params.n_agents + 1 if agents else 1, n_paths))
     x_end = np.empty(n_paths)
-    n_rows = max(1, min(n_paths, _BLOCK_ELEMENTS // len(t)))
+    per_block = max(1, _BLOCK_ELEMENTS // len(t))
 
     def run(blocks):
-        x_buf = np.empty((n_rows, len(t)))
+        x_buf = np.empty((min(n_paths, per_block), len(t)))
         u_buf = np.empty((params.n_agents,) + x_buf.shape)
         work = np.empty((3,) + x_buf.shape)
-        gen = path_generator(seed, blocks.start * n_rows)
-        for lo in range(blocks.start * n_rows, blocks.stop * n_rows, n_rows):
-            rows = slice(lo, min(lo + n_rows, n_paths))
-            k = rows.stop - lo
+        gen = path_generator(seed, 0)
+        for rows in blocks:
+            k = rows.stop - rows.start
             x, u = x_buf[:k], u_buf[:, :k]
             top, lse_u, scratch = work[:, :k]
-            _fill_paths(x, grid, x0, seed, lo, gen)
+            _fill_paths(x, grid, x0, seed, rows.start, gen)
             x_end[rows] = x[:, -1]
             np.multiply(slopes, x, out=u)
             u += offsets
@@ -362,7 +361,7 @@ def _path_integrals(
                     np.add(lse_u, u_j, out=exponent)
                     _trapezoid(exponent, grid.dt, out)
 
-    equilibrium._block_map(run, -(-n_paths // n_rows))
+    equilibrium._block_map(run, n_paths, per_block)
     return integrals, x_end
 
 

@@ -43,6 +43,13 @@ MC_PAIR = {
     "agents": [{"rho": 0.2, "alpha": 0.2, "gamma": 0.1},
                {"rho": 0.2, "alpha": -0.2, "gamma": -0.1}],
 }
+# MC_TRIO of acceptance test c06
+MC_TRIO = {
+    "R": 3, "sigma": 0.08, "alpha_star": 0.02, "delta0": 1.0,
+    "agents": [{"rho": 0.25, "alpha": 0.12, "gamma": 0.1},
+               {"rho": 0.25, "alpha": 0.0, "gamma": 0.0},
+               {"rho": 0.25, "alpha": -0.12, "gamma": -0.1}],
+}
 
 
 def write_config(tmp_path, obj, name="econ.json"):
@@ -640,15 +647,17 @@ def test_verify_bytes_do_not_depend_on_blas_threads(tmp_path, suite):
     len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2, reason="needs two usable cores"
 )
 def test_ladder_bytes_do_not_depend_on_blas_threads_or_cores(tmp_path):
-    # R7 J7 (M = 1716) reduces along contiguous rows, and the 2049-node
-    # paths stream in blocks that run in one group per usable core; each
-    # child sets its own affinity before the package counts its cores
+    # R7 J7 (M = 1716) reduces along contiguous rows, its 2049-node path
+    # streams in node blocks, and MC_TRIO's martingale pass in 25 path
+    # blocks, which one group per usable core claims; each child sets its
+    # own affinity before the package counts its cores
     p = ladder(7, 7)
     econ = {
         "R": p.R, "sigma": p.sigma, "alpha_star": p.alpha_star, "delta0": p.delta0,
         "agents": [{"rho": a.rho, "alpha": a.alpha, "gamma": a.gamma} for a in p.agents],
     }
     cfg = write_config(tmp_path, econ)
+    trio = write_config(tmp_path, MC_TRIO, "trio.json")
     code = (
         "import os, sys\n"
         "os.sched_setaffinity(0, map(int, sys.argv[1].split(',')))\n"
@@ -670,6 +679,7 @@ def test_ladder_bytes_do_not_depend_on_blas_threads_or_cores(tmp_path):
             ["evaluate", cfg, "--t", "1.5", "--x", "-0.7"],
             ["simulate", cfg, "--paths", "3", "--horizon", "2", "--steps", "2048",
              "--seed", "7", "--out", "paths.csv"],
+            ["verify", trio, "--suite", "all", "--paths", "300", "--seed", "7"],
         ):
             res = subprocess.run(
                 [sys.executable, "-c", code, ",".join(map(str, cpus)), *argv],

@@ -2,6 +2,7 @@ import decimal
 import math
 import operator
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
@@ -291,7 +292,7 @@ def test_z_pass_log_sum_matches_scipy(m):
     for row in _log_term_rows(m, rng):
         table = SimpleNamespace(x_coefs=row, t_coefs=np.zeros(m))
         top, sums = crraeq.equilibrium._z_pass(
-            np.zeros((1, 1)), np.ones((1, 1)), np.zeros(m), 0.0, table, np.ones((1, m))
+            np.zeros((1, 1)), np.ones((1, 1)), np.zeros(m), table, np.ones((1, m))
         )
         assert top[0] == row.max()
         got = top + np.log(sums[:, 0])
@@ -387,10 +388,10 @@ def _spy_on_fallback(monkeypatch):
     calls = []
     real = crraeq.equilibrium._z_pass
 
-    def spy(t, x, shift, addend, table, rows):
+    def spy(t, x, shift, table, rows):
         if len(rows) == 2:
             calls.append(len(t))
-        return real(t, x, shift, addend, table, rows)
+        return real(t, x, shift, table, rows)
 
     monkeypatch.setattr(crraeq.equilibrium, "_z_pass", spy)
     return calls
@@ -435,15 +436,15 @@ def test_kernel_bits_do_not_depend_on_the_worker_count(monkeypatch):
     passes = []  # per Z pass: its block count and the threads that ran its groups
     real = crraeq.equilibrium._block_map
 
-    def spy(run_group, n_blocks):
+    def spy(run_group, n_items, per_block):
         threads = set()
-        passes.append((n_blocks, threads))
+        passes.append((len(range(0, n_items, per_block)), threads))
 
         def run(blocks):
             threads.add(threading.current_thread())
             run_group(blocks)
 
-        real(run, n_blocks)
+        real(run, n_items, per_block)
 
     monkeypatch.setattr(crraeq.equilibrium, "_block_map", spy)
     rng = np.random.default_rng(77)
@@ -474,53 +475,71 @@ def test_kernel_bits_do_not_depend_on_the_worker_count(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_block_map_runs_contiguous_groups_at_once_in_the_callers_context(monkeypatch, workers):
+def test_block_map_hands_out_claimed_blocks_at_once_in_the_callers_context(monkeypatch, workers):
+    # 20 items in blocks of 3: seven blocks, the last of 2 items
     monkeypatch.setattr(crraeq.equilibrium, "_WORKERS", workers)
     before, caller = threading.active_count(), threading.get_ident()
     meet = threading.Barrier(workers, timeout=10)  # every group runs at the same time
+    want = [slice(lo, min(lo + 3, 20)) for lo in range(0, 20, 3)]
 
     def group(blocks):
         meet.wait()
-        seen.append((list(blocks), threading.get_ident()))
+        seen.append((threading.get_ident(), np.geterr()["over"], list(blocks)))
 
     seen = []
-    assert _block_map(group, 7) is None
-    seen.sort()
-    assert [b for blocks, _ in seen for b in blocks] == list(range(7))
-    assert len(seen) == workers and seen[0][1] == caller
-    assert len({ident for _, ident in seen}) == workers
-    starts = [blocks[0] for blocks, _ in seen]
+    with np.errstate(over="raise"):
+        assert _block_map(group, 20, 3) is None
+    assert len(seen) == workers and caller in {ident for ident, _, _ in seen}
+    assert len({ident for ident, _, _ in seen}) == workers
+    # a thread at numpy's default errstate would warn, not raise
+    assert {over for _, over, _ in seen} == {"raise"}
+    # every block runs once, and each group claims its blocks in block order
+    assert sorted((b for *_, claimed in seen for b in claimed), key=lambda b: b.start) == want
+    for *_, claimed in seen:
+        assert claimed == sorted(claimed, key=lambda b: b.start)
     # one block is the plain call
     seen = []
-    _block_map(lambda blocks: seen.append((list(blocks), threading.get_ident())), 1)
-    assert seen == [([0], caller)]
+    _block_map(lambda blocks: seen.append((list(blocks), threading.get_ident())), 2, 3)
+    assert seen == [([slice(0, 2)], caller)]
     assert threading.active_count() == before
 
-    def overflow_late(blocks):
-        if blocks.start > 0:
-            np.exp(np.full(3, 1000.0))
-
-    # a thread at numpy's default errstate would warn, and tier-1 makes that a RuntimeWarning
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        _block_map(overflow_late, 7)
-    assert threading.active_count() == before
-
-    for bad in starts:
+    for bad in range(7):
 
         def fail_one(blocks, bad=bad):
-            if blocks.start == bad:
-                raise ValueError(blocks.start)
+            for b in blocks:
+                if b.start == 3 * bad:
+                    raise ValueError(bad)
 
         with pytest.raises(ValueError, match=f"^{bad}$"):
-            _block_map(fail_one, 7)
+            _block_map(fail_one, 20, 3)
         assert threading.active_count() == before
 
     def fail_all(blocks):
-        raise ValueError(blocks.start)
+        for b in blocks:
+            raise ValueError(b.start)
 
-    with pytest.raises(ValueError, match="^0$"):  # the first group's, in group order
-        _block_map(fail_all, 7)
+    with pytest.raises(ValueError, match="^0$"):  # the lowest-numbered block's
+        _block_map(fail_all, 20, 3)
     assert threading.active_count() == before
+
+
+def test_block_map_gives_a_slowed_group_fewer_blocks(monkeypatch):
+    # the other group sleeps 5 ms per block, as on a core that other load
+    # holds: the caller's group claims more than the half a fixed split gives it
+    monkeypatch.setattr(crraeq.equilibrium, "_WORKERS", 2)
+    caller, counts = threading.get_ident(), {}
+
+    def group(blocks):
+        mine = threading.get_ident() == caller
+        counts[mine] = 0
+        for _ in blocks:
+            counts[mine] += 1
+            if not mine:
+                time.sleep(0.005)
+
+    _block_map(group, 40, 1)
+    assert sum(counts.values()) == 40
+    assert counts[True] > 20, counts
 
 
 def _traced_peak(fn):
@@ -687,11 +706,14 @@ def test_forced_redo_stays_within_a_few_eps_of_the_plain_pass(monkeypatch, param
 
 
 # The model's exact identities, the kernel against itself on another
-# economy with the same table: twice the worst error measured at the
+# economy, with the same table (time and gamma, delta0) or another one
+# (a split agent, permuted agents): twice the worst error measured at the
 # states of `_identity_states`, in eps times the scales of `_level_error`
 # and `_coefficient_errors`
 TIME_GAMMA_CEILINGS = {"levels": 3.8, "alpha": 2.8, "rates": 0.6, "portfolios": 7.0}
 DELTA0_LEVELS_CEILING = 8.2
+SPLIT_CEILINGS = {"levels": 4.7, "alpha": 48.0, "rates": 64.0, "portfolios": 19.0}
+PERMUTATION_CEILINGS = {"levels": 2.6, "alpha": 5.1, "rates": 1.7, "portfolios": 4.5}
 IDENTITY_ECONOMIES = [PAIR, TRIO, ladder(4, 4), ladder(7, 7)]
 
 
@@ -817,3 +839,79 @@ def test_delta0_scales_the_levels_and_leaves_every_coefficient(params, k):
     levels["zeta"] = (log_zeta(got) + params.R * log_k, got, log_zeta(want), want)
     worst = _level_error(levels)
     assert worst <= DELTA0_LEVELS_CEILING, worst
+
+
+def _merge_agents(v, k, pick=None):
+    """The (n, J + 1) per-agent values of an economy with agent k split in
+    two, on the unsplit agents: the halves' sum at k, or half `pick`'s."""
+    at_k = v[:, k : k + 2].sum(axis=1) if pick is None else v[:, k + pick]
+    return np.concatenate([v[:, :k], at_k[:, None], v[:, k + 2 :]], axis=1)
+
+
+def _split_errors(p, k):
+    # agent k against two copies of it whose e^{-gamma/R} are 0.3 and 0.7
+    # of its own: u and lse u keep their values, on another table
+    tab = validate(p)
+    t, x = _identity_states()
+    want = evaluate_fields(t, x, p, tab)
+    agent = p.agents[k]
+    halves = tuple(replace(agent, gamma=agent.gamma - p.R * math.log(f)) for f in (0.3, 0.7))
+    split = replace(p, agents=p.agents[:k] + halves + p.agents[k + 1 :])
+    got = evaluate_fields(t, x, split, validate(split))
+    log_of = lambda f, name: np.log(f[name]).reshape(len(t), -1)
+    levels = {
+        name: (log_of(got, name), got, log_of(want, name), want)
+        for name in ("dividend", "stock_price", "pd_ratio")
+    }
+    levels["zeta"] = (got["log_levels"][:, 1:2], got, want["log_levels"][:, 1:2], want)
+    for name in ("wealths", "consumptions"):  # w^k = w^{k1} + w^{k2}, and c^k
+        levels[name] = (np.log(_merge_agents(got[name], k)), got, log_of(want, name), want)
+    # w^{k1} / w^{k2} = e^{(gamma_{k2} - gamma_{k1}) / R}
+    ratio = log_of(got, "wealths")[:, k : k + 1] - log_of(got, "wealths")[:, k + 1 : k + 2]
+    gamma_gap = np.full_like(ratio, (halves[1].gamma - halves[0].gamma) / p.R)
+    levels["ratio"] = (ratio, got, gamma_gap, got)
+    errors = {"levels": _level_error(levels)}
+    for pick in (0, 1):  # alpha_tilde^{k1} = alpha_tilde^{k2} = alpha_tilde^k, pi^k their sum
+        merged = dict(got, portfolios=_merge_agents(got["portfolios"], k),
+                      alpha_tilde_agents=_merge_agents(got["alpha_tilde_agents"], k, pick))
+        for group, worst in _coefficient_errors(merged, want, p, tab).items():
+            errors[group] = max(errors.get(group, 0.0), worst)
+    return errors
+
+
+def _permutation_errors(p):
+    # the agents in reverse order: every per-agent field reverses, on
+    # another enumeration of the compositions
+    tab = validate(p)
+    t, x = _identity_states()
+    want = evaluate_fields(t, x, p, tab)
+    flipped = replace(p, agents=p.agents[::-1])
+    got = evaluate_fields(t, x, flipped, validate(flipped))
+    for name in ("consumptions", "wealths", "alpha_tilde_agents", "portfolios"):
+        got[name] = got[name][:, ::-1]
+    log_of = lambda f, name: np.log(f[name]).reshape(len(t), -1)
+    levels = {
+        name: (log_of(got, name), got, log_of(want, name), want)
+        for name in ("dividend", "stock_price", "pd_ratio", "wealths", "consumptions")
+    }
+    levels["zeta"] = (got["log_levels"][:, 1:2], got, want["log_levels"][:, 1:2], want)
+    return {"levels": _level_error(levels), **_coefficient_errors(got, want, p, tab)}
+
+
+@pytest.mark.parametrize("params", IDENTITY_ECONOMIES, ids=["PAIR", "TRIO", "R4J4", "R7J7"])
+def test_splitting_an_agent_splits_its_wealth_and_moves_nothing_else(params):
+    # the aggregates keep their values, w^k = w^{k1} + w^{k2}, pi^k =
+    # pi^{k1} + pi^{k2}, alpha_tilde^{k1} = alpha_tilde^{k2} = alpha_tilde^k
+    # and w^{k1} / w^{k2} = e^{(gamma_{k2} - gamma_{k1}) / R}, splitting the
+    # first agent and the last
+    for k in (0, params.n_agents - 1):
+        worst = _split_errors(params, k)
+        for group, ceiling in SPLIT_CEILINGS.items():
+            assert worst[group] <= ceiling, (k, group, worst)
+
+
+@pytest.mark.parametrize("params", IDENTITY_ECONOMIES, ids=["PAIR", "TRIO", "R4J4", "R7J7"])
+def test_permuting_the_agents_permutes_every_per_agent_field(params):
+    worst = _permutation_errors(params)
+    for group, ceiling in PERMUTATION_CEILINGS.items():
+        assert worst[group] <= ceiling, (group, worst)
