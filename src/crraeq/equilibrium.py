@@ -46,6 +46,9 @@ _FULL_PRECISION_SHARE = np.finfo(float).tiny / np.finfo(float).eps
 # the most float64 terms a block holds at once (512 KiB): the kernel's node
 # blocks and the Monte Carlo path blocks share this budget
 _BLOCK_ELEMENTS = 1 << 16
+# the nodes in each of the Z pass's BLAS products, whose one fixed shape fixes
+# the bits; 4 ran faster than 8 at M = 1716 and pads a one-node call less
+_PRODUCT_NODES = 4
 # the cores this process may run on: `_block_map` runs one block-claiming group on each
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -295,32 +298,44 @@ def _z_pass(t, x, shift, table: DenominatorTable, rows):
 
     Term m at a node is a_m x + shift_m - b_m t, shift from `_z_shift`
     (plus log beta_j in the underflow redo); top = each node's largest
-    term and sums = the einsum of the terms' exp(term - top) against
-    rows, of shape (nodes, len(rows)).  The terms are streamed in node
-    blocks of at most _BLOCK_ELEMENTS (at least one node), which the
-    groups of `_block_map` claim, one group per usable core; each group
-    refills its own two buffers for every block, so memory is O(groups x
-    block + nodes x rows).  Each node's terms, their largest and their
-    einsum against the rows do not depend on the other nodes of its
-    block, nor on the group that claims it, so neither do the bits.
+    term and sums = the terms' exp(term - top) times rows.T, of shape
+    (nodes, len(rows)).  The terms are streamed in node blocks of at most
+    _BLOCK_ELEMENTS (whole products, at least one), which the groups of
+    `_block_map` claim, one group per usable core; each group refills its
+    own two buffers for every block, so memory is O(groups x block +
+    nodes x rows).  One stacked matmul reduces a block in BLAS products
+    of exactly _PRODUCT_NODES nodes, the call's last block padded with
+    zero rows.  In that fixed shape a node's sums depend neither on its
+    position nor on the other nodes, so for one OpenBLAS build on one
+    CPU the bits depend neither on the blocking, nor on the group that
+    claims a block, nor on the BLAS thread count.
     """
-    n_nodes, per_block = len(t), max(1, _BLOCK_ELEMENTS // shift.size)
-    top, sums = np.empty(n_nodes), np.empty((n_nodes, len(rows)))
+    n_nodes, width = len(t), _PRODUCT_NODES
+    per_block = max(width, _BLOCK_ELEMENTS // shift.size // width * width)
+    n_padded = -(-n_nodes // width) * width
+    top, sums = np.empty(n_nodes), np.empty((n_padded, len(rows)))
 
     def run(blocks):
-        terms = np.empty((min(n_nodes, per_block), shift.size))
+        terms = np.empty((min(n_padded, per_block), shift.size))
         scratch = np.empty_like(terms)
         for blk in blocks:
             k = blk.stop - blk.start
+            k_padded = -(-k // width) * width
             z = np.multiply(table.x_coefs, x[blk], out=terms[:k])
             z += shift
             z -= np.multiply(table.t_coefs, t[blk], out=scratch[:k])
             top[blk] = z.max(axis=-1)
             z -= top[blk, None]
-            np.einsum("nm,km->nk", np.exp(z, out=z), rows, out=sums[blk])
+            np.exp(z, out=z)
+            terms[k:k_padded] = 0.0
+            np.matmul(
+                terms[:k_padded].reshape(-1, width, shift.size),
+                rows.T,
+                out=sums[blk.start : blk.start + k_padded].reshape(-1, width, len(rows)),
+            )
 
     _block_map(run, n_nodes, per_block)
-    return top, sums
+    return top, sums[:n_nodes]
 
 
 def _z_side(t, x, params: EconomyParams, table: DenominatorTable):
@@ -334,9 +349,8 @@ def _z_side(t, x, params: EconomyParams, table: DenominatorTable):
     second pass, at those nodes only, adds log beta_j to the (M,) shift
     and reduces the terms against the first two rows, in the same ratio
     form: log Z^j = top_j + log s0 - log R and alpha_tilde^j = a0 +
-    s1/s0.  The einsum reduces each (node, row) pair along contiguous
-    memory wherever M >= 3 + 2J, since the table keeps the rows' longer
-    axis contiguous.
+    s1/s0.  Both passes reduce in the same fixed-shape products, so a
+    node's fields do not depend on which other nodes share its call.
     """
     r_curv, n_agents = params.R, params.n_agents
     a0, b0 = table.a0, table.b0
@@ -375,15 +389,15 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
     nodes on the terms plus log beta_j (see `_z_side`).  A pass streams
     node blocks of at most _BLOCK_ELEMENTS (65,536) terms, which one group
     per usable core claims in turn from `_block_map` (a single block runs
-    inline), so memory is O(cores x block + nodes J) at any M.  einsum,
-    not a BLAS product, reduces each (node, row) pair along contiguous
-    memory (the table stores the rows' longer axis contiguous), in the
-    same order at one state, along a path, in any block and on any
-    thread, so the bits depend neither on the blocking nor on the cores
-    or BLAS threads.  The entry `log_levels` stacks the logs [log L, log zeta,
-    log Z, log S, log Z^1 .. log Z^J] that the levels are exponentiated
-    from; the finite-difference oracle differentiates every column in one
-    stencil.
+    inline), so memory is O(cores x block + nodes J) at any M.  BLAS
+    products of a fixed _PRODUCT_NODES nodes, the last block padded with
+    zero rows, reduce a node alike at one state, along a path, in any
+    block and on any thread, so for one numpy/OpenBLAS build on one
+    machine the bits depend neither on the blocking nor on the cores or
+    BLAS threads.  The entry `log_levels` stacks the logs [log L, log
+    zeta, log Z, log S, log Z^1 .. log Z^J] that the levels are
+    exponentiated from; the finite-difference oracle differentiates every
+    column in one stencil.
     """
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     r_curv, sigma, n_agents = params.R, params.sigma, params.n_agents

@@ -155,10 +155,9 @@ class DenominatorTable:
     b = t_coefs - a^2/2 and a0, b0 the midranges of a and b.  None of
     them involves gamma.  Agent j's wealth sum weights the same rows by
     beta_j / R, so no other level is stored.  The rows' longer axis is
-    contiguous: C order where M >= 3 + 2J, Fortran order otherwise.
-    numpy's einsum runs its inner loop along the contiguous axis, so the
-    kernel reduces each (node, row) pair as one contiguous dot over the M
-    compositions wherever there are at least as many of them as rows.
+    contiguous: C order where M >= 3 + 2J, Fortran order otherwise.  The
+    kernel's BLAS products take the rows' transpose as their second
+    operand, and run faster with it in that layout at every M.
     `validate` fills the rows in place, one at a time, so it never holds
     a second copy of the table's largest array.
     """

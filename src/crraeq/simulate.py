@@ -32,10 +32,11 @@ path count.  Each path's time integral is the trapezoid rule over its
 nodes, one row sum that numpy reduces on its own (`_trapezoid`).  So a
 path's values do not depend on the path count, the blocking or the
 group that claims its block, and each group writes only its own paths'
-values: the reports have the same bits for any blocking, on any number
-of cores and under any BLAS thread count.  Truncating the integral at
-a finite horizon leaves an analytically known tail (each composition
-term decays like e^{-D(beta) (T-t)}, so the kernel gives the tails),
+values: for one numpy/OpenBLAS build the reports have the same bits
+for any blocking, on any number of cores and under any BLAS thread
+count.  Truncating the integral at a finite horizon leaves an
+analytically known tail (each composition term decays like
+e^{-D(beta) (T-t)}, so the kernel gives the tails),
 which is reported as `truncation_bound` and must stay small relative to
 the closed form.
 

@@ -647,10 +647,10 @@ def test_verify_bytes_do_not_depend_on_blas_threads(tmp_path, suite):
     len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2, reason="needs two usable cores"
 )
 def test_ladder_bytes_do_not_depend_on_blas_threads_or_cores(tmp_path):
-    # R7 J7 (M = 1716) reduces along contiguous rows, its 2049-node path
-    # streams in node blocks, and MC_TRIO's martingale pass in 25 path
-    # blocks, which one group per usable core claims; each child sets its
-    # own affinity before the package counts its cores
+    # R7 J7 (M = 1716) reduces its terms in fixed-shape BLAS products, its
+    # 2049-node path streams in node blocks, and MC_TRIO's martingale pass
+    # in 25 path blocks, which one group per usable core claims; each
+    # child sets its own affinity before the package counts its cores
     p = ladder(7, 7)
     econ = {
         "R": p.R, "sigma": p.sigma, "alpha_star": p.alpha_star, "delta0": p.delta0,
@@ -669,7 +669,8 @@ def test_ladder_bytes_do_not_depend_on_blas_threads_or_cores(tmp_path):
         [os.path.dirname(os.path.dirname(crraeq.cli.__file__)), os.environ.get("PYTHONPATH", "")]
     )
     runs = []
-    for k, (threads, cpus) in enumerate((("1", cores), ("2", cores), ("1", cores[:1]))):
+    configs = (("1", cores), ("2", cores), ("4", cores), ("1", cores[:1]))
+    for k, (threads, cpus) in enumerate(configs):
         # simulate prints its --out path: each child writes paths.csv in its own directory
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=package_root)
         here = tmp_path / f"run{k}"
@@ -689,7 +690,7 @@ def test_ladder_bytes_do_not_depend_on_blas_threads_or_cores(tmp_path):
             run.append((res.stdout, res.stderr))
         runs.append((run, (here / "paths.csv").read_bytes()))
     assert runs[0][1].count(b"\n") > 3 * 2049
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1] == runs[2] == runs[3]
 
 
 def test_verify_clearing_three_agents(tmp_path):

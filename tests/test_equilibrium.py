@@ -299,6 +299,42 @@ def test_z_pass_log_sum_matches_scipy(m):
         np.testing.assert_allclose(got, logsumexp(row), rtol=1e-15, atol=1e-15)
 
 
+@pytest.mark.parametrize("r", [2, 4, 7])
+def test_z_pass_node_bits_are_fixed_at_the_product_shape(monkeypatch, r):
+    # M = 3, 35 and 1716.  A node's (top, sums) are the same bits alone (a
+    # padded one-node call), at every position of a product among other
+    # nodes, and inside blocks of several sizes, for the table's rows, the
+    # redo's first two rows on the terms plus log beta_0 (some -inf), and
+    # a Newton step's J + 1 rows; reducing a short block without its zero
+    # rows (a product whose row count varies) breaks this
+    p = ladder(r, r)
+    tab = validate(p)
+    width, n_terms = crraeq.equilibrium._PRODUCT_NODES, len(tab.parts)
+    shift = crraeq.equilibrium._z_shift(p, tab)
+    with np.errstate(divide="ignore"):
+        redo_shift = shift + np.log(tab.parts[:, 0])
+    centred = tab.parts / p.R - 1.0 / p.n_agents
+    newton = np.vstack([np.ones(n_terms), centred.T * centred[:, -1]])
+    rng = np.random.default_rng(78 + r)
+    n = 3 * width + 1
+    t, x = rng.uniform(0.0, 3.0, (n, 1)), rng.uniform(-3.0, 3.0, (n, 1))
+    for sh, rows in ((shift, tab.rows), (redo_shift, tab.rows[:2]), (shift, newton)):
+        alone = [crraeq.equilibrium._z_pass(t[i : i + 1], x[i : i + 1], sh, tab, rows)
+                 for i in range(n)]
+        for i in range(n):
+            for pos in range(width):
+                # node i at position pos of one product, other nodes around it
+                batch = np.roll(np.arange(i, i + width) % n, pos)
+                top, sums = crraeq.equilibrium._z_pass(t[batch], x[batch], sh, tab, rows)
+                assert same_bits(top[pos], alone[i][0][0]), (r, len(rows), i, pos)
+                assert same_bits(sums[pos], alone[i][1][0]), (r, len(rows), i, pos)
+        for nodes in (width, 2 * width, 3 * width, 4 * width):  # the last: one padded block
+            monkeypatch.setattr(crraeq.equilibrium, "_BLOCK_ELEMENTS", nodes * n_terms)
+            top, sums = crraeq.equilibrium._z_pass(t, x, sh, tab, rows)
+            assert same_bits(top, np.concatenate([a[0] for a in alone])), (r, len(rows), nodes)
+            assert same_bits(sums, np.concatenate([a[1] for a in alone])), (r, len(rows), nodes)
+
+
 @pytest.mark.parametrize("redo", ["plain", "forced_redo"])
 def test_wealth_shares_are_the_kernels_shares(monkeypatch, redo):
     # wealth_shares at one state is the kernel's share at that node of a
@@ -570,8 +606,9 @@ def test_kernel_memory_is_bounded_by_the_block(monkeypatch):
     "params, order", [(PAIR, "F"), (TRIO, "C"), (ladder(4, 4), "C"), (ladder(7, 7), "C")]
 )
 def test_reduction_rows_keep_their_longer_axis_contiguous(params, order):
-    # einsum runs its inner loop along the contiguous axis: over the M
-    # compositions wherever there are at least as many as the 3 + 2J rows
+    # the Z pass's BLAS products read the rows' transpose fastest with the
+    # M compositions contiguous wherever there are at least as many as the
+    # 3 + 2J rows, and the rows contiguous otherwise
     tab = validate(params)
     assert tab.rows.flags[f"{order}_CONTIGUOUS"]
     assert (order == "C") == (len(tab.parts) >= tab.rows.shape[0])
