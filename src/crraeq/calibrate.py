@@ -160,11 +160,11 @@ def _newton_step(params, table, state, shares, tgt):
     """
     centred = table.parts / params.R - shares
     node = np.array([[state.t]]), np.array([[state.x]])
-    shift = equilibrium._z_shift(params, table)
+    coefs = equilibrium._z_coefs(params, table)
     cov = np.empty((params.n_agents, params.n_agents))
     for k in range(params.n_agents):
         rows = np.vstack([np.ones(len(centred)), centred.T * centred[:, k]])
-        _, sums = equilibrium._z_pass(*node, shift, table, rows)
+        _, sums = equilibrium._z_pass(*node, coefs, rows)
         cov[:, k] = sums[0, 1:] / sums[0, 0]
     step, *_ = np.linalg.lstsq(cov, shares - tgt, rcond=None)
     return step

@@ -233,13 +233,18 @@ def _clearing_logs(t, x, params: EconomyParams):
     return u, lse_u, log_dividend(t, x, params)
 
 
-def _z_shift(params: EconomyParams, table: DenominatorTable) -> np.ndarray:
-    """The log Z terms' state-free part, log_offsets - gamma.beta/R, of shape (M,).
+def _z_coefs(params: EconomyParams, table: DenominatorTable) -> np.ndarray:
+    """The log Z terms' coefficients [x_coefs; shift; -t_coefs], shape (3, M).
 
-    gamma.beta/R is the terms' only gamma-dependent coefficient; it is
+    Term m at a node (t, x) is [x, 1, t] @ column m.  shift = log_offsets
+    - gamma.beta/R holds the terms' only gamma-dependent part; it is
     formed here from params, never stored in the table.
     """
-    return table.log_offsets - table.parts @ params.gamma_vec / params.R
+    coefs = np.empty((3, len(table.x_coefs)))
+    coefs[0] = table.x_coefs
+    np.subtract(table.log_offsets, table.parts @ params.gamma_vec / params.R, out=coefs[1])
+    np.negative(table.t_coefs, out=coefs[2])
+    return coefs
 
 
 def _block_map(run_group, n_items: int, per_block: int) -> None:
@@ -293,43 +298,48 @@ def _block_map(run_group, n_items: int, per_block: int) -> None:
         raise min(failures, key=lambda failure: failure[0])[1]
 
 
-def _z_pass(t, x, shift, table: DenominatorTable, rows):
+def _z_pass(t, x, coefs, rows):
     """(top, sums) of the log Z terms at flat nodes (t, x) of shape (nodes, 1).
 
-    Term m at a node is a_m x + shift_m - b_m t, shift from `_z_shift`
-    (plus log beta_j in the underflow redo); top = each node's largest
-    term and sums = the terms' exp(term - top) times rows.T, of shape
-    (nodes, len(rows)).  The terms are streamed in node blocks of at most
-    _BLOCK_ELEMENTS (whole products, at least one), which the groups of
-    `_block_map` claim, one group per usable core; each group refills its
-    own two buffers for every block, so memory is O(groups x block +
-    nodes x rows).  One stacked matmul reduces a block in BLAS products
-    of exactly _PRODUCT_NODES nodes, the call's last block padded with
-    zero rows.  In that fixed shape a node's sums depend neither on its
-    position nor on the other nodes, so for one OpenBLAS build on one
-    CPU the bits depend neither on the blocking, nor on the group that
+    The terms at a node are [x, 1, t] @ coefs, coefs from `_z_coefs` (plus
+    log beta_j in the middle row in the underflow redo); top = each node's
+    largest term and sums = the terms' exp(term - top) times rows.T, of
+    shape (nodes, len(rows)).  The terms are streamed in node blocks of at
+    most _BLOCK_ELEMENTS (whole products, at least one), which the groups
+    of `_block_map` claim, one group per usable core; each group refills
+    its own (block, M) terms and (block, 3) nodes, so memory is O(groups x
+    block + nodes x rows).  One stacked matmul fills a block's terms and
+    another reduces them, in BLAS products of exactly _PRODUCT_NODES
+    nodes; the call's last block pads the fill with copies of its last
+    node (a zero node gives 0 x -inf at a log 0) and the reduction with
+    zero rows.  In that fixed shape a node's terms and sums depend neither
+    on its position nor on the other nodes, so for one OpenBLAS build on
+    one CPU the bits depend neither on the blocking, nor on the group that
     claims a block, nor on the BLAS thread count.
     """
-    n_nodes, width = len(t), _PRODUCT_NODES
-    per_block = max(width, _BLOCK_ELEMENTS // shift.size // width * width)
+    n_nodes, width, n_terms = len(t), _PRODUCT_NODES, coefs.shape[1]
+    per_block = max(width, _BLOCK_ELEMENTS // n_terms // width * width)
     n_padded = -(-n_nodes // width) * width
     top, sums = np.empty(n_nodes), np.empty((n_padded, len(rows)))
 
     def run(blocks):
-        terms = np.empty((min(n_padded, per_block), shift.size))
-        scratch = np.empty_like(terms)
+        nodes = np.empty((min(n_padded, per_block), 3))
+        nodes[:, 1] = 1.0
+        terms = np.empty((len(nodes), n_terms))
         for blk in blocks:
             k = blk.stop - blk.start
             k_padded = -(-k // width) * width
-            z = np.multiply(table.x_coefs, x[blk], out=terms[:k])
-            z += shift
-            z -= np.multiply(table.t_coefs, t[blk], out=scratch[:k])
+            nodes[:k, 0], nodes[:k, 2] = x[blk, 0], t[blk, 0]
+            nodes[k:k_padded] = nodes[k - 1]
+            products = terms[:k_padded].reshape(-1, width, n_terms)
+            np.matmul(nodes[:k_padded].reshape(-1, width, 3), coefs, out=products)
+            z = terms[:k]
             top[blk] = z.max(axis=-1)
             z -= top[blk, None]
             np.exp(z, out=z)
             terms[k:k_padded] = 0.0
             np.matmul(
-                terms[:k_padded].reshape(-1, width, shift.size),
+                products,
                 rows.T,
                 out=sums[blk.start : blk.start + k_padded].reshape(-1, width, len(rows)),
             )
@@ -343,19 +353,19 @@ def _z_side(t, x, params: EconomyParams, table: DenominatorTable):
 
     Returns top = the largest log term, the total Z/e^top, alpha_tilde,
     rho_tilde, and per agent (nodes, J): log Z^j, log Z^j - top, the
-    wealth share and alpha_tilde^j.  One `_z_pass` reduces the terms
-    against the table's rows at every node.  An agent's share below
-    tiny/eps has lost bits to underflowed terms; for each such agent a
-    second pass, at those nodes only, adds log beta_j to the (M,) shift
-    and reduces the terms against the first two rows, in the same ratio
-    form: log Z^j = top_j + log s0 - log R and alpha_tilde^j = a0 +
-    s1/s0.  Both passes reduce in the same fixed-shape products, so a
+    wealth share and alpha_tilde^j.  One `_z_pass` fills the terms and
+    reduces them against the table's rows at every node.  An agent's
+    share below tiny/eps has lost bits to underflowed terms; for each
+    such agent a second pass, at those nodes only, adds log beta_j to the
+    shift row and reduces the terms against the first two rows, in the
+    same ratio form: log Z^j = top_j + log s0 - log R and alpha_tilde^j =
+    a0 + s1/s0.  Both passes use the same fixed-shape products, so a
     node's fields do not depend on which other nodes share its call.
     """
     r_curv, n_agents = params.R, params.n_agents
     a0, b0 = table.a0, table.b0
-    shift = _z_shift(params, table)
-    top, sums = _z_pass(t, x, shift, table, table.rows)
+    coefs = _z_coefs(params, table)
+    top, sums = _z_pass(t, x, coefs, table.rows)
 
     total, z_beta = sums[:, 0], sums[:, 3 : 3 + n_agents]
     alpha_tilde, rho_tilde = a0 + sums[:, 1] / total, b0 + sums[:, 2] / total
@@ -367,9 +377,10 @@ def _z_side(t, x, params: EconomyParams, table: DenominatorTable):
     low = share < _FULL_PRECISION_SHARE
     for j in np.flatnonzero(low.any(axis=0)):
         nodes = np.flatnonzero(low[:, j])
+        coefs_j = coefs.copy()
         with np.errstate(divide="ignore"):  # the terms without agent j are exp(-inf) = 0
-            shift_j = shift + np.log(table.parts[:, j])
-        top_j, sums_j = _z_pass(t[nodes], x[nodes], shift_j, table, table.rows[:2])
+            coefs_j[1] += np.log(table.parts[:, j])
+        top_j, sums_j = _z_pass(t[nodes], x[nodes], coefs_j, table.rows[:2])
         log_zj[nodes, j] = top_j + np.log(sums_j[:, 0]) - np.log(r_curv)
         log_zj_rel[nodes, j] = log_zj[nodes, j] - top[nodes]
         share[nodes, j] = np.exp(log_zj_rel[nodes, j] - np.log(total[nodes]))
@@ -381,23 +392,23 @@ def evaluate_fields(t, x, params: EconomyParams, table: DenominatorTable) -> dic
     """Every `EvaluatedSeries` field at broadcast (t, x).
 
     The L side is O(J): under the L weights beta is multinomial(R, p) with
-    p = softmax(u).  The Z side is one pass over the level-R Z terms, taken
-    against the largest one and reduced against the table's rows [1, a,
-    b - a^2/2, beta, beta a]; by Pascal's rule the beta rows give the
-    wealth shares E_Z[beta_j]/R and alpha_tilde^j.  Where an agent's share
-    has underflowed below tiny/eps, the same pass runs again at just those
+    p = softmax(u).  The Z side is one pass over the level-R Z terms, their
+    logs filled as [x, 1, t] @ [a; shift; -t_coefs], taken against the
+    largest one and reduced against the table's rows [1, a, b - a^2/2,
+    beta, beta a]; by Pascal's rule the beta rows give the wealth shares
+    E_Z[beta_j]/R and alpha_tilde^j.  Where an agent's share has
+    underflowed below tiny/eps, the same pass runs again at just those
     nodes on the terms plus log beta_j (see `_z_side`).  A pass streams
     node blocks of at most _BLOCK_ELEMENTS (65,536) terms, which one group
     per usable core claims in turn from `_block_map` (a single block runs
     inline), so memory is O(cores x block + nodes J) at any M.  BLAS
-    products of a fixed _PRODUCT_NODES nodes, the last block padded with
-    zero rows, reduce a node alike at one state, along a path, in any
-    block and on any thread, so for one numpy/OpenBLAS build on one
-    machine the bits depend neither on the blocking nor on the cores or
-    BLAS threads.  The entry `log_levels` stacks the logs [log L, log
-    zeta, log Z, log S, log Z^1 .. log Z^J] that the levels are
-    exponentiated from; the finite-difference oracle differentiates every
-    column in one stencil.
+    products of a fixed _PRODUCT_NODES nodes, the last block padded, fill
+    and reduce a node alike at one state, along a path, in any block and
+    on any thread, so for one numpy/OpenBLAS build on one machine the
+    bits depend neither on the blocking nor on the cores or BLAS threads.
+    The entry `log_levels` stacks the logs [log L, log zeta, log Z, log S,
+    log Z^1 .. log Z^J] that the levels are exponentiated from; the
+    finite-difference oracle differentiates every column in one stencil.
     """
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     r_curv, sigma, n_agents = params.R, params.sigma, params.n_agents

@@ -141,7 +141,8 @@ class DenominatorTable:
     """Per-economy composition table: coefficients and denominators for all beta-sums.
 
     Rows of `parts` are the compositions |beta| = R, lexicographically
-    descending.  For each row m the arrays hold
+    descending, as float64 (a product with integers casts them on every
+    call).  For each row m the arrays hold
 
         log_coeffs[m] = log multinomial(R, beta)
         x_coefs[m]    = alpha.beta / R
@@ -149,8 +150,9 @@ class DenominatorTable:
         d_values[m]   = D(beta) > 0
         log_offsets[m] = log_coeffs[m] - log d_values[m]
 
-    so the log of each Z term is log_offsets - gamma.beta/R + a x - t_coefs t
-    with a = x_coefs.  `rows` holds the kernel's reduction rows
+    so the log of each Z term is [x, 1, t] @ [a; shift; -t_coefs], with
+    a = x_coefs and shift = log_offsets - gamma.beta/R, the kernel's fill
+    product.  `rows` holds the kernel's reduction rows
     [1, a - a0, b - b0, beta, beta (a - a0)], shape (3 + 2J, M), with
     b = t_coefs - a^2/2 and a0, b0 the midranges of a and b.  None of
     them involves gamma.  Agent j's wealth sum weights the same rows by
@@ -225,7 +227,7 @@ def validate(params: EconomyParams) -> DenominatorTable:
     rows[3 : 3 + j] = parts.T
     np.multiply(parts.T, rows[1], out=rows[3 + j :])
     return DenominatorTable(
-        parts=parts,
+        parts=parts.astype(float),
         d_values=d_values,
         log_coeffs=log_coeffs,
         x_coefs=x_coefs,

@@ -71,12 +71,17 @@ def log_z_terms(t, x, params, table):
     """Log of each |beta| = R term of Z_t at broadcast (t, x), shape (..., M).
 
     log C(beta) - log D(beta) + a x - gamma.beta/R - b t, with gamma
-    formed here from the agents.  The tests' reference for the terms the
-    kernel reduces: its order of operations is the kernel's fill, so the
-    bits are too.
+    formed here from the agents and b = t_coefs.  The tests' reference
+    for the terms the kernel reduces: its order of operations is the
+    kernel's fill, [x, 1, t] @ [a; shift; -b] in BLAS products of 4 nodes
+    (the last one padded with copies of the last node), so the bits are
+    too.
     """
-    t = np.asarray(t, dtype=float)[..., None]
-    x = np.asarray(x, dtype=float)[..., None]
+    t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     gamma = np.array([a.gamma for a in params.agents])
     shift = table.log_offsets - table.parts @ gamma / params.R
-    return table.x_coefs * x + shift - table.t_coefs * t
+    coefs = np.stack([table.x_coefs, shift, -table.t_coefs])
+    nodes = np.stack([x.ravel(), np.ones(x.size), t.ravel()], axis=-1)
+    nodes = np.concatenate([nodes, nodes[-1:].repeat(-x.size % 4, axis=0)])
+    terms = np.matmul(nodes.reshape(-1, 4, 3), coefs).reshape(-1, len(shift))
+    return terms[: x.size].reshape(x.shape + (len(shift),))

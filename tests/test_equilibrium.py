@@ -7,7 +7,6 @@ import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -286,13 +285,13 @@ def _log_term_rows(m, rng):
 def test_z_pass_log_sum_matches_scipy(m):
     # the Z pass's plain max-shifted sum, top + log s0, over any finite
     # largest term agrees with scipy's tie-counting algorithm to rounding;
-    # at t = 0 and x = 1 a table whose x coefficients are the row has the
-    # row for its log terms, to the bit
+    # at t = 0 and x = 1 coefficients whose x row is the row have the row
+    # for their log terms, to the bit
     rng = np.random.default_rng(200 + m)
     for row in _log_term_rows(m, rng):
-        table = SimpleNamespace(x_coefs=row, t_coefs=np.zeros(m))
         top, sums = crraeq.equilibrium._z_pass(
-            np.zeros((1, 1)), np.ones((1, 1)), np.zeros(m), table, np.ones((1, m))
+            np.zeros((1, 1)), np.ones((1, 1)), np.stack([row, np.zeros(m), np.zeros(m)]),
+            np.ones((1, m)),
         )
         assert top[0] == row.max()
         got = top + np.log(sums[:, 0])
@@ -305,32 +304,33 @@ def test_z_pass_node_bits_are_fixed_at_the_product_shape(monkeypatch, r):
     # padded one-node call), at every position of a product among other
     # nodes, and inside blocks of several sizes, for the table's rows, the
     # redo's first two rows on the terms plus log beta_0 (some -inf), and
-    # a Newton step's J + 1 rows; reducing a short block without its zero
-    # rows (a product whose row count varies) breaks this
+    # a Newton step's J + 1 rows; filling or reducing a short block without
+    # its padding (a product whose row count varies) breaks this
     p = ladder(r, r)
     tab = validate(p)
     width, n_terms = crraeq.equilibrium._PRODUCT_NODES, len(tab.parts)
-    shift = crraeq.equilibrium._z_shift(p, tab)
+    coefs = crraeq.equilibrium._z_coefs(p, tab)
+    redo_coefs = coefs.copy()
     with np.errstate(divide="ignore"):
-        redo_shift = shift + np.log(tab.parts[:, 0])
+        redo_coefs[1] += np.log(tab.parts[:, 0])
     centred = tab.parts / p.R - 1.0 / p.n_agents
     newton = np.vstack([np.ones(n_terms), centred.T * centred[:, -1]])
     rng = np.random.default_rng(78 + r)
     n = 3 * width + 1
     t, x = rng.uniform(0.0, 3.0, (n, 1)), rng.uniform(-3.0, 3.0, (n, 1))
-    for sh, rows in ((shift, tab.rows), (redo_shift, tab.rows[:2]), (shift, newton)):
-        alone = [crraeq.equilibrium._z_pass(t[i : i + 1], x[i : i + 1], sh, tab, rows)
+    for co, rows in ((coefs, tab.rows), (redo_coefs, tab.rows[:2]), (coefs, newton)):
+        alone = [crraeq.equilibrium._z_pass(t[i : i + 1], x[i : i + 1], co, rows)
                  for i in range(n)]
         for i in range(n):
             for pos in range(width):
                 # node i at position pos of one product, other nodes around it
                 batch = np.roll(np.arange(i, i + width) % n, pos)
-                top, sums = crraeq.equilibrium._z_pass(t[batch], x[batch], sh, tab, rows)
+                top, sums = crraeq.equilibrium._z_pass(t[batch], x[batch], co, rows)
                 assert same_bits(top[pos], alone[i][0][0]), (r, len(rows), i, pos)
                 assert same_bits(sums[pos], alone[i][1][0]), (r, len(rows), i, pos)
         for nodes in (width, 2 * width, 3 * width, 4 * width):  # the last: one padded block
             monkeypatch.setattr(crraeq.equilibrium, "_BLOCK_ELEMENTS", nodes * n_terms)
-            top, sums = crraeq.equilibrium._z_pass(t, x, sh, tab, rows)
+            top, sums = crraeq.equilibrium._z_pass(t, x, co, rows)
             assert same_bits(top, np.concatenate([a[0] for a in alone])), (r, len(rows), nodes)
             assert same_bits(sums, np.concatenate([a[1] for a in alone])), (r, len(rows), nodes)
 
@@ -424,10 +424,10 @@ def _spy_on_fallback(monkeypatch):
     calls = []
     real = crraeq.equilibrium._z_pass
 
-    def spy(t, x, shift, table, rows):
+    def spy(t, x, coefs, rows):
         if len(rows) == 2:
             calls.append(len(t))
-        return real(t, x, shift, table, rows)
+        return real(t, x, coefs, rows)
 
     monkeypatch.setattr(crraeq.equilibrium, "_z_pass", spy)
     return calls
@@ -660,6 +660,55 @@ def test_z_reduction_is_within_a_few_eps_of_the_exact_sums(name):
             errors.append(abs(Fraction(float(share[0, j])) - want) / want)
         worst = max(worst, float(max(errors) / eps))
     assert worst <= Z_ACCURACY_CEILINGS[name], worst
+
+
+class _RecordedCoefs(np.ndarray):
+    """Coefficients that keep a copy of every product they enter."""
+
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        args = [a.view(np.ndarray) if isinstance(a, _RecordedCoefs) else a for a in args]
+        result = getattr(ufunc, method)(*args, **kwargs)
+        self.products.append(np.array(result))
+        return result
+
+
+# the worst error of the kernel's fill below, in units of eps (|a x| +
+# |shift| + |b t|): about twice the worst measured at these states
+FILL_ACCURACY_CEILINGS = {"TRIO": 1.3, "R4J4": 1.4, "R7J7": 2.0}
+
+
+@pytest.mark.parametrize("name", list(FILL_ACCURACY_CEILINGS))
+def test_z_fill_is_within_an_eps_of_the_exact_affine_terms(name):
+    # the log terms the Z pass's fill product forms, a x + shift - b t,
+    # against exact sums of the same float coefficients and state, with
+    # the table's shift and with the redo's shift plus log beta_0, whose
+    # log 0 entries must stay -inf.  The tests' `log_z_terms` gives the
+    # table's terms to the bit
+    p = {"TRIO": TRIO, "R4J4": ladder(4, 4), "R7J7": ladder(7, 7)}[name]
+    tab = validate(p)
+    states = ((0.0, 0.0), (0.7, -1.3), (3.1, 2.4), (9.2, -4.6), (1.0, -300.0), (50.0, 2000.0))
+    t, x = (np.array([[s[k]] for s in states]) for k in (0, 1))
+    coefs = crraeq.equilibrium._z_coefs(p, tab)
+    redo = coefs.copy()
+    with np.errstate(divide="ignore"):
+        redo[1] += np.log(tab.parts[:, 0])
+    eps, worst = Fraction(np.finfo(float).eps), 0.0
+    for co in (coefs, redo):
+        recorded = co.view(_RecordedCoefs)
+        recorded.products = []
+        crraeq.equilibrium._z_pass(t, x, recorded, tab.rows[:1])
+        terms = recorded.products[0].reshape(-1, co.shape[1])[: len(states)]  # the fill
+        if co is coefs:
+            assert same_bits(terms, log_z_terms(t[:, 0], x[:, 0], p, tab))
+        assert (terms[:, np.isneginf(co[1])] == -np.inf).all()
+        for m in np.flatnonzero(np.isfinite(co[1])):
+            a, shift, minus_b = map(Fraction, co[:, m])
+            for n, (t_n, x_n) in enumerate(states):
+                ax, bt = a * Fraction(x_n), minus_b * Fraction(t_n)
+                error = abs(Fraction(terms[n, m]) - (ax + shift + bt))
+                if error:
+                    worst = max(worst, float(error / (eps * (abs(ax) + abs(shift) + abs(bt)))))
+    assert worst <= FILL_ACCURACY_CEILINGS[name], worst
 
 
 def test_underflow_redo_is_within_a_few_eps_of_the_exact_sums():
@@ -952,3 +1001,76 @@ def test_permuting_the_agents_permutes_every_per_agent_field(params):
     worst = _permutation_errors(params)
     for group, ceiling in PERMUTATION_CEILINGS.items():
         assert worst[group] <= ceiling, (group, worst)
+
+
+# The same identities over a seeded family of random valid economies, which
+# nets corner cases the fixed economies miss: ties, tiny agents, the
+# log-space redo.  Twice the worst error measured over the family, in the
+# scales above
+FAMILY_CEILINGS = {
+    "time_gamma": {"levels": 5.6, "alpha": 20.1, "rates": 1.9, "portfolios": 93.4},
+    "delta0": {"levels": 10.4},
+    "split": {"levels": 8.1, "alpha": 93.0, "rates": 122.2, "portfolios": 84.3},
+    "permutation": {"levels": 5.2, "alpha": 12.4, "rates": 3.6, "portfolios": 84.1},
+}
+
+
+def _family():
+    """100 seeded `draw_economy` members, each with the identity states at
+    which its levels, with room for the identities' factors (1e5 at most),
+    and its wealth shares are normal floats; a few shares are below the
+    redo threshold.  Levels beyond that range are 0, subnormal or inf by
+    design and carry no relative precision to test; wide slopes put many
+    members' far states there."""
+    rng = np.random.default_rng(2013)
+    t, x = _identity_states()
+    family = []
+    for _ in range(100):
+        p, tab = draw_economy(rng)
+        f = evaluate_fields(t, x, p, tab)
+        levels = np.concatenate(
+            [f[k].reshape(len(t), -1) for k in ("dividend", "zeta", "stock_price", "pd_ratio",
+                                                "wealths", "consumptions")], axis=1
+        )
+        shares = f["wealths"] / f["stock_price"][:, None]
+        normal = ((levels > 1e-290) & (levels < 1e290)).all(axis=1) & (shares > 1e-307).all(axis=1)
+        family.append((p, (t[normal], x[normal])))
+    return tuple(family)
+
+
+def _delta0_errors(p):
+    # delta0 times 1e5: no coefficient moves a bit, the levels scale
+    tab, k = validate(p), 1e5
+    t, x = _identity_states()
+    want = evaluate_fields(t, x, p, tab)
+    got = evaluate_fields(t, x, replace(p, delta0=p.delta0 * k), tab)
+    scaled = {"dividend", "zeta", "stock_price", "wealths", "consumptions", "log_levels"}
+    assert all(same_bits(got[name], want[name]) for name in want.keys() - scaled), p
+    log_k, log_of = math.log(k), lambda f, name: np.log(f[name]).reshape(len(t), -1)
+    levels = {
+        name: (log_of(got, name) - log_k, got, log_of(want, name), want)
+        for name in ("stock_price", "wealths", "consumptions")
+    }
+    log_zeta = lambda f: f["log_levels"][:, 1:2]
+    levels["zeta"] = (log_zeta(got) + p.R * log_k, got, log_zeta(want), want)
+    return {"levels": _level_error(levels)}
+
+
+def _family_errors(identity, p):
+    if identity == "split":
+        errors = [_split_errors(p, k) for k in {0, p.n_agents - 1}]
+        return {group: max(e[group] for e in errors) for group in errors[0]}
+    return {"time_gamma": _time_gamma_errors, "delta0": _delta0_errors,
+            "permutation": _permutation_errors}[identity](p)
+
+
+@pytest.mark.parametrize("identity", list(FAMILY_CEILINGS))
+def test_identities_hold_over_a_family_of_random_economies(monkeypatch, identity):
+    worst = dict.fromkeys(FAMILY_CEILINGS[identity], 0.0)
+    for p, states in _family():
+        # the identity helpers evaluate at `_identity_states`: here, the member's
+        monkeypatch.setattr(f"{__name__}._identity_states", lambda: states)
+        for group, error in _family_errors(identity, p).items():
+            worst[group] = max(worst[group], error)
+    for group, ceiling in FAMILY_CEILINGS[identity].items():
+        assert worst[group] <= ceiling, (identity, group, worst)
